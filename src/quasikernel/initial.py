@@ -10,6 +10,17 @@ populate at finitely many paths, so value equality is exact.
 
 Everything constructed here is a plain kernel value; trees are
 ``(label-table, (depth-table, anchor))`` pairs.
+
+A path ``(j1, ..., jm)`` is keyed by ``inr (j1, ... inr (jm, inl ())...)``,
+and a canonical table lists its keys in the kernel's value order.  In that
+order the root ``()`` (``inl ()``) comes first, then the parameter slot
+``(0,)``, then each child j's block of keys ``(j,) + p``: blocks by j as a
+number (so 10 follows 9), and within a block by p.  A child's canonical
+table, re-keyed under ``(j,)`` one entry at a time, is therefore already
+in order, and so is the block that ``sel`` cuts out and un-keys.  So
+``construct`` and ``sel`` reuse the child's path keys and values as they
+are, adding or removing one step, and never decode, re-encode or sort a
+table.
 """
 
 from __future__ import annotations
@@ -166,14 +177,31 @@ def tree_parts(t: PVal) -> tuple[FinMapV, FinMapV, PVal]:
     return l, rest.fst, rest.snd
 
 
+ROOT_KEY = path_to_pval(())
+SLOT_KEY = path_to_pval((0,))
+_FIXED_KEYS = {(): ROOT_KEY, (0,): SLOT_KEY}
+_ZERO = nat(0)
+
+
+def _subtable(table: FinMapV, j: int) -> FinMapV:
+    """The entries under key prefix (j,), with that step removed; order is kept."""
+    out = []
+    for k, v in table.entries:
+        step = k.value if isinstance(k, InrV) else None
+        if isinstance(step, PairV) and isinstance(step.fst, NatV) and step.fst.n == j:
+            out.append((step.snd, v))
+    return FinMapV(tuple(out))
+
+
 def tree_label_at(t: PVal, p: Path) -> PVal:
     l, _, _ = tree_parts(t)
-    return l.lookup(path_to_pval(p))
+    key = _FIXED_KEYS.get(p)
+    return l.lookup(key if key is not None else path_to_pval(p))
 
 
 def tree_depth(t: PVal) -> Optional[int]:
     _, d, _ = tree_parts(t)
-    v = d.lookup(path_to_pval(()))
+    v = d.lookup(ROOT_KEY)
     return v.n if isinstance(v, NatV) else None
 
 
@@ -229,31 +257,29 @@ class InitialAlgebra:
         a_i, k = self.nf.summands[i]
         if len(children) != k:
             raise TagOutOfRange(f"constructor {i} expects {k} subtrees")
-        label: dict[Path, PVal] = {(): self.node_label(i), (0,): self.leaf_label(i, param)}
-        depth_map: dict[Path, int] = {(0,): 0}
-        child_depths = []
+        # entries are emitted in canonical key order (module docstring); the
+        # slot label is defined for any parameter, as inl is not strict here
+        label = [(ROOT_KEY, self.node_label(i)), (SLOT_KEY, self.leaf_label(i, param))]
+        depth = [(SLOT_KEY, _ZERO)]
+        height = 0
         for j, t in enumerate(children, start=1):
-            lt, dt = tree_tables(t)
-            dj = dt.get(())
-            if dj is None:
+            lt, dt, _ = tree_parts(t)
+            if not (dt.entries and dt.entries[0][0] == ROOT_KEY):
                 raise InvariantViolation("subtree lacks a root depth")
-            child_depths.append(dj)
-            for p, v in lt.items():
-                label[(j,) + p] = v
-            for p, v in dt.items():
-                depth_map[(j,) + p] = v
-        depth_map[()] = 1 + max(child_depths, default=0)
+            height = max(height, dt.entries[0][1].n)
+            step = nat(j)
+            label.extend((InrV(PairV(step, p)), v) for p, v in lt.entries)
+            depth.extend((InrV(PairV(step, p)), v) for p, v in dt.entries)
+        depth.insert(0, (ROOT_KEY, nat(1 + height)))
         anchor = param if k == 0 else tree_anchor(children[0])
-        return make_tree(label, depth_map, anchor)
+        return PairV(FinMapV(tuple(label)), PairV(FinMapV(tuple(depth)), anchor))
 
     def sel(self, j: int, t: PVal) -> PVal:
         """Generic selector: both path maps composed with cons j; anchor kept."""
         if j < 1:
             raise TagOutOfRange("selectors are indexed from 1")
-        lt, dt = tree_tables(t)
-        label = {p[1:]: v for p, v in lt.items() if p[:1] == (j,)}
-        depth_map = {p[1:]: v for p, v in dt.items() if p[:1] == (j,)}
-        return make_tree(label, depth_map, tree_anchor(t))
+        lt, dt, anchor = tree_parts(t)
+        return PairV(_subtable(lt, j), PairV(_subtable(dt, j), anchor))
 
     def destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
         """Read off constructor index, parameter, and immediate subtrees."""

@@ -11,6 +11,7 @@ over a canonical sample set and is therefore an approximation.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -564,6 +565,13 @@ class Fuel:
         self.steps -= 1
 
 
+# The budget of the application being run, read by closures when they are
+# called: a closure's body is charged to the evaluation that applies it,
+# also when a builtin (fold, case, ...) does the applying on its behalf.
+# A context variable keeps concurrent evaluations in threads apart.
+_applying: ContextVar[Fuel] = ContextVar("applying_fuel")
+
+
 def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
     """Call-by-value evaluation; application to an undefined argument is undefined."""
     fuel.tick()
@@ -580,7 +588,8 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
             def closure(x: PVal, _p=param, _b=body, _e=captured) -> PVal:
                 inner = dict(_e)
                 inner[_p] = x
-                return eval_term(_b, inner, fuel)
+                # applied outside any evaluation: only the creator's budget is left
+                return eval_term(_b, inner, _applying.get(fuel))
 
             return PFunV(closure)
         case App(f, a):
@@ -588,7 +597,11 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
             av = eval_term(a, env, fuel)
             if not fv.defined() or not av.defined():
                 return UNDEF
-            return apply_pval(fv, av)
+            token = _applying.set(fuel)
+            try:
+                return apply_pval(fv, av)
+            finally:
+                _applying.reset(token)
         case PairE(x, y):
             return pair(eval_term(x, env, fuel), eval_term(y, env, fuel))
         case Fst(e):

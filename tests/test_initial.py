@@ -25,11 +25,13 @@ from quasikernel.initial import (
     make_tree,
     nat_algebra,
     param_map,
+    pval_to_path,
     same_shape,
     subtype_fold,
     tree_anchor,
     tree_depth,
     tree_label_at,
+    tree_parts,
     tree_tables,
     unchurch,
 )
@@ -159,6 +161,101 @@ class TestConstructors:
         h = build_initial(PolyNF(((Zero(), 0), (Unit(), 1))))
         assert h.empty_constants
         assert h.enumerate_trees(4) == []
+
+
+# the corpus signatures, elaborated as the CLI elaborates them
+CORPUS_SIGNATURES = (
+    "free type List ::= nil | cons(Nat; List)\n"
+    "free type Nat2 ::= 0 | suc Nat2\n"
+    "free type Shape ::= circle | square | glue(Shape; Shape)\n"
+    "free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)\n"
+)
+CORPUS_DEPTHS = {"List": 4, "Nat2": 6, "Shape": 3, "Tagged": 3}
+
+
+def reference_construct(h, i, w, children):
+    """Constructor by decoding, re-keying and re-sorting the child tables."""
+    label = {(): h.node_label(i), (0,): h.leaf_label(i, w)}
+    depth_map = {(0,): 0}
+    for j, c in enumerate(children, start=1):
+        lt, dt = tree_tables(c)
+        label.update({(j,) + p: v for p, v in lt.items()})
+        depth_map.update({(j,) + p: k for p, k in dt.items()})
+    depth_map[()] = 1 + max((tree_depth(c) for c in children), default=0)
+    anchor = tree_anchor(children[0]) if children else w
+    return make_tree(label, depth_map, anchor)
+
+
+def reference_sel(j, t):
+    lt, dt = tree_tables(t)
+    label = {p[1:]: v for p, v in lt.items() if p[:1] == (j,)}
+    depth_map = {p[1:]: k for p, k in dt.items() if p[:1] == (j,)}
+    return make_tree(label, depth_map, tree_anchor(t))
+
+
+def entries(t):
+    l, d, anchor = tree_parts(t)
+    return l.entries, d.entries, anchor
+
+
+def wide_tree():
+    """A hand-built tree whose root has 12 subtrees, so that child 10
+    must sort after child 9 as a number, not as a string."""
+    h = build_initial(PolyNF(((Bool(), 0), (Unit(), 12))))
+    leaves = [h.construct(0, TRUE if j % 3 else FALSE, []) for j in range(12)]
+    inner = h.construct(1, UNIT, leaves[::-1])
+    children = leaves[:9] + [inner, leaves[10], inner]
+    return h, children, h.construct(1, UNIT, children)
+
+
+class TestCanonicalTables:
+    def check_against_reference(self, h, t):
+        i, w, children = h.destruct(t)
+        assert entries(h.construct(i, w, children)) == entries(
+            reference_construct(h, i, w, children)
+        )
+        k = h.nf.summands[i][1]
+        for j in range(1, k + 2):
+            assert entries(h.sel(j, t)) == entries(reference_sel(j, t))
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
+    def test_corpus_signatures_match_reference(self, name):
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
+        trees = h.enumerate_trees(CORPUS_DEPTHS[name])
+        assert trees
+        for t in trees:
+            self.check_against_reference(h, t)
+
+    def test_wide_node_orders_children_as_numbers(self):
+        h, children, t = wide_tree()
+        self.check_against_reference(h, t)
+        steps = [pval_to_path(k)[:1] for k, _ in entries(t)[0]]
+        assert steps == sorted(steps)
+        assert (10,) in steps and (11,) in steps
+
+    def test_undefined_parameter_matches_reference(self):
+        # the slot label wraps the parameter in a non-strict inl, so it is
+        # defined and kept even for an undefined parameter
+        lists = list_handle()
+        wide, wide_children, _ = wide_tree()
+        for h, i, children in (
+            (lists, 1, [lists.construct(0, UNIT, [])]),
+            (nat_algebra(), 0, []),
+            (wide, 1, wide_children),
+        ):
+            t = h.construct(i, UNDEF, children)
+            assert tree_label_at(t, (0,)) == h.leaf_label(i, UNDEF)
+            assert entries(t) == entries(reference_construct(h, i, UNDEF, children))
+
+    def test_selectors_share_the_child_tables(self):
+        h, children, t = wide_tree()
+        for j, child in enumerate(children, start=1):
+            got, want = entries(h.sel(j, t)), entries(child)
+            for table, original in zip(got[:2], want[:2]):
+                assert len(table) == len(original)
+                assert all(k is k0 for (k, _), (k0, _) in zip(table, original))
 
 
 def tree_list_mixed(h):

@@ -214,6 +214,33 @@ class TestEval:
         with pytest.raises(FuelExhausted):
             self.run(App(omega, omega), steps=500)
 
+    def test_closure_does_not_spend_its_creators_budget(self):
+        # a closure made under a small budget stays callable from evaluations
+        # that each bring their own, however often it is called
+        succ = Lit(pfun(lambda v: nat(v.n + 1)))
+        f = eval_term(Lam("x", App(succ, Var("x"))), {}, Fuel(50))
+        for _ in range(100):
+            assert eval_term(App(Var("f"), Lit(nat(0))), {"f": f}, Fuel(1000)) == nat(1)
+
+    def test_caller_is_charged_for_the_closure_body(self):
+        succ = Lit(pfun(lambda v: nat(v.n + 1)))
+        lam = Lam("x", App(succ, Var("x")))
+        f = eval_term(lam, {}, Fuel(50))
+
+        def spent(term, env):
+            fuel = Fuel(1000)
+            eval_term(term, env, fuel)
+            return 1000 - fuel.steps
+
+        direct = spent(App(lam, Lit(nat(0))), {})
+        assert spent(App(Var("f"), Lit(nat(0))), {"f": f}) == direct
+        # also when a builtin applies the closure on the caller's behalf:
+        # five steps outside the body (two Apps, two Lits, one Var), then
+        # the body twice; the body is what `direct` spends beyond App, Lam, Lit
+        twice = pfun(lambda g: pfun(lambda x: apply_pval(g, apply_pval(g, x))))
+        via_builtin = App(App(Lit(twice), Var("f")), Lit(nat(0)))
+        assert spent(via_builtin, {"f": f}) == 5 + 2 * (direct - 3)
+
     def test_deterministic(self):
         prog = CaseE(Lit(inl(nat(2))), "a", Var("a"), "b", Lit(nat(0)))
         assert self.run(prog, steps=100) == self.run(prog, steps=100)

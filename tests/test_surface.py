@@ -373,3 +373,14 @@ class TestEvalIntegration:
         env = elaborate(parse(MONO_LIST_SRC))
         term = parse_expr("case 42 (\\x. \\l. x) [7,8]")
         assert eval_term(term, env.terms, Fuel(100000)) == nat(7)
+
+    def test_let_bound_closure_runs_on_the_callers_budget(self):
+        # the let is elaborated with a budget of 50 steps; each call brings
+        # its own, so repeated calls never exhaust the let's budget
+        env = elaborate(parse(r"let f = \x. suc x"), fuel_steps=50)
+        for _ in range(40):
+            fuel = Fuel(10**6)
+            assert eval_term(parse_expr("f 0"), env.terms, fuel) == nat(1)
+        literal = Fuel(10**6)
+        eval_term(parse_expr(r"(\x. suc x) 0"), env.terms, literal)
+        assert fuel.steps == literal.steps
