@@ -126,37 +126,27 @@ def fold_uniqueness_solutions(
 
     Trees are identified by their path maps (anchors are derived data on
     carrier members), processed in depth order so each equation instance
-    only mentions already-assigned subtrees.  Exactly one solution means
+    only mentions already-assigned subtrees.  Each tree's value is then
+    forced up to equality, so the count is the product over trees of how
+    many carrier values equal the required one.  Exactly one solution means
     the fold is unique on the bounded set; by default the search also
     insists that any solution found agrees with the implemented fold.
     """
-    order = sorted(trees, key=lambda t: tree_depth(t) or 0)
-    meta = []
-    for t in order:
-        i, w, children = handle.destruct(t)
-        fold_value = handle.fold(algebra, t) if must_match_fold else None
-        meta.append((_shape_key(t), i, w, [_shape_key(c) for c in children], fold_value))
-
     assignment: dict = {}
-
-    def count(pos: int) -> int:
-        if pos == len(meta):
-            return 1
-        skey, i, w, child_keys, fold_value = meta[pos]
-        required = algebra[i](w, [assignment[ck] for ck in child_keys])
-        total = 0
-        for b in carrier:
-            if b == required:
-                if must_match_fold and b != fold_value:
-                    raise AssertionError(
-                        "a fold-equation solution disagrees with fold itself"
-                    )
-                assignment[skey] = b
-                total += count(pos + 1)
-                del assignment[skey]
-        return total
-
-    return count(0)
+    total = 1
+    for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
+        i, w, children = handle.destruct(t)
+        required = algebra[i](w, [assignment[_shape_key(c)] for c in children])
+        matches = [b for b in carrier if b == required]
+        if not matches:
+            return 0
+        if must_match_fold:
+            fold_value = handle.fold(algebra, t)
+            if any(b != fold_value for b in matches):
+                raise AssertionError("a fold-equation solution disagrees with fold itself")
+        assignment[_shape_key(t)] = matches[0]
+        total *= len(matches)
+    return total
 
 
 # ---------------------------------------------------------------------------

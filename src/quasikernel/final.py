@@ -30,6 +30,7 @@ from .kernel import (
     is_true,
     nat,
     pfun,
+    product_choices,
     ty_card,
 )
 
@@ -363,7 +364,7 @@ def ambient_general_poly_values(
         labels = [
             (InlV(v) if side == 0 else InrV(v)) for v in fiber
         ]
-        for choice in _choices(x_vals, len(labels)):
+        for choice in product_choices(x_vals, len(labels)):
             f = finmap(zip(labels, choice))
             out.append(PairV(f, InlV(UNIT) if side == 0 else InrV(UNIT)))
     return out
@@ -377,7 +378,7 @@ def ambient_ext_values(
 
     out = []
     for side, fiber in ((0, bl_vals), (1, br_vals)):
-        for choice in _choices(x_vals, len(fiber)):
+        for choice in product_choices(x_vals, len(fiber)):
             f = finmap(zip(fiber, choice))
             out.append(InlV(f) if side == 0 else InrV(f))
     return out
@@ -396,12 +397,3 @@ def ambient_iso(v: PVal) -> PVal:
             f = finmap({InrV(k): x for k, x in entries})
             return PairV(f, InrV(UNIT))
     raise QuasiError("not an extended-polynomial value")
-
-
-def _choices(options, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _choices(options, n - 1):
-        for o in options:
-            yield (o,) + rest

@@ -34,6 +34,7 @@ from .kernel import (
     is_true,
     pair,
     pfun,
+    product_choices,
     ty_card,
 )
 
@@ -310,7 +311,7 @@ def poly_enumerate(nf: PolyNF, xs: list[PVal], nat_bound: int = 4) -> list[PVal]
     out = []
     for i, (a, k) in enumerate(nf.summands):
         for p in enumerate_ty(a, nat_bound):
-            for children in _choices(xs, k):
+            for children in product_choices(xs, k):
                 out.append(poly_value(nf, i, p, list(children)))
     return out
 
@@ -320,18 +321,9 @@ def ext_enumerate(nf: ExtPolyNF, xs: list[PVal], nat_bound: int = 4) -> list[PVa
     for i, (a, b) in enumerate(nf.summands):
         dom = enumerate_ty(b, nat_bound)
         for p in enumerate_ty(a, nat_bound):
-            for choice in _choices(xs, len(dom)):
+            for choice in product_choices(xs, len(dom)):
                 out.append(ext_value(nf, i, p, finmap(zip(dom, choice))))
     return out
-
-
-def _choices(options, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _choices(options, n - 1):
-        for o in options:
-            yield (o,) + rest
 
 
 # ---------------------------------------------------------------------------

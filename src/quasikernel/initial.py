@@ -53,6 +53,7 @@ from .kernel import (
     holds,
     logical,
     nat,
+    product_choices,
     ty_card,
 )
 
@@ -435,7 +436,7 @@ class InitialAlgebra:
             for i in range(1, self.n):
                 _, k = self.nf.summands[i]
                 for y in params[i]:
-                    for combo in _tuples(layers, k):
+                    for combo in product_choices(layers, k):
                         t = self.construct(i, y, list(combo))
                         if t not in seen:
                             seen.add(t)
@@ -444,15 +445,6 @@ class InitialAlgebra:
                 break
             layers.extend(new)
         return [t for t in layers if (tree_depth(t) or 0) <= max_depth]
-
-
-def _tuples(options, k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _tuples(options, k - 1):
-        for o in options:
-            yield (o,) + rest
 
 
 def build_initial(nf: PolyNF, param_shape=None) -> InitialAlgebra:

@@ -11,6 +11,7 @@ over a canonical sample set and is therefore an approximation.
 
 from __future__ import annotations
 
+import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
@@ -165,19 +166,56 @@ class PVal:
         return not isinstance(self, Undef)
 
 
+def _value_hash(v: PVal) -> int:
+    """The hash of every value: its ``_sort_key`` order tag with its payload.
+
+    The tag keeps payload-equal values of different constructors apart
+    (``inl x``/``inr x``, ``TRUE``/``FALSE``, ``UNIT``/``UNDEF``), and
+    being a plain integer it hashes the same in every process.  Values are
+    immutable, so the constructors whose payload is a value cache the hash:
+    trees are hashed on every table lookup.  Procedural maps hash by
+    identity, as they compare.
+    """
+    cls = type(v)  # dispatch by class test: a class pattern costs several times more
+    if cls is NatV:
+        return hash((2, v.n))
+    h = getattr(v, "_hash", None)
+    if h is None:
+        if cls is PairV:
+            h = hash((5, v.fst, v.snd))
+        elif cls is InrV:
+            h = hash((4, v.value))
+        elif cls is InlV:
+            h = hash((3, v.value))
+        elif cls is FinMapV:
+            h = hash((6, v.entries))
+        elif cls is PFunV:
+            return hash((7, id(v.fn)))
+        elif cls is UnitV:
+            return hash((1,))
+        elif cls is Undef:
+            return hash((0,))
+        else:
+            raise TypeMismatch(f"unknown value {v!r}")
+        object.__setattr__(v, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class Undef(PVal):
-    pass
+    __hash__ = _value_hash
 
 
 @dataclass(frozen=True)
 class UnitV(PVal):
-    pass
+    __hash__ = _value_hash
 
 
 @dataclass(frozen=True)
 class NatV(PVal):
     n: int
+
+    __hash__ = _value_hash
 
     def __post_init__(self):
         if self.n < 0:
@@ -189,22 +227,21 @@ class PairV(PVal):
     fst: PVal
     snd: PVal
 
-    def __hash__(self):  # cached: values can be large and are hashed repeatedly
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((PairV, self.fst, self.snd))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _value_hash
 
 
 @dataclass(frozen=True)
 class InlV(PVal):
     value: PVal
 
+    __hash__ = _value_hash
+
 
 @dataclass(frozen=True)
 class InrV(PVal):
     value: PVal
+
+    __hash__ = _value_hash
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +255,7 @@ class PFunV(PVal):
     def __eq__(self, other):
         return self is other
 
-    def __hash__(self):
-        return id(self.fn)
+    __hash__ = _value_hash
 
 
 def _sort_key(v: PVal):
@@ -250,12 +286,7 @@ class FinMapV(PVal):
 
     entries: tuple[tuple[PVal, PVal], ...]
 
-    def __hash__(self):  # cached: tables are hashed on every dict lookup
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((FinMapV, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _value_hash
 
     @staticmethod
     def of(table: Mapping[PVal, PVal] | Iterable[tuple[PVal, PVal]]) -> "FinMapV":
@@ -362,25 +393,25 @@ def enumerate_ty(ty: Ty, nat_bound: int = 4, env=None) -> list[PVal]:
             cods = enumerate_ty(c, nat_bound)
             return [
                 finmap(zip(dom, choice))
-                for choice in _product_choices(cods, len(dom))
+                for choice in product_choices(cods, len(dom))
             ]
         case Partial(d, c):
             dom = enumerate_ty(d, nat_bound)
             cods = enumerate_ty(c, nat_bound) + [UNDEF]
             return [
                 finmap((k, v) for k, v in zip(dom, choice) if v.defined())
-                for choice in _product_choices(cods, len(dom))
+                for choice in product_choices(cods, len(dom))
             ]
     raise NonEnumerableType(f"cannot enumerate {t!r}")
 
 
-def _product_choices(options, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _product_choices(options, n - 1):
-        for o in options:
-            yield (o,) + rest
+def product_choices(options, n):
+    """Every n-tuple over ``options``, the first position varying fastest.
+
+    This order fixes the order of enumerated tables and trees, and through
+    it the details that reports print.
+    """
+    return (c[::-1] for c in itertools.product(options, repeat=n))
 
 
 # ---------------------------------------------------------------------------

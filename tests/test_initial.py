@@ -308,6 +308,21 @@ class TestFold:
             for algebra in sample_algebras(h.nf, carrier, 10, rng):
                 assert fold_uniqueness_solutions(h, algebra, trees, carrier) == 1
 
+    def test_fold_uniqueness_on_many_trees(self):
+        # more trees than the default recursion limit (1,000) allows frames
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
+        trees = h.enumerate_trees(4)
+        assert len(trees) == 1446
+        carrier = [nat(i) for i in range(3)]
+        for algebra in sample_algebras(h.nf, carrier, 3, random.Random(0)):
+            assert fold_uniqueness_solutions(h, algebra, trees, carrier) == 1
+        # a carrier listing the required value twice doubles the count per tree
+        solo = [lambda w, rs: nat(0)] * h.n
+        assert fold_uniqueness_solutions(h, solo, trees[:3], [nat(0), nat(0)]) == 8
+        assert fold_uniqueness_solutions(h, solo, trees, [nat(1)]) == 0
+
 
 class TestLambek:
     def test_inverse_decomposes_cons(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +52,7 @@ from quasikernel.kernel import (
     normalize_ty,
     pair,
     pfun,
+    product_choices,
     restrict,
     ty_card,
 )
@@ -321,6 +327,17 @@ class TestTypes:
         assert len(enumerate_ty(Total(Bool(), Bool()))) == 4
         assert len(enumerate_ty(Partial(Bool(), Unit()))) == 4
 
+    def test_product_choices_vary_the_first_position_fastest(self):
+        # enumeration order of tables and trees rests on this order
+        assert list(product_choices("ab", 2)) == [
+            ("a", "a"),
+            ("b", "a"),
+            ("a", "b"),
+            ("b", "b"),
+        ]
+        assert list(product_choices("ab", 0)) == [()]
+        assert list(product_choices("", 2)) == []
+
 
 class TestLogical:
     def test_holds(self):
@@ -330,3 +347,61 @@ class TestLogical:
     def test_formula_is_partial_unit_map(self):
         assert apply_pval(logical(True), UNIT) == UNIT
         assert apply_pval(logical(False), UNIT) == UNDEF
+
+
+# a tree of the corpus type Tagged, with both Bool labels and a Nat parameter
+HASH_SCRIPT = """
+from quasikernel.kernel import FALSE, TRUE, nat
+from quasikernel.surface import elaborate, parse
+h = elaborate(parse("free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)")).freetypes["Tagged"].handle
+t = h.construct(1, nat(1), [h.construct(0, TRUE, []), h.construct(0, FALSE, [])])
+print(hash(t))
+"""
+
+
+class TestHashing:
+    def test_constructors_hash_apart_on_equal_payloads(self):
+        for x in (UNIT, nat(0), PairV(nat(1), TRUE), finmap({UNIT: nat(2)})):
+            assert hash(InlV(x)) != hash(InrV(x))
+        assert hash(TRUE) != hash(FALSE)
+        assert hash(UNIT) != hash(UNDEF)
+        assert hash(nat(0)) != hash(UNIT)
+
+    def test_equal_values_built_apart_hash_equal(self):
+        def build():
+            inner = finmap({nat(0): TRUE, InrV(PairV(nat(1), UNIT)): FALSE})
+            return PairV(InlV(inner), PairV(finmap({inner: PairV(UNIT, nat(3))}), UNDEF))
+
+        a, b = build(), build()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert hash(b) == hash(b)  # the cached value is the computed one
+
+    def test_tagged_trees_hash_apart(self):
+        from quasikernel.surface import elaborate, parse
+
+        handle = elaborate(
+            parse("free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)")
+        ).freetypes["Tagged"].handle
+        trees = handle.enumerate_trees(3)
+        # hashing the payload without the constructor gave 19 distinct hashes
+        assert len(trees) == len(set(trees)) == 202
+        assert len({hash(t) for t in trees}) == 202
+
+    def test_hash_is_the_same_in_every_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        hashes = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", HASH_SCRIPT],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            hashes.add(proc.stdout.strip())
+        assert len(hashes) == 1
