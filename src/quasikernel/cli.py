@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 from . import kernel, surface
 from .checks import CheckConfig, CheckResult, check, suite_cpo, suite_final, suite_initial, suite_lab
@@ -126,22 +125,6 @@ def cmd_lab(args) -> list[CheckResult]:
     return suite_lab(args.which, _config(args))
 
 
-def _crash(command: str, e: Exception) -> CheckResult:
-    """A failed check naming the exception and the innermost source line it left.
-
-    Generated code, such as a dataclass ``__init__``, has no source file and
-    is passed over.
-    """
-    tb = last = e.__traceback__  # starts in run(), which has a source file
-    while tb is not None:
-        if not tb.tb_frame.f_code.co_filename.startswith("<"):
-            last = tb
-        tb = tb.tb_next
-    code = last.tb_frame.f_code
-    where = f"{Path(code.co_filename).name}:{last.tb_lineno} in {code.co_name}"
-    return CheckResult(f"{command}.crash", "fail", f"{type(e).__name__}: {e} ({where})")
-
-
 def run(argv=None) -> tuple[dict, int]:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
@@ -151,11 +134,7 @@ def run(argv=None) -> tuple[dict, int]:
         "check": cmd_check,
         "lab": cmd_lab,
     }[args.command]
-    try:
-        checks = handler(args)
-    except Exception as e:  # no input ends in a traceback: report the crash
-        checks = [_crash(args.command, e)]
-    checks = sorted(checks, key=lambda c: c.name)
+    checks = sorted(handler(args), key=lambda c: c.name)
     elapsed = int((time.monotonic() - started) * 1000)
     report = {
         "command": args.command,
