@@ -11,7 +11,9 @@ Modules:
   cli       command-line front end
 """
 
-from . import checks, cli, cpo, final, functors, initial, kernel, lab, surface
+# cli is not imported here, so that ``python -m quasikernel.cli`` runs it
+# fresh; ``from quasikernel import cli`` still loads it on demand.
+from . import checks, cpo, final, functors, initial, kernel, lab, surface
 
 __all__ = [
     "checks",

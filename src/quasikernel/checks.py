@@ -13,9 +13,27 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .functors import PolyNF
+from . import cpo as cpo_mod
+from . import lab
+from .final import mtype_vs_extpoly_compare
+from .functors import PolyNF, ext_unvalue, inject, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
-from .kernel import PVal, enumerate_ty, eq_strong, is_true
+from .kernel import (
+    FALSE,
+    TRUE,
+    UNDEF,
+    Bool,
+    InlV,
+    Nat,
+    PVal,
+    QuasiError,
+    apply_pval,
+    enumerate_ty,
+    eq_strong,
+    finmap,
+    is_true,
+    nat,
+)
 
 
 @dataclass
@@ -44,11 +62,17 @@ def _table_fn(table: dict):
     return call
 
 
-def _summand_functions(a_ty, k: int, carrier: Sequence[PVal], nat_bound: int):
-    params = enumerate_ty(a_ty, nat_bound)
-    domain = [
-        (w, combo) for w in params for combo in itertools.product(carrier, repeat=k)
+def _algebra_domain(a_ty, k: int, carrier: Sequence[PVal], nat_bound: int) -> list:
+    """The inputs ``(w, children)`` of one summand's algebra function."""
+    return [
+        (w, combo)
+        for w in enumerate_ty(a_ty, nat_bound)
+        for combo in itertools.product(carrier, repeat=k)
     ]
+
+
+def _summand_functions(a_ty, k: int, carrier: Sequence[PVal], nat_bound: int):
+    domain = _algebra_domain(a_ty, k, carrier, nat_bound)
     for values in itertools.product(carrier, repeat=len(domain)):
         yield _table_fn(dict(zip(domain, values)))
 
@@ -72,18 +96,9 @@ def sample_algebras(
     nat_bound: int = 2,
 ) -> Iterator[list]:
     """Seeded random algebras, for signatures whose full space is too large."""
+    domains = [_algebra_domain(a, k, carrier, nat_bound) for a, k in nf.summands]
     for _ in range(count):
-        algebra = []
-        for a, k in nf.summands:
-            params = enumerate_ty(a, nat_bound)
-            domain = [
-                (w, combo)
-                for w in params
-                for combo in itertools.product(carrier, repeat=k)
-            ]
-            table = {key: rng.choice(carrier) for key in domain}
-            algebra.append(_table_fn(table))
-        yield algebra
+        yield [_table_fn({key: rng.choice(carrier) for key in d}) for d in domains]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +178,6 @@ class CheckConfig:
 
 def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     """Bounded certification of one installed free type."""
-    from .kernel import QuasiError, nat
-
     prefix = f"initial.{info.display}"
     handle = info.handle
     try:
@@ -191,8 +204,6 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
 
     depth_ok = True
     for t in trees:
-        from .initial import tree_depth
-
         _i, _w, children = handle.destruct(t)
         want = 1 + max((tree_depth(c) or 0 for c in children), default=0)
         depth_ok = depth_ok and tree_depth(t) == want
@@ -205,8 +216,6 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
 
 def _canonical_coalgebra(info, cfg: CheckConfig):
     """A deterministic total coalgebra on small integer seeds."""
-    from .kernel import enumerate_ty
-
     handle = info.handle
     params = [enumerate_ty(a, 2) for a, _ in handle.nf.summands]
 
@@ -226,9 +235,6 @@ def _canonical_coalgebra(info, cfg: CheckConfig):
 
 
 def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
-    from .functors import ext_unvalue, inject, project
-    from .kernel import QuasiError, apply_pval, eq_strong, is_true
-
     prefix = f"final.{info.display}"
     handle = info.handle
     try:
@@ -257,8 +263,6 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
 
     # iterative reference: cons-based recursion and snoc-based observation agree
     def reference(z, path):
-        from .kernel import UNDEF
-
         seed = z
         for label in path:
             i, _x, g = d(seed)
@@ -280,9 +284,6 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
 
 
 def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
-    from . import cpo as cpo_mod
-    from .kernel import Bool, Nat, UNDEF, apply_pval, finmap, nat
-
     out = []
     bound = max(4, min(cfg.chain_bound, 16))
     lemma_ok = True
@@ -328,8 +329,6 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
         out.append(CheckResult("cpo.lfp-factorial", "fail", str(e)))
 
     s = cpo_mod.sum_cpo(cpo_mod.VERT, cpo_mod.NAT_FLAT)
-    from quasikernel.kernel import FALSE, InlV, TRUE
-
     try:
         sup = cpo_mod.chain_sup(
             s, lambda i: InlV(FALSE) if i < 2 else InlV(TRUE), 6
@@ -341,9 +340,6 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
 
 
 def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
-    from . import lab
-    from .final import mtype_vs_extpoly_compare
-
     out = []
     if which in ("rere", "all"):
         zero, one = lab.initial(lab.RERE), lab.terminal(lab.RERE)
@@ -354,7 +350,7 @@ def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
         for size in range(5):
             atoms = tuple(range(size))
             off = [(x, y) for x in atoms for y in atoms if x != y]
-            for edges in _edge_subsets(off):
+            for edges in lab._subsets(off):
                 o = lab.rere_obj(atoms, edges)
                 if lab.is_coarse(o) != (len(o.structure) == size * size):
                     sweep_ok = False
@@ -395,8 +391,3 @@ def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
         agree = mtype_vs_extpoly_compare(one, one, one_empty)
         out.append(check("lab.mtypes.disjoint-fibers-agree", agree.isomorphic))
     return out
-
-
-def _edge_subsets(pairs):
-    for r in range(len(pairs) + 1):
-        yield from itertools.combinations(pairs, r)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .final import FinalCoalgebra
+from .final import FinalCoalgebra, _as_ptree
 from .functors import project
 from .initial import InitialAlgebra, make_tree, tree_anchor, tree_tables
 from .kernel import (
@@ -37,7 +37,6 @@ from .kernel import (
     eq_strong,
     finmap,
     is_true,
-    nat,
 )
 
 
@@ -291,9 +290,6 @@ class DomainInitial:
                 return False
         return self.param_cpos[0].le(tree_anchor(t1), tree_anchor(t2))
 
-    def as_cpo(self, sample: Sequence[PVal] = ()) -> CpoDescriptor:
-        return CpoDescriptor("treetype", self.tree_le, tuple(sample))
-
     def chain_sup(self, trees: Sequence[PVal]) -> PVal:
         """Pointwise supremum of a finite monotone chain of trees."""
         for a, b in zip(trees, trees[1:]):
@@ -340,10 +336,6 @@ class DomainInitial:
         return out
 
 
-def domain_initial(handle: InitialAlgebra, param_cpos: Sequence[CpoDescriptor]) -> DomainInitial:
-    return DomainInitial(handle, list(param_cpos))
-
-
 # ---------------------------------------------------------------------------
 # Final process types as cpos
 
@@ -373,7 +365,6 @@ class DomainFinal:
         for a, b in zip(trees, trees[1:]):
             if not self.tree_le(a, b, depth):
                 raise MonotonicityViolation("tree chain is not increasing")
-        from .final import _as_ptree
 
         def value_at(path):
             out = UNDEF
@@ -403,10 +394,6 @@ class DomainFinal:
             sup = self.chain_sup(chain, depth)
             out.extend(self.handle.membership_failures(sup, depth))
         return out
-
-
-def domain_final(handle: FinalCoalgebra, param_cpos: Sequence[CpoDescriptor]) -> DomainFinal:
-    return DomainFinal(handle, list(param_cpos))
 
 
 # ---------------------------------------------------------------------------

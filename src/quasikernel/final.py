@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import lab
 from .functors import ExtPolyNF, ext_value, inject, project
 from .kernel import (
     UNDEF,
     UNIT,
+    FinMapV,
     InlV,
     InrV,
     NonEnumerableType,
@@ -25,10 +27,12 @@ from .kernel import (
     PVal,
     QuasiError,
     apply_pval,
+    decode_path,
+    encode_path,
     enumerate_ty,
     eq_strong,
+    finmap,
     is_true,
-    nat,
     pfun,
     product_choices,
     ty_card,
@@ -50,26 +54,11 @@ class NonDisjointFibers(QuasiError):
 BPath = tuple[PVal, ...]
 
 
-def bpath_to_pval(p: BPath) -> PVal:
-    out: PVal = InlV(UNIT)
-    for b in reversed(p):
-        out = InrV(PairV(b, out))
-    return out
-
-
-def pval_to_bpath(v: PVal) -> BPath:
-    out = []
-    while isinstance(v, InrV):
-        out.append(v.value.fst)
-        v = v.value.snd
-    return tuple(out)
-
-
 def _as_ptree(value_at: Callable[[BPath], PVal], witness=None) -> PVal:
     memo: dict[BPath, PVal] = {}
 
     def observe(path_pval: PVal) -> PVal:
-        path = pval_to_bpath(path_pval)
+        path = decode_path(path_pval)
         if path not in memo:
             memo[path] = value_at(path)
         return memo[path]
@@ -82,6 +71,11 @@ def _as_ptree(value_at: Callable[[BPath], PVal], witness=None) -> PVal:
 
 def ptree_witness(tree: PVal):
     return getattr(tree, "_witness", None)
+
+
+def subtree(handle, tree: PVal, label: PVal) -> PVal:
+    """The subtree of ``tree`` under one more label, observed through ``handle``."""
+    return _as_ptree(lambda p: handle.observe(tree, (label,) + p))
 
 
 class FinalCoalgebra:
@@ -108,7 +102,7 @@ class FinalCoalgebra:
     # ---- observation ------------------------------------------------------
 
     def observe(self, tree: PVal, path: BPath) -> PVal:
-        return apply_pval(tree, bpath_to_pval(path))
+        return apply_pval(tree, encode_path(path))
 
     def paths_up_to(self, depth: int) -> list[BPath]:
         out: list[BPath] = [()]
@@ -133,14 +127,10 @@ class FinalCoalgebra:
         if not root.defined():
             return UNDEF
         i, x = project(root, self.n)
-
-        def subtree(y: PVal, _i=i) -> PVal:
-            label = inject(_i, self.n, y)
-            return _as_ptree(
-                lambda p, _l=label: self.observe(tree, (_l,) + p)
-            )
-
-        return ext_value(self.nf, i, x, pfun(subtree, dom=self.nf.summands[i][1]))
+        under = pfun(
+            lambda y: subtree(self, tree, inject(i, self.n, y)), dom=self.nf.summands[i][1]
+        )
+        return ext_value(self.nf, i, x, under)
 
     def unfold(self, d: Callable, z) -> PVal:
         """The unique morphism from a coalgebra ``d`` with seed ``z``.
@@ -184,9 +174,6 @@ class FinalCoalgebra:
                         )
         return failures
 
-    def in_carrier(self, tree: PVal, depth: int = 4) -> bool:
-        return not self.membership_failures(tree, depth)
-
     # ---- cotype partial case -------------------------------------------------
 
     def cotype_case(
@@ -219,10 +206,6 @@ class FinalCoalgebra:
             return branches[tag](t)
 
         return h
-
-
-def build_final(nf: ExtPolyNF, nat_bound: int = 4) -> FinalCoalgebra:
-    return FinalCoalgebra(nf, nat_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +250,12 @@ class MType:
         self.sig = sig
         self.b_labels = [b for _, bs in sig.fibers for b in bs]
 
-    def observe(self, tree: PVal, path: BPath) -> PVal:
-        return apply_pval(tree, bpath_to_pval(path))
-
-    def paths_up_to(self, depth: int) -> list[BPath]:
-        out: list[BPath] = [()]
-        frontier: list[BPath] = [()]
-        for _ in range(depth):
-            frontier = [p + (b,) for p in frontier for b in self.b_labels]
-            out.extend(frontier)
-        return out
+    observe = FinalCoalgebra.observe
+    paths_up_to = FinalCoalgebra.paths_up_to
 
     def structure_map(self, tree: PVal) -> tuple[PVal, Callable[[PVal], PVal]]:
         """c f = (f nil, fun b . fun p . f (cons b p))."""
-        a = self.observe(tree, ())
-
-        def branch(b: PVal) -> PVal:
-            return _as_ptree(lambda p, _b=b: self.observe(tree, (_b,) + p))
-
-        return a, branch
+        return self.observe(tree, ()), lambda b: subtree(self, tree, b)
 
     def unfold(self, d: Callable, z) -> PVal:
         """d maps a seed to (index, successor map defined exactly on its fiber)."""
@@ -315,10 +285,6 @@ class MType:
         return failures
 
 
-def build_mtype(sig: MSignature) -> MType:
-    return MType(sig)
-
-
 # ---------------------------------------------------------------------------
 # Comparing extended polynomial functors with general polynomial ones
 
@@ -338,8 +304,6 @@ def mtype_vs_extpoly_compare(b_left, b_right, x) -> FunctorComparison:
     objects, counting elements of both; a mismatch certifies that general
     polynomial functors do not subsume extended polynomial ones here.
     """
-    from . import lab
-
     f_card = len(lab.hom_set(b_left, x)) + len(lab.hom_set(b_right, x))
     b = lab.coproduct(b_left, b_right).obj
     pq_card = 0
@@ -357,8 +321,6 @@ def ambient_general_poly_values(
 ) -> list[PVal]:
     """Elements of ``P_q(X)`` in the ambient model: pairs of a partial map on
     ``B = B_l + B_r`` defined exactly on one fiber, and the matching index."""
-    from .kernel import finmap
-
     out = []
     for side, fiber in ((0, bl_vals), (1, br_vals)):
         labels = [
@@ -374,8 +336,6 @@ def ambient_ext_values(
     bl_vals: Sequence[PVal], br_vals: Sequence[PVal], x_vals: Sequence[PVal]
 ) -> list[PVal]:
     """Elements of ``(B_l -> X) + (B_r -> X)`` in the ambient model."""
-    from .kernel import finmap
-
     out = []
     for side, fiber in ((0, bl_vals), (1, br_vals)):
         for choice in product_choices(x_vals, len(fiber)):
@@ -387,8 +347,6 @@ def ambient_ext_values(
 def ambient_iso(v: PVal) -> PVal:
     """The displayed isomorphism, available because the ambient model has bot:
     extend the function by undefinedness onto the other fiber."""
-    from .kernel import FinMapV, finmap
-
     match v:
         case InlV(FinMapV(entries)):
             f = finmap({InlV(k): x for k, x in entries})

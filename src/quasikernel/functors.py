@@ -31,11 +31,14 @@ from .kernel import (
     apply_pval,
     enumerate_ty,
     finmap,
+    fold_right,
     is_true,
     pair,
     pfun,
     product_choices,
+    tuple_of,
     ty_card,
+    untuple,
 )
 
 
@@ -150,24 +153,6 @@ def _sum_exp(a: Ty, b: Ty) -> Ty:
     return Sum(a, b)
 
 
-def _fold_prod(tys: list[Ty]) -> Ty:
-    if not tys:
-        return Unit()
-    out = tys[-1]
-    for t in reversed(tys[:-1]):
-        out = _prod_ty(t, out)
-    return out
-
-
-def _fold_sum(tys: list[Ty]) -> Ty:
-    if not tys:
-        return Zero()
-    out = tys[-1]
-    for t in reversed(tys[:-1]):
-        out = Sum(t, out)
-    return out
-
-
 def _monomials(f: SigFunctor) -> list[tuple[list[Ty], int]]:
     match f:
         case Id():
@@ -189,10 +174,10 @@ def to_poly_nf(f: SigFunctor) -> PolyNF:
     """Normalize a polynomial functor, collecting all constants into one summand."""
     if not is_polynomial(f):
         raise NotPolynomial(f"{f!r} contains an exponential")
-    monos = [(_fold_prod(cs), k) for cs, k in _monomials(f)]
+    monos = [(fold_right(_prod_ty, Unit(), cs), k) for cs, k in _monomials(f)]
     constants = [a for a, k in monos if k == 0]
     rest = [(a, k) for a, k in monos if k > 0]
-    return PolyNF(tuple([(_fold_sum(constants), 0)] + rest))
+    return PolyNF(tuple([(fold_right(Sum, Zero(), constants), 0)] + rest))
 
 
 def _ext_summands(f: SigFunctor) -> list[tuple[Ty, Ty]]:
@@ -254,33 +239,14 @@ def project(v: PVal, n: int) -> tuple[int, PVal]:
     return i, v
 
 
-def _tuple_of(values: list[PVal]) -> PVal:
-    if not values:
-        return UNIT
-    out = values[-1]
-    for v in reversed(values[:-1]):
-        out = pair(v, out)
-    return out
-
-
-def _untuple(v: PVal, k: int) -> list[PVal]:
-    if k == 0:
-        return []
-    out = []
-    for _ in range(k - 1):
-        if not isinstance(v, PairV):
-            raise TypeMismatch("malformed component tuple")
-        out.append(v.fst)
-        v = v.snd
-    out.append(v)
-    return out
-
-
 def poly_value(nf: PolyNF, i: int, param: PVal, children: list[PVal]) -> PVal:
+    """Strict: undefined when the parameter or any child is."""
     a, k = nf.summands[i]
     if len(children) != k:
         raise TagOutOfRange(f"summand {i} expects {k} children")
-    return inject(i, len(nf.summands), pair(param, _tuple_of(children)))
+    if not all(c.defined() for c in children):
+        return UNDEF
+    return inject(i, len(nf.summands), pair(param, tuple_of(children)))
 
 
 def poly_unvalue(nf: PolyNF, v: PVal) -> tuple[int, PVal, list[PVal]]:
@@ -288,7 +254,7 @@ def poly_unvalue(nf: PolyNF, v: PVal) -> tuple[int, PVal, list[PVal]]:
     if not isinstance(payload, PairV):
         raise TypeMismatch("malformed summand payload")
     _, k = nf.summands[i]
-    return i, payload.fst, _untuple(payload.snd, k)
+    return i, payload.fst, untuple(payload.snd, k)
 
 
 def ext_value(nf: ExtPolyNF, i: int, param: PVal, fn: PVal) -> PVal:

@@ -11,16 +11,16 @@ populate at finitely many paths, so value equality is exact.
 Everything constructed here is a plain kernel value; trees are
 ``(label-table, (depth-table, anchor))`` pairs.
 
-A path ``(j1, ..., jm)`` is keyed by ``inr (j1, ... inr (jm, inl ())...)``,
-and a canonical table lists its keys in the kernel's value order.  In that
-order the root ``()`` (``inl ()``) comes first, then the parameter slot
-``(0,)``, then each child j's block of keys ``(j,) + p``: blocks by j as a
-number (so 10 follows 9), and within a block by p.  A child's canonical
-table, re-keyed under ``(j,)`` one entry at a time, is therefore already
-in order, and so is the block that ``sel`` cuts out and un-keys.  So
-``construct`` and ``sel`` reuse the child's path keys and values as they
-are, adding or removing one step, and never decode, re-encode or sort a
-table.
+A path ``(j1, ..., jm)`` is keyed by ``kernel.encode_path`` of its steps
+``nat j``, that is ``inr (j1, ... inr (jm, inl ())...)``, and a canonical
+table lists its keys in the kernel's value order.  In that order the root
+``()`` (``inl ()``) comes first, then the parameter slot ``(0,)``, then
+each child j's block of keys ``(j,) + p``: blocks by j as a number (so 10
+follows 9), and within a block by p.  A child's canonical table, re-keyed
+under ``(j,)`` one entry at a time, is therefore already in order, and so
+is the block that ``sel`` cuts out and un-keys.  So ``construct`` and
+``sel`` reuse the child's path keys and values as they are, adding or
+removing one step, and never decode, re-encode or sort a table.
 """
 
 from __future__ import annotations
@@ -48,13 +48,17 @@ from .kernel import (
     TypeMismatch,
     Unit,
     apply_pval,
+    decode_path,
+    encode_path,
     enumerate_ty,
     finmap,
     holds,
     logical,
     nat,
     product_choices,
+    tuple_of,
     ty_card,
+    untuple,
 )
 
 
@@ -147,25 +151,17 @@ def enc_to_list(l: PVal) -> list[PVal]:
 # Trees as kernel values
 
 
-def path_to_pval(p: Path) -> PVal:
-    out: PVal = InlV(UNIT)
-    for j in reversed(p):
-        out = InrV(PairV(nat(j), out))
-    return out
+def _path_key(p: Path) -> PVal:
+    return encode_path(tuple(map(nat, p)))
 
 
-def pval_to_path(v: PVal) -> Path:
-    out: list[int] = []
-    while isinstance(v, InrV):
-        step = v.value
-        out.append(step.fst.n)
-        v = step.snd
-    return tuple(out)
+def _int_path(key: PVal) -> Path:
+    return tuple(step.n for step in decode_path(key))
 
 
 def make_tree(label: dict[Path, PVal], depth_map: dict[Path, int], anchor: PVal) -> PVal:
-    l = finmap({path_to_pval(p): v for p, v in label.items()})
-    d = finmap({path_to_pval(p): nat(k) for p, k in depth_map.items()})
+    l = finmap({_path_key(p): v for p, v in label.items()})
+    d = finmap({_path_key(p): nat(k) for p, k in depth_map.items()})
     return PairV(l, PairV(d, anchor))
 
 
@@ -178,8 +174,8 @@ def tree_parts(t: PVal) -> tuple[FinMapV, FinMapV, PVal]:
     return l, rest.fst, rest.snd
 
 
-ROOT_KEY = path_to_pval(())
-SLOT_KEY = path_to_pval((0,))
+ROOT_KEY = _path_key(())
+SLOT_KEY = _path_key((0,))
 _FIXED_KEYS = {(): ROOT_KEY, (0,): SLOT_KEY}
 _ZERO = nat(0)
 
@@ -197,7 +193,7 @@ def _subtable(table: FinMapV, j: int) -> FinMapV:
 def tree_label_at(t: PVal, p: Path) -> PVal:
     l, _, _ = tree_parts(t)
     key = _FIXED_KEYS.get(p)
-    return l.lookup(key if key is not None else path_to_pval(p))
+    return l.lookup(key if key is not None else _path_key(p))
 
 
 def tree_depth(t: PVal) -> Optional[int]:
@@ -213,8 +209,8 @@ def tree_anchor(t: PVal) -> PVal:
 def tree_tables(t: PVal) -> tuple[dict[Path, PVal], dict[Path, int]]:
     l, d, _ = tree_parts(t)
     return (
-        {pval_to_path(k): v for k, v in l.entries},
-        {pval_to_path(k): v.n for k, v in d.entries},
+        {_int_path(k): v for k, v in l.entries},
+        {_int_path(k): v.n for k, v in d.entries},
     )
 
 
@@ -381,8 +377,7 @@ class InitialAlgebra:
         """Decompose once, then dispatch on the constructor; strict in t."""
         if not t.defined():
             return UNDEF
-        inv = self.lambek_inverse()
-        i, w, children = poly_unvalue(self.nf, inv(t))
+        i, w, children = self.destruct(t)
         return branches[i](w, children)
 
     # ---- membership and enumeration ----------------------------------------
@@ -447,10 +442,6 @@ class InitialAlgebra:
         return [t for t in layers if (tree_depth(t) or 0) <= max_depth]
 
 
-def build_initial(nf: PolyNF, param_shape=None) -> InitialAlgebra:
-    return InitialAlgebra(nf, param_shape)
-
-
 # ---------------------------------------------------------------------------
 # The natural numbers as the initial algebra for X |-> 1 + X
 
@@ -459,7 +450,7 @@ NAT_NF = PolyNF(((Unit(), 0), (Unit(), 1)))
 
 
 def nat_algebra() -> InitialAlgebra:
-    return build_initial(NAT_NF)
+    return InitialAlgebra(NAT_NF)
 
 
 def church(handle: InitialAlgebra, n: int) -> PVal:
@@ -551,31 +542,11 @@ def param_map(
         groups = src.param_shape[i]
         j, inner = project(w, len(groups)) if len(groups) > 1 else (0, w)
         factors = groups[j]
-        parts = _split_tuple(inner, len(factors))
+        parts = untuple(inner, len(factors))
         mapped = [f(p) if is_param else p for p, is_param in zip(parts, factors)]
-        return inject(j, len(groups), _join_tuple(mapped))
+        return inject(j, len(groups), tuple_of(mapped))
 
     def alg_for(i):
         return lambda w, results: dst.construct(i, map_param(i, w), results)
 
     return src.fold([alg_for(i) for i in range(src.n)], t)
-
-
-def _split_tuple(v: PVal, k: int) -> list[PVal]:
-    if k == 0:
-        return []
-    out = []
-    for _ in range(k - 1):
-        out.append(v.fst)
-        v = v.snd
-    out.append(v)
-    return out
-
-
-def _join_tuple(parts: list[PVal]) -> PVal:
-    if not parts:
-        return UNIT
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = PairV(p, out)
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class QuasiError(Exception):
@@ -307,9 +307,6 @@ class FinMapV(PVal):
     def keys(self) -> list[PVal]:
         return [k for k, _ in self.entries]
 
-    def as_dict(self) -> dict[PVal, PVal]:
-        return dict(self.entries)
-
 
 UNDEF = Undef()
 UNIT = UnitV()
@@ -338,6 +335,59 @@ def inr(v: PVal) -> PVal:
 
 def finmap(table) -> FinMapV:
     return FinMapV.of(table)
+
+
+def fold_right(combine: Callable, empty, parts: Sequence):
+    """``combine(p1, combine(p2, ... pk))``, or ``empty`` for no parts."""
+    if not parts:
+        return empty
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = combine(p, out)
+    return out
+
+
+def tuple_of(parts: Sequence[PVal]) -> PVal:
+    """Right-nested pairs ``(p1, (p2, ... pk))``; ``()`` when empty.
+
+    Not strict: an undefined part is kept in place, not propagated.
+    """
+    return fold_right(PairV, UNIT, parts)
+
+
+def untuple(v: PVal, k: int) -> list[PVal]:
+    """The k parts of a ``tuple_of`` value."""
+    if k == 0:
+        return []
+    out = []
+    for _ in range(k - 1):
+        if not isinstance(v, PairV):
+            raise TypeMismatch("malformed component tuple")
+        out.append(v.fst)
+        v = v.snd
+    out.append(v)
+    return out
+
+
+def encode_path(steps: Sequence[PVal]) -> PVal:
+    """A path as a value: ``inr (s1, ... inr (sm, inl ())...)``.
+
+    Tree paths (steps ``nat j``) and process paths (steps are labels) both
+    key their tables by this encoding.
+    """
+    out: PVal = InlV(UNIT)
+    for s in reversed(steps):
+        out = InrV(PairV(s, out))
+    return out
+
+
+def decode_path(v: PVal) -> tuple[PVal, ...]:
+    """The steps of an ``encode_path`` value."""
+    out = []
+    while isinstance(v, InrV):
+        out.append(v.value.fst)
+        v = v.value.snd
+    return tuple(out)
 
 
 def pfun(fn: Callable[[PVal], PVal], dom: Optional[Ty] = None) -> PFunV:

@@ -46,7 +46,10 @@ from .kernel import (
     Unit,
     Zero,
     apply_pval,
+    fold_right,
     pfun,
+    tuple_of,
+    untuple,
 )
 from .kernel import Prod as TyProd
 from .kernel import Sum as TySum
@@ -536,12 +539,6 @@ def _pattern_of(d: Decl) -> TyExpr:
     return TName(d.name, tuple(TName(p) for p in d.params))
 
 
-def _occurs(t: TyExpr, d: Decl) -> bool:
-    if _mentions_name(t, d.name):
-        return True
-    return False
-
-
 def _mentions_name(t: TyExpr, name: str) -> bool:
     match t:
         case TName(n, args):
@@ -568,7 +565,7 @@ def check_positivity(d: Decl) -> None:
 def _positivity_walk(t: TyExpr, d: Decl, where: str) -> None:
     match t:
         case TArrow(arg, res):
-            if _occurs(arg, d):
+            if _mentions_name(arg, d.name):
                 raise NegativeOccurrence(
                     f"{d.name} occurs in a function argument at {where}"
                 )
@@ -640,28 +637,14 @@ def extract_functor(d: Decl, subst: Optional[dict[str, TyExpr]] = None) -> SigFu
         parts = [_ctor_functor(alt, d, pattern, subst) for alt in d.alts]
     else:
         parts = [_coalt_functor(alt, d, pattern, subst) for alt in d.coalts]
-    return _fold_sumf(parts)
-
-
-def _fold_sumf(parts: list[SigFunctor]) -> SigFunctor:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = SumF(p, out)
-    return out
-
-
-def _fold_prodf(parts: list[SigFunctor]) -> SigFunctor:
-    if not parts:
-        return Const(Unit())
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = ProdF(p, out)
-    return out
+    return fold_right(SumF, Const(Zero()), parts)
 
 
 def _ctor_functor(alt: Alt, d: Decl, pattern: TyExpr, subst) -> SigFunctor:
-    return _fold_prodf(
-        [_arg_functor(_substitute(a, subst or {}), d, pattern, "free") for a in alt.args]
+    return fold_right(
+        ProdF,
+        Const(Unit()),
+        [_arg_functor(_substitute(a, subst or {}), d, pattern, "free") for a in alt.args],
     )
 
 
@@ -672,11 +655,11 @@ def _coalt_functor(alt: tuple[SelGroup, ...], d: Decl, pattern: TyExpr, subst) -
             sels.append(
                 _arg_functor(_substitute(g.codomain, subst or {}), d, pattern, "cotype")
             )
-    return _fold_prodf(sels)
+    return fold_right(ProdF, Const(Unit()), sels)
 
 
 def _arg_functor(t: TyExpr, d: Decl, pattern: TyExpr, kind: str) -> SigFunctor:
-    if not _occurs(t, d):
+    if not _mentions_name(t, d.name):
         return Const(resolve_ty(t))
     if t == pattern:
         return Id()
@@ -783,53 +766,40 @@ class FreeTypeInfo:
 
     # ---- recursion schemes keyed by constructor ------------------------------
 
+    def _run_branch(self, branches, i: int, w: PVal, rec, spread: bool = False) -> PVal:
+        """Apply the branch of the constructor behind summand i's payload ``w``
+        to its declaration-order arguments, ``rec`` filling the recursive
+        positions; with ``spread``, each ``rec`` entry is a tuple of arguments."""
+        info = self.ctor_of_payload(i, w)
+        args = self.split_args(info, w, rec)
+        if spread:
+            args = [
+                x for k, a in zip(info.arg_kinds, args) for x in (a if k == "rec" else (a,))
+            ]
+        return _apply_branch(branches[self.ctors.index(info)], args)
+
     def fold(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         """Per-constructor fold: each branch consumes the constructor's
         arguments (recursive ones replaced by recursive results)."""
-        return self.handle.fold(self._algebra_from_branches(branches), t)
+        algebra = [
+            lambda w, results, _i=i: self._run_branch(branches, _i, w, results)
+            for i in range(self.handle.n)
+        ]
+        return self.handle.fold(algebra, t)
 
     def case(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         if not t.defined():
             return UNDEF
-        i, w, children = self.handle.destruct(t)
-        info = self.ctor_of_payload(i, w)
-        args = self.split_args(info, w, children)
-        return _apply_branch(branches[self.ctors.index(info)], args)
+        return self._run_branch(branches, *self.handle.destruct(t))
 
     def primrec(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         """Per-constructor primitive recursion: recursive arguments contribute
         the subtree and then the recursive result."""
-
-        def body_for(i):
-            def body(w, pairs):
-                info = self.ctor_of_payload(i, w)
-                consts = self.split_args(
-                    info, w, [UNDEF] * (len(info.arg_kinds) - len(info.const_tys))
-                )
-                args, ci, ri = [], 0, 0
-                for kind in info.arg_kinds:
-                    if kind == "const":
-                        args.append(consts[ci + ri])
-                        ci += 1
-                    else:
-                        args.extend(pairs[ri])
-                        ri += 1
-                return _apply_branch(branches[self.ctors.index(info)], args)
-
-            return body
-
-        return self.handle.primrec([body_for(i) for i in range(self.handle.n)])(t)
-
-    def _algebra_from_branches(self, branches):
-        def alg_for(i):
-            def alg(w, results):
-                info = self.ctor_of_payload(i, w)
-                args = self.split_args(info, w, results)
-                return _apply_branch(branches[self.ctors.index(info)], args)
-
-            return alg
-
-        return [alg_for(i) for i in range(self.handle.n)]
+        body = [
+            lambda w, pairs, _i=i: self._run_branch(branches, _i, w, pairs, spread=True)
+            for i in range(self.handle.n)
+        ]
+        return self.handle.primrec(body)(t)
 
 
 @dataclass
@@ -863,49 +833,23 @@ class CotypeInfo:
         n_rec = self.alt_rec_count[info.alt]
         if info.kind == "rec":
             label = inject(info.alt, self.handle.n, inject(info.rec_pos, n_rec, UNIT))
-            return _shift_tree(self.handle, tree, label)
+            return final_mod.subtree(self.handle, tree, label)
         # fn selector: a total function from the exponent into the cotype
         def at(y: PVal, _i=info) -> PVal:
             label = inject(_i.alt, self.handle.n, inject(_i.rec_pos, n_rec, y))
-            return _shift_tree(self.handle, tree, label)
+            return final_mod.subtree(self.handle, tree, label)
 
         return pfun(at, dom=info.exponent)
 
 
-def _shift_tree(handle: final_mod.FinalCoalgebra, tree: PVal, label: PVal) -> PVal:
-    return final_mod._as_ptree(
-        lambda p, _l=label: handle.observe(tree, (_l,) + p)
-    )
-
-
 def _build_param(tys: tuple[Ty, ...], values: Sequence[PVal]) -> PVal:
     # Unit factors are elided by normalization; skip them when packing
-    kept = [v for t, v in zip(tys, values) if t != Unit()]
-    if not kept:
-        return UNIT
-    out = kept[-1]
-    for v in reversed(kept[:-1]):
-        out = PairV(v, out)
-    return out
+    return tuple_of([v for t, v in zip(tys, values) if t != Unit()])
 
 
 def _split_param(tys: tuple[Ty, ...], param: PVal) -> list[PVal]:
-    kept = [t for t in tys if t != Unit()]
-    parts = []
-    v = param
-    for _ in range(max(len(kept) - 1, 0)):
-        parts.append(v.fst)
-        v = v.snd
-    if kept:
-        parts.append(v)
-    out, i = [], 0
-    for t in tys:
-        if t == Unit():
-            out.append(UNIT)
-        else:
-            out.append(parts[i])
-            i += 1
-    return out
+    parts = iter(untuple(param, sum(t != Unit() for t in tys)))
+    return [UNIT if t == Unit() else next(parts) for t in tys]
 
 
 def _apply_branch(branch: PVal | Callable, args: Sequence[PVal]) -> PVal:
@@ -1004,7 +948,6 @@ def _elaborate_freetype(
     d: Decl, functor: SigFunctor, display: str, subst: Optional[dict]
 ) -> FreeTypeInfo:
     nf = to_poly_nf(functor)
-    pattern = _substitute(_pattern_of(d), subst or {})
     ctors: list[CtorInfo] = []
     n_consts = 0
     next_summand = 1
@@ -1033,7 +976,7 @@ def _elaborate_freetype(
             )
             shape[next_summand].append(flags)
             next_summand += 1
-    handle = initial_mod.build_initial(nf, param_shape=shape)
+    handle = initial_mod.InitialAlgebra(nf, param_shape=shape)
     return FreeTypeInfo(d, display, functor, nf, handle, ctors, n_consts)
 
 
@@ -1041,7 +984,7 @@ def _elaborate_cotype(
     d: Decl, functor: SigFunctor, display: str, subst: Optional[dict]
 ) -> CotypeInfo:
     nf = to_extpoly_nf(functor)
-    handle = final_mod.build_final(nf)
+    handle = final_mod.FinalCoalgebra(nf)
     pattern = _substitute(_pattern_of(d), subst or {})
     sels: list[SelInfo] = []
     alt_const_tys: list[tuple[Ty, ...]] = []
@@ -1206,8 +1149,6 @@ def _tyexpr_to_functor(t: TyExpr) -> SigFunctor:
 
 def nf_to_sig(nf) -> SigFunctor:
     """Canonical functor embedding of a normal form, for display."""
-    from .functors import ExtPolyNF, PolyNF
-
     if isinstance(nf, PolyNF):
         parts = []
         for a, k in nf.summands:
@@ -1218,8 +1159,8 @@ def nf_to_sig(nf) -> SigFunctor:
                 for _ in range(k - 1):
                     xs = ProdF(Id(), xs)
                 parts.append(ProdF(Const(a), xs))
-        return _fold_sumf(parts)
+        return fold_right(SumF, Const(Zero()), parts)
     if isinstance(nf, ExtPolyNF):
         parts = [ProdF(Const(a), ExpConst(b, Id())) for a, b in nf.summands]
-        return _fold_sumf(parts)
+        return fold_right(SumF, Const(Zero()), parts)
     raise TypeMismatch(f"not a normal form: {nf!r}")

@@ -18,8 +18,7 @@ from quasikernel.checks import (
     sample_algebras,
 )
 from quasikernel.final import (
-    build_final,
-    build_mtype,
+    FinalCoalgebra,
     MSignature,
     mtype_vs_extpoly_compare,
 )
@@ -37,7 +36,7 @@ from quasikernel.functors import (
     triple_pattern_ok,
 )
 from quasikernel.initial import (
-    build_initial,
+    InitialAlgebra,
     church,
     enc_cons,
     enc_fold,
@@ -87,7 +86,7 @@ CARRIER3 = [nat(i) for i in range(3)]
 
 
 def corpus_handles():
-    return [(name, build_initial(nf)) for name, nf in CORPUS]
+    return [(name, InitialAlgebra(nf)) for name, nf in CORPUS]
 
 
 def algebras_for(nf, rng, exhaustive_limit=3000, samples=30):
@@ -162,7 +161,7 @@ def test_criterion_4_primitive_recursion():
         if unchurch(pred(church(h, k))) != expected:
             ok = False
     # length against the direct oracle
-    lh = build_initial(LIST2_NF)
+    lh = InitialAlgebra(LIST2_NF)
     length = lh.primrec([lambda w, ps: nat(0), lambda w, ps: nat(ps[0][1].n + 1)])
     for vals in ([], [TRUE], [FALSE, TRUE], [TRUE, TRUE, FALSE]):
         t = lh.construct(0, UNIT, [])
@@ -199,16 +198,16 @@ STOPGO_NF = ExtPolyNF(((Bool(), Zero()), (Nat(), Unit())))
 
 
 def final_corpus():
-    hs = build_final(STREAM_NF)
+    hs = FinalCoalgebra(STREAM_NF)
     ds = lambda n: (0, nat(n), lambda _y: n + 1)
-    hp = build_final(PROCC_NF)
+    hp = FinalCoalgebra(PROCC_NF)
 
     def dp(n):
         if n % 2 == 0:
             return 0, TRUE, lambda _y: n + 1
         return 1, UNIT, lambda y: n + (1 if project(y, 2)[0] == 0 else 2)
 
-    hg = build_final(STOPGO_NF)
+    hg = FinalCoalgebra(STOPGO_NF)
 
     def dg(n):
         if n < 3:
@@ -348,8 +347,8 @@ def test_criterion_9_cpo_suite():
 
 def test_criterion_10_domain_datatypes():
     ok = True
-    h = build_initial(LIST2_NF)
-    dom = cpo_mod.domain_initial(h, [cpo_mod.UNIT_CPO, cpo_mod.VERT])
+    h = InitialAlgebra(LIST2_NF)
+    dom = cpo_mod.DomainInitial(h, [cpo_mod.UNIT_CPO, cpo_mod.VERT])
 
     def blist(values):
         t = h.construct(0, UNIT, [])
@@ -382,8 +381,8 @@ def test_criterion_10_domain_datatypes():
         if not h.is_in_T(dom.chain_sup(chain)):
             ok = False
 
-    fh = build_final(ExtPolyNF(((Bool(), Unit()),)))
-    fdom = cpo_mod.domain_final(fh, [cpo_mod.VERT])
+    fh = FinalCoalgebra(ExtPolyNF(((Bool(), Unit()),)))
+    fdom = cpo_mod.DomainFinal(fh, [cpo_mod.VERT])
 
     def d(z):
         return 0, TRUE if z >= 1 else FALSE, lambda _y: z

@@ -165,3 +165,4 @@ class TestReportShape:
         )
         assert proc.returncode == 0
         assert "5" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

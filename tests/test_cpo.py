@@ -9,11 +9,11 @@ from quasikernel.cpo import (
     UNIT_CPO,
     VERT,
     CpoDescriptor,
+    DomainFinal,
+    DomainInitial,
     chain_sup,
     chain_sup_info,
     cfun_cpo,
-    domain_final,
-    domain_initial,
     flat_cpo,
     kleene_chain,
     lfp,
@@ -24,9 +24,9 @@ from quasikernel.cpo import (
     product_cpo,
     sum_cpo,
 )
-from quasikernel.final import build_final
+from quasikernel.final import FinalCoalgebra
 from quasikernel.functors import ExtPolyNF, PolyNF
-from quasikernel.initial import build_initial
+from quasikernel.initial import InitialAlgebra
 from quasikernel.kernel import (
     FALSE,
     TRUE,
@@ -200,8 +200,8 @@ LIST_BOOL_NF = PolyNF(((Unit(), 0), (Bool(), 1)))
 
 
 def vert_list_domain():
-    handle = build_initial(LIST_BOOL_NF)
-    return handle, domain_initial(handle, [UNIT_CPO, VERT])
+    handle = InitialAlgebra(LIST_BOOL_NF)
+    return handle, DomainInitial(handle, [UNIT_CPO, VERT])
 
 
 def blist(handle, values):
@@ -249,8 +249,8 @@ class TestDomainInitial:
         assert dom.fold_continuity_failures(algebra, VERT, chains) == []
 
     def test_flat_parameters_reduce_to_equality(self):
-        h = build_initial(LIST_BOOL_NF)
-        dom = domain_initial(h, [UNIT_CPO, BOOL_FLAT])
+        h = InitialAlgebra(LIST_BOOL_NF)
+        dom = DomainInitial(h, [UNIT_CPO, BOOL_FLAT])
         a, b = blist(h, [TRUE]), blist(h, [FALSE])
         assert dom.tree_le(a, a)
         assert not dom.tree_le(a, b)
@@ -262,8 +262,8 @@ STREAM_VERT_NF = ExtPolyNF(((Bool(), Unit()),))
 
 class TestDomainFinal:
     def setup(self):
-        handle = build_final(STREAM_VERT_NF)
-        dom = domain_final(handle, [VERT])
+        handle = FinalCoalgebra(STREAM_VERT_NF)
+        dom = DomainFinal(handle, [VERT])
 
         def d(z):  # monotone in the seed under the two-point order
             return 0, TRUE if z >= 1 else FALSE, lambda _y: z
@@ -287,8 +287,8 @@ class TestDomainFinal:
             assert h.observe(sup, p) == h.observe(t1, p)
 
     def test_flat_seed_case_reduces_to_plain_final(self):
-        h = build_final(STREAM_VERT_NF)
-        dom = domain_final(h, [BOOL_FLAT])
+        h = FinalCoalgebra(STREAM_VERT_NF)
+        dom = DomainFinal(h, [BOOL_FLAT])
 
         def d(z):
             return 0, TRUE if z >= 1 else FALSE, lambda _y: z

@@ -2,20 +2,19 @@ import pytest
 
 from quasikernel.final import (
     DomainMismatch,
+    FinalCoalgebra,
     MSignature,
+    MType,
     NonDisjointFibers,
     NonEnumerableExponent,
     ambient_ext_values,
     ambient_general_poly_values,
     ambient_iso,
-    bpath_to_pval,
-    build_final,
-    build_mtype,
     mtype_vs_extpoly_compare,
     ptree_witness,
-    pval_to_bpath,
 )
 from quasikernel.functors import ExtPolyNF, ext_unvalue, inject
+from quasikernel.initial import make_tree, tree_label_at, tree_parts, tree_tables
 from quasikernel.kernel import (
     FALSE,
     TRUE,
@@ -28,6 +27,8 @@ from quasikernel.kernel import (
     Unit,
     Zero,
     apply_pval,
+    decode_path,
+    encode_path,
     eq_strong,
     is_true,
     nat,
@@ -39,13 +40,13 @@ STOPGO_NF = ExtPolyNF(((Bool(), Zero()), (Nat(), Unit())))
 
 
 def counter(seed=0):
-    h = build_final(STREAM_NF)
+    h = FinalCoalgebra(STREAM_NF)
     d = lambda n: (0, nat(n), lambda _y: n + 1)
     return h, d, h.unfold(d, seed)
 
 
 def proc_coalgebra():
-    h = build_final(PROC_NF)
+    h = FinalCoalgebra(PROC_NF)
 
     def d(n):
         if n % 2 == 0:
@@ -56,7 +57,7 @@ def proc_coalgebra():
 
 
 def stopgo_coalgebra(stop_at=3):
-    h = build_final(STOPGO_NF)
+    h = FinalCoalgebra(STOPGO_NF)
 
     def d(n):
         if n < stop_at:
@@ -86,8 +87,16 @@ def reference_unfold_at(handle, d, z, path):
 
 class TestPaths:
     def test_round_trip(self):
-        p = (inject(0, 2, UNIT), inject(1, 2, TRUE))
-        assert pval_to_bpath(bpath_to_pval(p)) == p
+        # one codec keys tree tables (steps nat j) and process paths (labels)
+        tree_path = tuple(map(nat, (1, 10, 2)))
+        process_path = (inject(0, 2, UNIT), inject(1, 2, TRUE))
+        for p in ((), tree_path, process_path):
+            assert decode_path(encode_path(p)) == p
+        # initial maps integer paths through nat at its edge
+        t = make_tree({(1, 10, 2): TRUE}, {(1, 10, 2): 0}, UNIT)
+        assert tree_parts(t)[0].keys() == [encode_path(tree_path)]
+        assert tree_tables(t) == ({(1, 10, 2): TRUE}, {(1, 10, 2): 0})
+        assert tree_label_at(t, (1, 10, 2)) == TRUE
 
 
 class TestCounterStream:
@@ -246,7 +255,7 @@ class TestCotypeCase:
 class TestMTypes:
     def test_infinite_binary_tree(self):
         sig = MSignature(((nat(0), (nat(0), nat(1))),))
-        m = build_mtype(sig)
+        m = MType(sig)
         t = m.unfold(lambda z: (nat(0), lambda b: z), 0)
         for p in m.paths_up_to(4):
             assert m.observe(t, p).defined()
@@ -254,7 +263,7 @@ class TestMTypes:
     def test_count_then_stop(self):
         stop, go = nat(0), nat(1)
         sig = MSignature(((stop, ()), (go, (nat(7),))))
-        m = build_mtype(sig)
+        m = MType(sig)
 
         def d(k):
             if k < 3:
@@ -269,7 +278,7 @@ class TestMTypes:
     def test_membership_condition_for_unfold_outputs(self):
         stop, go = nat(0), nat(1)
         sig = MSignature(((stop, ()), (go, (nat(7),))))
-        m = build_mtype(sig)
+        m = MType(sig)
 
         def d(k):
             return (go, lambda b: k + 1) if k < 2 else (stop, lambda b: k)
@@ -278,7 +287,7 @@ class TestMTypes:
 
     def test_structure_map_clauses(self):
         sig = MSignature(((nat(0), (nat(3), nat(4))),))
-        m = build_mtype(sig)
+        m = MType(sig)
         t = m.unfold(lambda z: (nat(0), lambda b: z), 0)
         a, branch = m.structure_map(t)
         assert a == nat(0)
@@ -294,7 +303,7 @@ class TestMTypes:
 class TestNonEnumerable:
     def test_nat_exponent_rejected(self):
         with pytest.raises(NonEnumerableExponent):
-            build_final(ExtPolyNF(((Unit(), Nat()),)))
+            FinalCoalgebra(ExtPolyNF(((Unit(), Nat()),)))
 
 
 class TestFunctorComparison:

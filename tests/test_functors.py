@@ -216,6 +216,13 @@ class TestInjections:
     def test_undefined_payload_propagates(self):
         assert inject(1, 3, UNDEF) == UNDEF
 
+    def test_poly_value_is_strict(self):
+        nf = PolyNF(((Unit(), 0), (Bool(), 2)))
+        assert poly_value(nf, 1, TRUE, [nat(0), nat(1)]) != UNDEF
+        assert poly_value(nf, 1, TRUE, [nat(0), UNDEF]) == UNDEF
+        assert poly_value(nf, 1, TRUE, [UNDEF, nat(1)]) == UNDEF
+        assert poly_value(nf, 1, UNDEF, [nat(0), nat(1)]) == UNDEF
+
 
 class TestFmap:
     nf = to_poly_nf(LIST_F)

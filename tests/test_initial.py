@@ -12,8 +12,8 @@ from quasikernel.functors import PolyNF, poly_value
 from quasikernel.initial import (
     InvariantViolation,
     NotInCarrier,
+    InitialAlgebra,
     SubtypeEscape,
-    build_initial,
     church,
     enc_cons,
     enc_fold,
@@ -25,7 +25,6 @@ from quasikernel.initial import (
     make_tree,
     nat_algebra,
     param_map,
-    pval_to_path,
     same_shape,
     subtype_fold,
     tree_anchor,
@@ -47,6 +46,7 @@ from quasikernel.kernel import (
     NatV,
     PairV,
     Unit,
+    decode_path,
     enumerate_ty,
     eq_strong,
     finmap,
@@ -60,7 +60,7 @@ MIXED_NF = PolyNF(((Unit(), 0), (Bool(), 1), (Unit(), 2)))
 
 
 def list_handle():
-    return build_initial(LIST_NF)
+    return InitialAlgebra(LIST_NF)
 
 
 def tree_list(handle, values):
@@ -135,7 +135,7 @@ class TestConstructors:
         assert tree_label_at(t, (0,)) == h.leaf_label(0, UNIT)
 
     def test_depth_law_exact(self):
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         for t in h.enumerate_trees(3):
             i, w, children = h.destruct(t)
             expected = 1 + max((tree_depth(c) for c in children), default=0)
@@ -149,7 +149,7 @@ class TestConstructors:
 
     def test_selector_shape_roundtrip(self):
         # oracle: rebuild and compare path maps on paths of length <= 3
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         inner = tree_list_mixed(h)
         t = h.construct(2, UNIT, [inner, inner])
         assert same_shape(h.sel(1, t), inner)
@@ -158,7 +158,7 @@ class TestConstructors:
     def test_empty_constants_flagged(self):
         from quasikernel.kernel import Zero
 
-        h = build_initial(PolyNF(((Zero(), 0), (Unit(), 1))))
+        h = InitialAlgebra(PolyNF(((Zero(), 0), (Unit(), 1))))
         assert h.empty_constants
         assert h.enumerate_trees(4) == []
 
@@ -201,7 +201,7 @@ def entries(t):
 def wide_tree():
     """A hand-built tree whose root has 12 subtrees, so that child 10
     must sort after child 9 as a number, not as a string."""
-    h = build_initial(PolyNF(((Bool(), 0), (Unit(), 12))))
+    h = InitialAlgebra(PolyNF(((Bool(), 0), (Unit(), 12))))
     leaves = [h.construct(0, TRUE if j % 3 else FALSE, []) for j in range(12)]
     inner = h.construct(1, UNIT, leaves[::-1])
     children = leaves[:9] + [inner, leaves[10], inner]
@@ -231,7 +231,7 @@ class TestCanonicalTables:
     def test_wide_node_orders_children_as_numbers(self):
         h, children, t = wide_tree()
         self.check_against_reference(h, t)
-        steps = [pval_to_path(k)[:1] for k, _ in entries(t)[0]]
+        steps = [tuple(s.n for s in decode_path(k)[:1]) for k, _ in entries(t)[0]]
         assert steps == sorted(steps)
         assert (10,) in steps and (11,) in steps
 
@@ -286,14 +286,14 @@ class TestFold:
 
     @pytest.mark.parametrize("nf", [None, LIST_NF])
     def test_fold_equation_exhaustive(self, nf):
-        h = nat_algebra() if nf is None else build_initial(nf)
+        h = nat_algebra() if nf is None else InitialAlgebra(nf)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
         for algebra in enumerate_algebras(h.nf, carrier):
             assert fold_equation_failures(h, algebra, trees) == []
 
     def test_fold_equation_sampled_mixed(self):
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
         rng = random.Random(0)
@@ -336,7 +336,7 @@ class TestLambek:
 
     def test_mutually_inverse_on_enumerated_trees(self):
         for nf in (LIST_NF, MIXED_NF):
-            h = build_initial(nf)
+            h = InitialAlgebra(nf)
             inv = h.lambek_inverse()
             for t in h.enumerate_trees(4):
                 assert h.structure_map(inv(t)) == t
@@ -373,7 +373,7 @@ class TestPrimrec:
 
     def test_first_component_is_identity(self):
         for nf in (LIST_NF, MIXED_NF):
-            h = build_initial(nf)
+            h = InitialAlgebra(nf)
             g = h.primrec_pairing([lambda w, ps: nat(0)] * h.n)
             for t in h.enumerate_trees(4):
                 assert g(t)[0] == t
@@ -412,6 +412,14 @@ class TestCase:
         head = lambda t: h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t)
         assert head(tree_list(h, [FALSE, TRUE])) == FALSE
         assert head(tree_list(h, [])) == UNDEF
+
+    def test_takes_one_destruct_step(self):
+        h = list_handle()
+        t = tree_list(h, [TRUE, FALSE] * 14)
+        destruct, calls = h.destruct, []
+        h.destruct = lambda t: calls.append(t) or destruct(t)
+        assert h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t) == TRUE
+        assert len(calls) == 1
 
 
 class TestInduction:
@@ -474,7 +482,7 @@ class TestParamMap:
     shape = [[[]], [[True]]]
 
     def handle(self):
-        return build_initial(LIST_NAT_NF, param_shape=self.shape)
+        return InitialAlgebra(LIST_NAT_NF, param_shape=self.shape)
 
     def test_elementwise(self):
         h = self.handle()
@@ -499,12 +507,12 @@ class TestParamMap:
 class TestMembership:
     def test_accepts_generated_trees(self):
         for nf in (LIST_NF, MIXED_NF):
-            h = build_initial(nf)
+            h = InitialAlgebra(nf)
             for t in h.enumerate_trees(4):
                 assert h.is_in_T(t)
 
     def test_rejects_mutations(self):
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         base = h.construct(2, UNIT, [tree_list_mixed(h), h.construct(0, UNIT, [])])
         label, depth_map = tree_tables(base)
         anchor = tree_anchor(base)
@@ -540,7 +548,7 @@ class TestMembership:
             assert not h.is_in_T(make_tree(label, bumped, anchor))
 
     def test_carrier_invariants(self):
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         for t in h.enumerate_trees(4):
             assert (tree_depth(t) or 0) > 0
             root = tree_label_at(t, ())
@@ -553,7 +561,7 @@ class TestConcurrency:
         # handle must give identical results
         from concurrent.futures import ThreadPoolExecutor
 
-        h = build_initial(MIXED_NF)
+        h = InitialAlgebra(MIXED_NF)
         trees = h.enumerate_trees(3)
         algebra = [
             lambda w, rs: nat(1),

@@ -29,6 +29,7 @@ from quasikernel.kernel import (
     RestrictE,
     Snd,
     Sum,
+    TypeMismatch,
     Undef,
     Unit,
     UnitV,
@@ -54,7 +55,9 @@ from quasikernel.kernel import (
     pfun,
     product_choices,
     restrict,
+    tuple_of,
     ty_card,
+    untuple,
 )
 
 
@@ -337,6 +340,21 @@ class TestTypes:
         ]
         assert list(product_choices("ab", 0)) == [()]
         assert list(product_choices("", 2)) == []
+
+
+class TestTuples:
+    def test_untuple_inverts_tuple_of(self):
+        parts = [nat(1), TRUE, UNDEF]
+        for k in range(4):
+            xs = parts[:k]
+            assert untuple(tuple_of(xs), len(xs)) == xs
+        assert tuple_of([]) == UNIT
+        assert tuple_of(parts) == PairV(nat(1), PairV(TRUE, UNDEF))
+
+    def test_untuple_of_a_non_pair_is_a_type_mismatch(self):
+        for k in (2, 3):
+            with pytest.raises(TypeMismatch):
+                untuple(nat(1), k)
 
 
 class TestLogical:
