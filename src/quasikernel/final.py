@@ -55,15 +55,21 @@ BPath = tuple[PVal, ...]
 
 
 def _as_ptree(value_at: Callable[[BPath], PVal], witness=None) -> PVal:
+    """A process tree observing ``value_at`` once per path.
+
+    ``FinalCoalgebra.observe`` calls the tuple-path observer kept on the
+    tree; applying the tree to an ``encode_path`` value decodes it first.
+    """
     memo: dict[BPath, PVal] = {}
 
-    def observe(path_pval: PVal) -> PVal:
-        path = decode_path(path_pval)
-        if path not in memo:
-            memo[path] = value_at(path)
-        return memo[path]
+    def observe(path: BPath) -> PVal:
+        v = memo.get(path)
+        if v is None:
+            v = memo[path] = value_at(path)
+        return v
 
-    tree = pfun(observe)
+    tree = pfun(lambda path_pval: observe(decode_path(path_pval)))
+    object.__setattr__(tree, "_observe", observe)
     if witness is not None:
         object.__setattr__(tree, "_witness", witness)
     return tree
@@ -74,8 +80,18 @@ def ptree_witness(tree: PVal):
 
 
 def subtree(handle, tree: PVal, label: PVal) -> PVal:
-    """The subtree of ``tree`` under one more label, observed through ``handle``."""
-    return _as_ptree(lambda p: handle.observe(tree, (label,) + p))
+    """The subtree of ``tree`` under one more label, observed through ``handle``.
+
+    A subtree of a subtree observes the outermost tree under the whole
+    label prefix, so a nest of k subtrees costs O(k) per observation.
+    """
+    owner, root, prefix = getattr(tree, "_under", (None, tree, ()))
+    if owner is not handle:
+        root, prefix = tree, ()
+    prefix += (label,)
+    out = _as_ptree(lambda p: handle.observe(root, prefix + p))
+    object.__setattr__(out, "_under", (handle, root, prefix))
+    return out
 
 
 class FinalCoalgebra:
@@ -102,7 +118,10 @@ class FinalCoalgebra:
     # ---- observation ------------------------------------------------------
 
     def observe(self, tree: PVal, path: BPath) -> PVal:
-        return apply_pval(tree, encode_path(path))
+        observe = getattr(tree, "_observe", None)
+        if observe is None:
+            return apply_pval(tree, encode_path(path))
+        return observe(path)
 
     def paths_up_to(self, depth: int) -> list[BPath]:
         out: list[BPath] = [()]
@@ -140,14 +159,16 @@ class FinalCoalgebra:
         are undefined.
         """
 
-        def value_at(path: BPath, seed=z) -> PVal:
-            i, x, g = d(seed)
-            if not path:
-                return inject(i, self.n, x)
-            j, y = project(path[0], self.n)
-            if j != i:
-                return UNDEF
-            return value_at(path[1:], g(y))
+        def value_at(path: BPath) -> PVal:
+            seed = z
+            for label in path:
+                i, _, g = d(seed)
+                j, y = project(label, self.n)
+                if j != i:
+                    return UNDEF
+                seed = g(y)
+            i, x, _ = d(seed)
+            return inject(i, self.n, x)
 
         return _as_ptree(value_at, witness=(d, z))
 
@@ -260,14 +281,15 @@ class MType:
     def unfold(self, d: Callable, z) -> PVal:
         """d maps a seed to (index, successor map defined exactly on its fiber)."""
 
-        def value_at(path: BPath, seed=z) -> PVal:
-            a, g = d(seed)
-            if not path:
-                return a
-            b = path[0]
-            if self.sig.q(b) != a:
-                return UNDEF
-            return value_at(path[1:], g(b))
+        def value_at(path: BPath) -> PVal:
+            seed = z
+            for b in path:
+                a, g = d(seed)
+                if self.sig.q(b) != a:
+                    return UNDEF
+                seed = g(b)
+            a, _ = d(seed)
+            return a
 
         return _as_ptree(value_at, witness=(d, z))
 

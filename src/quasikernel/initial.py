@@ -11,16 +11,18 @@ populate at finitely many paths, so value equality is exact.
 Everything constructed here is a plain kernel value; trees are
 ``(label-table, (depth-table, anchor))`` pairs.
 
-A path ``(j1, ..., jm)`` is keyed by ``kernel.encode_path`` of its steps
-``nat j``, that is ``inr (j1, ... inr (jm, inl ())...)``, and a canonical
-table lists its keys in the kernel's value order.  In that order the root
-``()`` (``inl ()``) comes first, then the parameter slot ``(0,)``, then
-each child j's block of keys ``(j,) + p``: blocks by j as a number (so 10
-follows 9), and within a block by p.  A child's canonical table, re-keyed
-under ``(j,)`` one entry at a time, is therefore already in order, and so
-is the block that ``sel`` cuts out and un-keys.  So ``construct`` and
-``sel`` reuse the child's path keys and values as they are, adding or
-removing one step, and never decode, re-encode or sort a table.
+Both tables are ``kernel.PathTrie`` nodes: a value at the root and one
+subtable per first step.  ``construct`` puts a new root above its
+children's tables as they are, ``sel`` returns a child's table, and
+``destruct`` reads the root, the slot and the children; each is O(k) for
+k subtrees, and none copies, decodes or sorts a table.  A path
+``(j1, ..., jm)`` is keyed by ``kernel.encode_path`` of its steps
+``nat j``, that is ``inr (j1, ... inr (jm, inl ())...)``.  The canonical
+key order is the order of the derived ``entries``: the root ``()``
+(``inl ()``) first, then the parameter slot ``(0,)``, then each child j's
+block of keys ``(j,) + p``, blocks by j as a number (so 10 follows 9) and
+within a block by p.  It is the kernel's value order on the keys, so a
+tree table equals the flat ``finmap`` with the same entries.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .functors import (
     project,
 )
 from .kernel import (
+    EMPTY_TRIE,
     UNDEF,
     UNIT,
     FinMapV,
@@ -43,19 +46,20 @@ from .kernel import (
     InrV,
     NatV,
     PairV,
+    PathTrie,
     PVal,
     QuasiError,
     TypeMismatch,
     Unit,
     apply_pval,
-    decode_path,
-    encode_path,
     enumerate_ty,
     finmap,
     holds,
     logical,
     nat,
     product_choices,
+    trie,
+    trie_of_paths,
     tuple_of,
     ty_card,
     untuple,
@@ -75,6 +79,7 @@ class SubtypeEscape(QuasiError):
 
 
 Path = tuple[int, ...]
+_SLOT_DEPTH = trie(nat(0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,55 +156,30 @@ def enc_to_list(l: PVal) -> list[PVal]:
 # Trees as kernel values
 
 
-def _path_key(p: Path) -> PVal:
-    return encode_path(tuple(map(nat, p)))
-
-
-def _int_path(key: PVal) -> Path:
-    return tuple(step.n for step in decode_path(key))
-
-
 def make_tree(label: dict[Path, PVal], depth_map: dict[Path, int], anchor: PVal) -> PVal:
-    l = finmap({_path_key(p): v for p, v in label.items()})
-    d = finmap({_path_key(p): nat(k) for p, k in depth_map.items()})
+    l = trie_of_paths(label.items())
+    d = trie_of_paths((p, nat(k)) for p, k in depth_map.items())
     return PairV(l, PairV(d, anchor))
 
 
-def tree_parts(t: PVal) -> tuple[FinMapV, FinMapV, PVal]:
-    if not (isinstance(t, PairV) and isinstance(t.snd, PairV)):
-        raise TypeMismatch("not a tree value")
-    l, rest = t.fst, t.snd
-    if not (isinstance(l, FinMapV) and isinstance(rest.fst, FinMapV)):
-        raise TypeMismatch("not a tree value")
-    return l, rest.fst, rest.snd
-
-
-ROOT_KEY = _path_key(())
-SLOT_KEY = _path_key((0,))
-_FIXED_KEYS = {(): ROOT_KEY, (0,): SLOT_KEY}
-_ZERO = nat(0)
-
-
-def _subtable(table: FinMapV, j: int) -> FinMapV:
-    """The entries under key prefix (j,), with that step removed; order is kept."""
-    out = []
-    for k, v in table.entries:
-        step = k.value if isinstance(k, InrV) else None
-        if isinstance(step, PairV) and isinstance(step.fst, NatV) and step.fst.n == j:
-            out.append((step.snd, v))
-    return FinMapV(tuple(out))
+def tree_parts(t: PVal) -> tuple[PathTrie, PathTrie, PVal]:
+    if type(t) is PairV and type(t.snd) is PairV:
+        l, rest = t.fst, t.snd
+        if type(l) is PathTrie and type(rest.fst) is PathTrie:
+            return l, rest.fst, rest.snd
+    raise TypeMismatch("not a tree value")
 
 
 def tree_label_at(t: PVal, p: Path) -> PVal:
-    l, _, _ = tree_parts(t)
-    key = _FIXED_KEYS.get(p)
-    return l.lookup(key if key is not None else _path_key(p))
+    node, _, _ = tree_parts(t)
+    for j in p:
+        node = node.child(j)
+    return node.root
 
 
 def tree_depth(t: PVal) -> Optional[int]:
     _, d, _ = tree_parts(t)
-    v = d.lookup(ROOT_KEY)
-    return v.n if isinstance(v, NatV) else None
+    return d.root.n if isinstance(d.root, NatV) else None
 
 
 def tree_anchor(t: PVal) -> PVal:
@@ -208,10 +188,7 @@ def tree_anchor(t: PVal) -> PVal:
 
 def tree_tables(t: PVal) -> tuple[dict[Path, PVal], dict[Path, int]]:
     l, d, _ = tree_parts(t)
-    return (
-        {_int_path(k): v for k, v in l.entries},
-        {_int_path(k): v.n for k, v in d.entries},
-    )
+    return dict(l.paths()), {p: v.n for p, v in d.paths()}
 
 
 def same_shape(t1: PVal, t2: PVal) -> bool:
@@ -237,7 +214,8 @@ class InitialAlgebra:
         self.nf = nf
         self.n = len(nf.summands)
         self.param_shape = param_shape
-        self._destruct_cache: dict[PVal, tuple[int, PVal, list[PVal]]] = {}
+        # one object per summand, so interning a root hits by identity
+        self._node_labels = [inject(i, self.n, InrV(UNIT)) for i in range(self.n)]
         try:
             self.empty_constants = ty_card(nf.summands[0][0]) == 0
         except QuasiError:
@@ -245,50 +223,63 @@ class InitialAlgebra:
 
     # A = sum over summands of (A_i + 1)
     def node_label(self, i: int) -> PVal:
-        return inject(i, self.n, InrV(UNIT))
+        if not 0 <= i < self.n:
+            raise TagOutOfRange(f"tag {i} of {self.n}")
+        return self._node_labels[i]
 
     def leaf_label(self, i: int, y: PVal) -> PVal:
         return inject(i, self.n, InlV(y))
 
     def construct(self, i: int, param: PVal, children: Sequence[PVal]) -> PVal:
+        """A root above the subtrees, whose tables are shared as they are.
+
+        The slot label is defined for any parameter, as inl is not strict here.
+        """
         a_i, k = self.nf.summands[i]
         if len(children) != k:
             raise TagOutOfRange(f"constructor {i} expects {k} subtrees")
-        # entries are emitted in canonical key order (module docstring); the
-        # slot label is defined for any parameter, as inl is not strict here
-        label = [(ROOT_KEY, self.node_label(i)), (SLOT_KEY, self.leaf_label(i, param))]
-        depth = [(SLOT_KEY, _ZERO)]
+        labels = [(0, trie(self.leaf_label(i, param)))]
+        depths = [(0, _SLOT_DEPTH)]
         height = 0
         for j, t in enumerate(children, start=1):
             lt, dt, _ = tree_parts(t)
-            if not (dt.entries and dt.entries[0][0] == ROOT_KEY):
+            if not isinstance(dt.root, NatV):
                 raise InvariantViolation("subtree lacks a root depth")
-            height = max(height, dt.entries[0][1].n)
-            step = nat(j)
-            label.extend((InrV(PairV(step, p)), v) for p, v in lt.entries)
-            depth.extend((InrV(PairV(step, p)), v) for p, v in dt.entries)
-        depth.insert(0, (ROOT_KEY, nat(1 + height)))
+            height = max(height, dt.root.n)
+            if lt is not EMPTY_TRIE:
+                labels.append((j, lt))
+            depths.append((j, dt))
+        label = trie(self.node_label(i), tuple(labels))
+        depth = trie(nat(1 + height), tuple(depths))
         anchor = param if k == 0 else tree_anchor(children[0])
-        return PairV(FinMapV(tuple(label)), PairV(FinMapV(tuple(depth)), anchor))
+        return PairV(label, PairV(depth, anchor))
 
     def sel(self, j: int, t: PVal) -> PVal:
         """Generic selector: both path maps composed with cons j; anchor kept."""
         if j < 1:
             raise TagOutOfRange("selectors are indexed from 1")
         lt, dt, anchor = tree_parts(t)
-        return PairV(_subtable(lt, j), PairV(_subtable(dt, j), anchor))
+        return PairV(lt.child(j), PairV(dt.child(j), anchor))
 
     def destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
-        """Read off constructor index, parameter, and immediate subtrees."""
-        cached = self._destruct_cache.get(t)
-        if cached is not None:
-            return cached
-        out = self._destruct(t)
-        self._destruct_cache[t] = out
+        """Read off constructor index, parameter, and immediate subtrees.
+
+        The result is kept on the (interned) label table, with the handle,
+        depth table and anchor it was read for: destructing the same tree
+        again, as each further fold of it does, returns the same values.
+        """
+        lt, dt, anchor = tree_parts(t)
+        kept = getattr(lt, "_destructed", None)
+        if kept is not None and kept[0] is self and kept[1] is dt and kept[2] is anchor:
+            return kept[3]
+        i, w = self._decode_root(lt)
+        k = self.nf.summands[i][1]
+        out = (i, w, [self.sel(j, t) for j in range(1, k + 1)])
+        object.__setattr__(lt, "_destructed", (self, dt, anchor, out))
         return out
 
-    def _destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
-        root = tree_label_at(t, ())
+    def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:
+        root = lt.root
         if not root.defined():
             raise NotInCarrier("no label at the root")
         try:
@@ -297,7 +288,7 @@ class InitialAlgebra:
             raise NotInCarrier(str(e))
         if z != InrV(UNIT):
             raise NotInCarrier("root is not a constructor node")
-        slot = tree_label_at(t, (0,))
+        slot = lt.child(0).root
         if not slot.defined():
             raise NotInCarrier("no parameter in the leaf slot")
         try:
@@ -306,8 +297,7 @@ class InitialAlgebra:
             raise NotInCarrier(str(e))
         if i2 != i or not isinstance(y, InlV):
             raise NotInCarrier("leaf slot disagrees with the root constructor")
-        k = self.nf.summands[i][1]
-        return i, y.value, [self.sel(j, t) for j in range(1, k + 1)]
+        return i, y.value
 
     # ---- fold -------------------------------------------------------------
 
@@ -324,11 +314,26 @@ class InitialAlgebra:
         return self._f(dep, t, algebra)
 
     def _f(self, n: int, t: PVal, algebra):
-        if n <= 0:
-            raise NotInCarrier("depth budget exhausted below the structure")
-        i, w, children = self.destruct(t)
-        results = [self._f(n - 1, c, algebra) for c in children]
-        return algebra[i](w, results)
+        """Post-order walk over an explicit stack, one ``destruct`` per node:
+        a node's subtrees are folded left to right, then its algebra runs."""
+        results: list = []
+        # (tree, depth budget) to visit, or ((i, w, k), None) to combine
+        todo: list = [(t, n)]
+        while todo:
+            t, n = todo.pop()
+            if n is None:
+                i, w, k = t
+                args = results[len(results) - k:]
+                del results[len(results) - k:]
+                results.append(algebra[i](w, args))
+                continue
+            if n <= 0:
+                raise NotInCarrier("depth budget exhausted below the structure")
+            i, w, children = self.destruct(t)
+            todo.append(((i, w, len(children)), None))
+            for c in reversed(children):
+                todo.append((c, n - 1))
+        return results[0]
 
     def primrec(self, body: Sequence[Callable[[PVal, list], object]]):
         """Primitive recursion derived from fold by pairing with the identity."""

@@ -4,14 +4,16 @@ Values are immutable and undefinedness is a first-class result (the
 ``UNDEF`` singleton), never nontermination; running out of evaluation
 budget raises ``FuelExhausted`` instead, so the two can never be
 confused.  Function values come in two flavours: procedural partial
-maps (``PFunV``) and finite tables (``FinMapV``).  Equality on finite
-tables is exact; equality on procedural maps is bounded-extensional
-over a canonical sample set and is therefore an approximation.
+maps (``PFunV``) and finite tables (``FinMapV``); a table on tree paths
+is an interned trie (``PathTrie``).  Equality on finite tables is exact;
+equality on procedural maps is bounded-extensional over a canonical
+sample set and is therefore an approximation.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -173,7 +175,8 @@ def _value_hash(v: PVal) -> int:
     (``inl x``/``inr x``, ``TRUE``/``FALSE``, ``UNIT``/``UNDEF``), and
     being a plain integer it hashes the same in every process.  Values are
     immutable, so the constructors whose payload is a value cache the hash:
-    trees are hashed on every table lookup.  Procedural maps hash by
+    trees are hashed on every table lookup.  A table keyed by tree paths
+    hashes as the equal ``PathTrie`` does; procedural maps hash by
     identity, as they compare.
     """
     cls = type(v)  # dispatch by class test: a class pattern costs several times more
@@ -188,7 +191,8 @@ def _value_hash(v: PVal) -> int:
         elif cls is InlV:
             h = hash((3, v.value))
         elif cls is FinMapV:
-            h = hash((6, v.entries))
+            t = _trie_of_flat(v)
+            h = hash((6, v.entries)) if t is None else t._hash
         elif cls is PFunV:
             return hash((7, id(v.fn)))
         elif cls is UnitV:
@@ -312,6 +316,190 @@ UNDEF = Undef()
 UNIT = UnitV()
 TRUE = InlV(UNIT)
 FALSE = InrV(UNIT)
+
+
+# ---------------------------------------------------------------------------
+# Tables on tree paths as interned tries
+
+
+class PathTrie(FinMapV):
+    """A finite map on tree paths, ``encode_path`` keys of ``nat`` steps.
+
+    A node holds ``root``, the value at the empty path (``UNDEF`` when
+    there is none), and ``children``, the non-empty subtables under each
+    first step as ``(j, trie)`` pairs with j ascending.  Nodes are made by
+    ``trie``, which interns them, so equal tables are usually one object
+    and a constructor shares its children's tables as they are.  The hash
+    is fixed at construction from the root and the children's hashes.
+
+    It is a ``FinMapV``: ``entries`` is derived on first use, in the
+    canonical key order (the root first, then each child j's block by j
+    as a number), so it equals the flat table with the same entries, and
+    both hash alike.
+    """
+
+    __slots__ = ("root", "children", "_hash", "_flat")
+
+    @property
+    def entries(self) -> tuple[tuple[PVal, PVal], ...]:
+        if self._flat is None:
+            keys = {(): TRUE}
+            flat = tuple((_path_key(p, keys), v) for p, v in self.paths())
+            object.__setattr__(self, "_flat", flat)
+        return self._flat
+
+    def paths(self) -> list[tuple[tuple[int, ...], PVal]]:
+        """(integer path, value) pairs in canonical order, by a pre-order walk."""
+        out = []
+        stack = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            if node.root is not UNDEF:
+                out.append((path, node.root))
+            for j, child in reversed(node.children):
+                stack.append((path + (j,), child))
+        return out
+
+    def child(self, j: int) -> "PathTrie":
+        """The subtable under first step j; the empty trie if there is none."""
+        for step, c in self.children:
+            if step == j:
+                return c
+        return EMPTY_TRIE
+
+    def lookup(self, key: PVal) -> PVal:
+        node = self
+        while type(key) is InrV:
+            step = key.value
+            if type(step) is not PairV or type(step.fst) is not NatV:
+                return UNDEF
+            node = node.child(step.fst.n)
+            key = step.snd
+        return node.root if key == TRUE else UNDEF
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not PathTrie:
+            if not isinstance(other, FinMapV):
+                return NotImplemented
+            other = _trie_of_flat(other)
+            if other is None:
+                return False
+        # equal tables are one node unless two were interned concurrently:
+        # compare structurally, by a loop
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.root != b.root or len(a.children) != len(b.children):
+                return False
+            for (j, ca), (k, cb) in zip(a.children, b.children):
+                if j != k:
+                    return False
+                stack.append((ca, cb))
+        return True
+
+    def __repr__(self) -> str:
+        return f"FinMapV(entries={self.entries!r})"
+
+
+# Interned nodes by (root, children), each held through a weak reference
+# whose callback drops the entry once the node is gone.  A lost race only
+# leaves two equal nodes, which compare by structure.
+_interned: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple) -> Callable[[weakref.ref], None]:
+    def forget(ref: weakref.ref) -> None:
+        if _interned.get(key) is ref:
+            _interned.pop(key, None)
+
+    return forget
+
+
+def trie(root: PVal, children: tuple[tuple[int, PathTrie], ...] = ()) -> PathTrie:
+    """The interned node with this root (``UNDEF``: none) and these children.
+
+    ``children`` must be non-empty tries under ascending steps.
+    """
+    key = (root, children)
+    ref = _interned.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(PathTrie)
+        object.__setattr__(node, "root", root)
+        object.__setattr__(node, "children", children)
+        object.__setattr__(node, "_hash", hash((6, root, children)))
+        object.__setattr__(node, "_flat", None)
+        _interned[key] = weakref.ref(node, _forget(key))
+    return node
+
+
+EMPTY_TRIE = trie(UNDEF)
+
+
+def trie_of_paths(items: Iterable[tuple[Sequence[int], PVal]]) -> PathTrie:
+    """The trie of (integer path, value) pairs; undefined values are dropped."""
+    top: list = [UNDEF, {}, None]  # draft node: root, {step: draft}, built trie
+    for path, v in items:
+        if not v.defined():
+            continue
+        draft = top
+        for j in path:
+            draft = draft[1].setdefault(j, [UNDEF, {}, None])
+        if draft[0] is not UNDEF:
+            raise TypeMismatch("duplicate key in finite map")
+        draft[0] = v
+    stack = [top]
+    while stack:  # post-order: a draft is built once all its children are
+        draft = stack[-1]
+        pending = [d for d in draft[1].values() if d[2] is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        draft[2] = trie(draft[0], tuple((j, d[2]) for j, d in sorted(draft[1].items())))
+    return top[2]
+
+
+def _path_steps(key: PVal) -> Optional[tuple[int, ...]]:
+    """The integer steps of an ``encode_path`` key of ``nat`` steps, else None."""
+    steps = []
+    while type(key) is InrV:
+        step = key.value
+        if type(step) is not PairV or type(step.fst) is not NatV:
+            return None
+        steps.append(step.fst.n)
+        key = step.snd
+    return tuple(steps) if key == TRUE else None
+
+
+def _path_key(path: tuple[int, ...], keys: dict) -> PVal:
+    """``encode_path`` of a path, sharing the encoded suffixes kept in ``keys``."""
+    missing = []
+    while path not in keys:
+        missing.append(path)
+        path = path[1:]
+    key = keys[path]
+    for p in reversed(missing):
+        key = keys[p] = InrV(PairV(NatV(p[0]), key))
+    return key
+
+
+def _trie_of_flat(m: FinMapV) -> Optional[PathTrie]:
+    """The trie equal to a flat table keyed by tree paths, else None."""
+    items = []
+    for k, v in m.entries:
+        path = _path_steps(k)
+        if path is None:
+            return None
+        items.append((path, v))
+    return trie_of_paths(items)
 
 
 def nat(n: int) -> NatV:

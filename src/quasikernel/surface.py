@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import initial as initial_mod
 from . import final as final_mod
@@ -70,6 +70,10 @@ class NegativeOccurrence(QuasiError):
 
 class UnsupportedTypeFormer(QuasiError):
     pass
+
+
+class AmbiguousName(QuasiError):
+    """An unqualified recursion scheme with several free types installed."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +214,11 @@ def _lex(source: str) -> list[Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], qualifiers: Iterable[str] = ()):
         self.tokens = tokens
         self.pos = 0
+        # free type names T for which ``T.op`` reads as one name
+        self.qualifiers = set(qualifiers)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -310,7 +316,10 @@ def parse(source: str) -> list[Decl | LetDef]:
             continue
         tok = c.peek()
         if tok.kind == "name" and tok.text == "free":
-            out.append(_parse_freetype(c))
+            d = _parse_freetype(c)
+            if not d.params:
+                c.qualifiers.add(d.name)
+            out.append(d)
         elif tok.kind == "name" and tok.text == "cotype":
             out.append(_parse_cotype(c))
         elif tok.kind == "name" and tok.text == "let":
@@ -415,8 +424,9 @@ def _parse_letdef(c: _Cursor) -> LetDef:
 # Expression parsing (for let bindings and the CLI evaluator)
 
 
-def parse_expr(source: str) -> kernel.Term:
-    c = _Cursor(_lex(source))
+def parse_expr(source: str, qualifiers: Iterable[str] = ()) -> kernel.Term:
+    """Parse an expression; ``T.op`` is one name for each T in ``qualifiers``."""
+    c = _Cursor(_lex(source), qualifiers)
     term = _parse_expr(c)
     if not c.at("eof", "nl"):
         c.fail("trailing input after expression")
@@ -448,6 +458,9 @@ def _parse_expr_atom(c: _Cursor) -> kernel.Term:
         return kernel.Lit(kernel.nat(int(t.text)))
     if t.kind == "name":
         c.next()
+        if t.text in c.qualifiers and c.at(".") and c.tokens[c.pos + 1].kind == "name":
+            c.next()
+            return kernel.Var(f"{t.text}.{c.next().text}")
         return kernel.Var(t.text)
     if t.kind == "(":
         c.next()
@@ -903,17 +916,19 @@ class ElabEnv:
                 lambda args, _i=info, _n=c.name: _i.make(_n, args), len(c.arg_kinds)
             )
         n = len(info.ctors)
-        self.terms["fold"] = _curried(
-            lambda args, _i=info: _i.fold(args[:-1], args[-1]), n + 1
-        )
-        self.terms["case"] = _curried(
-            lambda args, _i=info: _i.case(args[:-1], args[-1]), n + 1
-        )
-        self.terms["primrec"] = _curried(
-            lambda args, _i=info: _i.primrec(args[:-1], args[-1]), n + 1
-        )
-        for op in ("fold", "case", "primrec"):
-            self.terms[f"{info.display}.{op}"] = self.terms[op]
+        types = list(self.freetypes)
+        for op, run in (("fold", info.fold), ("case", info.case), ("primrec", info.primrec)):
+            qualified = f"{info.display}.{op}"
+            self.terms[qualified] = _curried(
+                lambda args, _run=run: _run(args[:-1], args[-1]), n + 1
+            )
+            if len(types) == 1:
+                self.terms[op] = self.terms[qualified]
+            else:
+                forms = " or ".join(f"{d}.{op}" for d in types)
+                self.terms[op] = _ambiguous(
+                    f"{op!r} is ambiguous with {len(types)} free types installed: write {forms}"
+                )
 
     def _bind_cotype_terms(self, info: CotypeInfo):
         for s in info.sels:
@@ -932,6 +947,13 @@ class ElabEnv:
 
         self.terms["unfold"] = _curried(run_unfold, 2)
         self.terms[f"{info.display}.unfold"] = self.terms["unfold"]
+
+
+def _ambiguous(message: str) -> PVal:
+    def fail(_x: PVal) -> PVal:
+        raise AmbiguousName(message)
+
+    return pfun(fail)
 
 
 def _curried(fn: Callable[[list[PVal]], PVal], arity: int) -> PVal:

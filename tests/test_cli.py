@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from quasikernel.surface import extract_functor, nf_to_sig, parse, parse_functor
 
 LIST_SRC = "free type List ::= nil | cons(Nat; List)\n"
 PROC_SRC = "cotype Proc ::= (out:? Bool; next:? Proc) | (spawnl, spawnr: Proc)\n"
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture
@@ -89,6 +91,22 @@ class TestEval:
         report, code = run(["eval", list_file, "-e", "missing_name"])
         assert code == 1
         assert report["checks"][0]["status"] == "fail"
+
+    def test_schemes_are_qualified_with_two_free_types(self):
+        expr = r"fold 1 1 (\a. \b. plus a b) (glue circle square)"
+        mixed = str(CORPUS / "mixed.qk")
+        report, code = run(["eval", mixed, "-e", expr])
+        assert code == 1
+        assert report["checks"] == [
+            {
+                "name": "eval",
+                "status": "fail",
+                "detail": "'fold' is ambiguous with 2 free types installed: "
+                "write Shape.fold or Tagged.fold",
+            }
+        ]
+        report, code = run(["eval", mixed, "-e", "Shape." + expr])
+        assert code == 0 and report["checks"][0]["detail"] == "2"
 
 
 class TestCheck:

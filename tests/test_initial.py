@@ -1,6 +1,10 @@
+import os
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasikernel.checks import (
     enumerate_algebras,
@@ -30,7 +34,6 @@ from quasikernel.initial import (
     tree_anchor,
     tree_depth,
     tree_label_at,
-    tree_parts,
     tree_tables,
     unchurch,
 )
@@ -45,8 +48,10 @@ from quasikernel.kernel import (
     Nat,
     NatV,
     PairV,
+    PathTrie,
     Unit,
     decode_path,
+    encode_path,
     enumerate_ty,
     eq_strong,
     finmap,
@@ -173,29 +178,50 @@ CORPUS_SIGNATURES = (
 CORPUS_DEPTHS = {"List": 4, "Nat2": 6, "Shape": 3, "Tagged": 3}
 
 
+# The reference builds flat tables itself: a `finmap` over `encode_path`
+# keys, sorted by the kernel's value order, with no trie involved.
+
+
+def flat_tree(label, depth_map, anchor):
+    def key(p):
+        return encode_path(tuple(map(nat, p)))
+
+    return PairV(
+        finmap({key(p): v for p, v in label.items()}),
+        PairV(finmap({key(p): nat(k) for p, k in depth_map.items()}), anchor),
+    )
+
+
+def flat_tables(t):
+    """Integer-path label and depth dicts, decoded from the table entries."""
+    def paths(table):
+        return {tuple(s.n for s in decode_path(k)): v for k, v in table.entries}
+
+    return paths(t.fst), {p: v.n for p, v in paths(t.snd.fst).items()}
+
+
 def reference_construct(h, i, w, children):
     """Constructor by decoding, re-keying and re-sorting the child tables."""
     label = {(): h.node_label(i), (0,): h.leaf_label(i, w)}
     depth_map = {(0,): 0}
     for j, c in enumerate(children, start=1):
-        lt, dt = tree_tables(c)
+        lt, dt = flat_tables(c)
         label.update({(j,) + p: v for p, v in lt.items()})
         depth_map.update({(j,) + p: k for p, k in dt.items()})
-    depth_map[()] = 1 + max((tree_depth(c) for c in children), default=0)
-    anchor = tree_anchor(children[0]) if children else w
-    return make_tree(label, depth_map, anchor)
+    depth_map[()] = 1 + max((flat_tables(c)[1][()] for c in children), default=0)
+    anchor = children[0].snd.snd if children else w
+    return flat_tree(label, depth_map, anchor)
 
 
 def reference_sel(j, t):
-    lt, dt = tree_tables(t)
+    lt, dt = flat_tables(t)
     label = {p[1:]: v for p, v in lt.items() if p[:1] == (j,)}
     depth_map = {p[1:]: k for p, k in dt.items() if p[:1] == (j,)}
-    return make_tree(label, depth_map, tree_anchor(t))
+    return flat_tree(label, depth_map, t.snd.snd)
 
 
 def entries(t):
-    l, d, anchor = tree_parts(t)
-    return l.entries, d.entries, anchor
+    return t.fst.entries, t.snd.fst.entries, t.snd.snd
 
 
 def wide_tree():
@@ -573,3 +599,113 @@ class TestConcurrency:
             for _ in range(3):
                 results = list(pool.map(lambda t: h.fold(algebra, t), trees))
                 assert results == expected
+
+
+# ---------------------------------------------------------------------------
+# Tree tables as interned tries
+
+bool_lists = st.lists(st.sampled_from([TRUE, FALSE]), max_size=4)
+
+
+class TestTrieTables:
+    @given(bool_lists, bool_lists)
+    def test_equal_tables_hash_equal(self, xs, ys):
+        # label and depth tables built by construct, by make_tree, and flat
+        h = list_handle()
+        forms = []
+        for vals in (xs, ys):
+            t = tree_list(h, vals)
+            rebuilt = make_tree(*tree_tables(t), tree_anchor(t))
+            assert rebuilt.fst is t.fst and rebuilt.snd.fst is t.snd.fst
+            for key, table, again in (
+                (("label", tuple(vals)), t.fst, rebuilt.fst),
+                (("depth", len(vals)), t.snd.fst, rebuilt.snd.fst),
+            ):
+                forms += [(key, table), (key, again), (key, finmap(table.entries))]
+        for ka, a in forms:
+            for kb, b in forms:
+                assert (a == b) == (ka == kb)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_construct_destruct_fold_read_no_entries(self, monkeypatch):
+        reads = []
+        derived = PathTrie.entries
+        monkeypatch.setattr(
+            PathTrie, "entries", property(lambda t: reads.append(t) or derived.fget(t))
+        )
+        h = list_handle()
+        t = tree_list(h, [TRUE, FALSE] * 20)
+        assert h.fold(length_algebra(), t) == nat(40)
+        assert h.destruct(t)[0] == 1 and h.sel(1, t) == h.destruct(t)[2][0]
+        assert h.is_in_T(t) and h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t) == TRUE
+        assert reads == []
+
+    def test_construct_shares_the_child_tables(self):
+        h, children, t = wide_tree()
+        i, w, parts = h.destruct(t)
+        for j, child in enumerate(children, start=1):
+            assert t.fst.child(j) is child.fst and t.snd.fst.child(j) is child.snd.fst
+            assert parts[j - 1].fst is child.fst
+
+    def test_destruct_keeps_each_trees_anchor(self):
+        # a subtree read through sel keeps its parent's anchor, so the same
+        # label table is destructed under two anchors in turn
+        h = InitialAlgebra(PolyNF(((Bool(), 0), (Nat(), 2))))
+        s = h.construct(1, nat(2), [h.construct(0, FALSE, []), h.construct(0, TRUE, [])])
+        c = h.construct(1, nat(1), [h.construct(0, TRUE, []), s])
+        inner = h.sel(2, c)
+        assert inner.fst is s.fst and tree_anchor(inner) == TRUE != tree_anchor(s)
+        for _ in range(2):
+            for t, anchor in ((s, FALSE), (inner, TRUE), (c, TRUE)):
+                i, w, children = h.destruct(t)
+                assert i == 1 and all(tree_anchor(ch) == anchor for ch in children)
+                assert h.destruct(t)[2] is children
+
+    def test_concurrent_construction_agrees(self):
+        # threads intern the same nodes at once; a lost race leaves two equal
+        # nodes, which must still compare equal and hash alike
+        h = list_handle()
+        results, errors = [], []
+
+        def work():
+            try:
+                for n in range(25):
+                    vals = [TRUE if k % 3 else FALSE for k in range(n)]
+                    results.append((vals, tree_list(h, vals)))
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=work) for _ in range((os.cpu_count() or 2) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        by_vals = {}
+        for vals, t in results:
+            by_vals.setdefault(tuple(vals), []).append(t)
+        for vals, trees in by_vals.items():
+            assert h.fold(length_algebra(), trees[0]) == nat(len(vals))
+            assert all(t == trees[0] and hash(t) == hash(trees[0]) for t in trees)
+
+    def test_deep_tree_without_recursion(self):
+        # each of these raised RecursionError on a tree this deep when the
+        # tables were flat: hashing recursed down the deepest path key
+        h = nat_algebra()
+        t = church(h, 3000)
+        rebuilt = church(h, 3000)
+        assert hash(t) == hash(rebuilt)
+        assert t == rebuilt
+        assert tree_depth(t) == 3001
+        i, w, children = h.destruct(t)
+        assert (i, w, tree_depth(children[0])) == (1, UNIT, 3000)
+        count = [lambda w, rs: nat(0), lambda w, rs: nat(rs[0].n + 1)]
+        assert h.fold(count, t) == nat(3000)
+        label, depth = tree_tables(t)
+        assert len(label) == 6002 and depth[()] == 3001 and depth[(1,) * 3000] == 1

@@ -14,6 +14,7 @@ from quasikernel.kernel import (
     App,
     Bool,
     CaseE,
+    EMPTY_TRIE,
     FinMapV,
     Fst,
     Fuel,
@@ -25,6 +26,7 @@ from quasikernel.kernel import (
     Lit,
     Nat,
     PairV,
+    PathTrie,
     Prod,
     RestrictE,
     Snd,
@@ -38,6 +40,7 @@ from quasikernel.kernel import (
     Var,
     Zero,
     apply_pval,
+    encode_path,
     enumerate_ty,
     eq_existential,
     eq_strong,
@@ -55,6 +58,9 @@ from quasikernel.kernel import (
     pfun,
     product_choices,
     restrict,
+    show_pval,
+    trie,
+    trie_of_paths,
     tuple_of,
     ty_card,
     untuple,
@@ -423,3 +429,81 @@ class TestHashing:
             )
             hashes.add(proc.stdout.strip())
         assert len(hashes) == 1
+
+
+# ---------------------------------------------------------------------------
+# Tables on tree paths as interned tries
+
+path_tables = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.sampled_from([UNIT, TRUE, FALSE, nat(0), nat(1), finmap({nat(0): TRUE})]),
+    max_size=6,
+)
+
+
+def flat_table(table):
+    return finmap({encode_path(tuple(map(nat, p))): v for p, v in table.items()})
+
+
+def chain(n):
+    """A trie with a value at (1,)*m and (1,)*m + (0,) for every m <= n."""
+    node = trie(nat(0), ((0, trie(TRUE)),))
+    for m in range(1, n + 1):
+        node = trie(nat(m), ((0, trie(TRUE)), (1, node)))
+    return node
+
+
+class TestPathTries:
+    @given(path_tables, path_tables)
+    def test_equal_tables_hash_equal(self, t1, t2):
+        forms = [
+            (t1, trie_of_paths(t1.items())),
+            (t1, flat_table(t1)),
+            (t2, trie_of_paths(t2.items())),
+            (t2, flat_table(t2)),
+        ]
+        for ta, a in forms:
+            for tb, b in forms:
+                assert (a == b) == (ta == tb)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @given(path_tables)
+    def test_trie_is_the_flat_table(self, table):
+        t, flat = trie_of_paths(table.items()), flat_table(table)
+        assert isinstance(t, PathTrie) and isinstance(t, FinMapV)
+        assert t.entries == flat.entries
+        assert t is trie_of_paths(dict(reversed(table.items())).items())
+        for k in flat.keys() + [encode_path((nat(9),)), UNIT, InrV(UNIT)]:
+            assert t.lookup(k) == flat.lookup(k)
+            assert apply_pval(t, k) == apply_pval(flat, k)
+        assert show_pval(t) == show_pval(flat)
+        assert is_true(eq_existential(t, flat))
+        match t:
+            case FinMapV(entries):
+                assert entries == flat.entries
+
+    def test_empty_trie_is_the_empty_table(self):
+        assert trie_of_paths([]) is EMPTY_TRIE
+        assert EMPTY_TRIE == finmap({}) and hash(EMPTY_TRIE) == hash(finmap({}))
+        assert EMPTY_TRIE.child(3) is EMPTY_TRIE
+
+    def test_undefined_values_are_dropped(self):
+        assert trie_of_paths([((1,), UNDEF)]) is EMPTY_TRIE
+
+    def test_equal_tries_interned_apart_compare_by_structure(self, monkeypatch):
+        from quasikernel import kernel
+
+        a = chain(3000)
+        # a fresh intern table stands for a lost race between two threads
+        monkeypatch.setattr(kernel, "_interned", {})
+        b = chain(3000)
+        assert a is not b
+        assert a == b and b == a and hash(a) == hash(b)
+        assert a != chain(2999)
+        assert len(b.entries) == 6002 and b.lookup(b.entries[-1][0]) == TRUE
+
+    def test_deep_trie_entries_are_keyed_and_ordered(self):
+        keys = [k for k, _ in chain(3).entries]
+        paths = [(), (0,), (1,), (1, 0), (1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 1, 0)]
+        assert keys == [encode_path(tuple(map(nat, p))) for p in paths]

@@ -30,6 +30,7 @@ from quasikernel.kernel import (
     pfun,
 )
 from quasikernel.surface import (
+    AmbiguousName,
     Alt,
     Decl,
     LetDef,
@@ -384,3 +385,47 @@ class TestEvalIntegration:
         literal = Fuel(10**6)
         eval_term(parse_expr(r"(\x. suc x) 0"), env.terms, literal)
         assert fuel.steps == literal.steps
+
+
+MIXED_SRC = (
+    "free type Shape ::= circle | square | glue(Shape; Shape)\n"
+    "free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)\n"
+)
+
+
+class TestQualifiedSchemes:
+    def run(self, env, expr):
+        return eval_term(parse_expr(expr, env.freetypes), env.terms, Fuel(100000))
+
+    def test_qualified_schemes_with_two_free_types(self):
+        env = elaborate(parse(MIXED_SRC))
+        assert self.run(env, r"Shape.fold 1 1 (\a. \b. plus a b) (glue circle square)") == nat(2)
+        tagged = "(node 3 (leaf true) (node 1 (leaf false) (leaf true)))"
+        assert self.run(env, r"Tagged.fold (\b. 0) (\n. \l. \r. plus n (plus l r)) " + tagged) == nat(4)
+        assert self.run(env, r"Tagged.case (\b. 0) (\n. \l. \r. n) " + tagged) == nat(3)
+        assert self.run(env, r"Tagged.primrec (\b. 0) (\n. \l. \r. \l2. \r2. plus n r2) " + tagged) == nat(4)
+
+    def test_qualified_scheme_in_a_let(self):
+        env = elaborate(parse(MIXED_SRC + r"let s = Shape.fold 1 1 (\a. \b. plus a b) (glue circle square)"))
+        assert env.terms["s"] == nat(2)
+
+    def test_dot_stays_the_binder_elsewhere(self):
+        env = elaborate(parse(MIXED_SRC))
+        assert self.run(env, r"(\x.x) 3") == nat(3)
+        assert self.run(env, r"(\Shape.Shape) 4") == nat(4)
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_expr("Shape.fold")  # Shape is not a qualifier here
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_expr("Proc.unfold", env.freetypes)  # nor is a cotype
+
+    def test_unqualified_scheme_is_ambiguous_with_two_free_types(self):
+        env = elaborate(parse(MIXED_SRC))
+        for op in ("fold", "case", "primrec"):
+            with pytest.raises(AmbiguousName, match=f"write Shape.{op} or Tagged.{op}"):
+                self.run(env, f"{op} 1 1 (\\a. \\b. a) (glue circle square)")
+
+    def test_single_free_type_keeps_unqualified_schemes(self):
+        env = elaborate(parse(MONO_LIST_SRC))
+        assert self.run(env, "fold 0 plus [1,2,3]") == nat(6)
+        assert self.run(env, "List.fold 0 plus [1,2,3]") == nat(6)
+        assert self.run(env, r"case 42 (\x. \l. x) [7,8]") == nat(7)
