@@ -264,18 +264,22 @@ class InitialAlgebra:
     def destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
         """Read off constructor index, parameter, and immediate subtrees.
 
-        The result is kept on the (interned) label table, with the handle,
-        depth table and anchor it was read for: destructing the same tree
-        again, as each further fold of it does, returns the same values.
+        The result is kept on the (interned) label table, with the handle
+        and, when there are subtrees, the depth table and anchor they were
+        read with: destructing the same tree again, as each further fold of
+        it does, returns the same values.  A leaf's result depends on
+        neither, so every tree holding that leaf shares it.
         """
         lt, dt, anchor = tree_parts(t)
         kept = getattr(lt, "_destructed", None)
-        if kept is not None and kept[0] is self and kept[1] is dt and kept[2] is anchor:
-            return kept[3]
+        if kept is not None and kept[0] is self:
+            read_with, out = kept[1], kept[2]
+            if read_with is None or (read_with[0] is dt and read_with[1] is anchor):
+                return out
         i, w = self._decode_root(lt)
         k = self.nf.summands[i][1]
         out = (i, w, [self.sel(j, t) for j in range(1, k + 1)])
-        object.__setattr__(lt, "_destructed", (self, dt, anchor, out))
+        object.__setattr__(lt, "_destructed", (self, (dt, anchor) if k else None, out))
         return out
 
     def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:
