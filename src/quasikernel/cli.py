@@ -94,7 +94,7 @@ def cmd_eval(args) -> list[CheckResult]:
         source = fh.read()
     try:
         env = elaborate(parse(source), fuel_steps=args.fuel)
-        term = parse_expr(args.expr, env.freetypes)
+        term = parse_expr(args.expr, [*env.freetypes, *env.cotypes])
         value = kernel.eval_term(term, env.terms, Fuel(args.fuel))
         return [check("eval", True, show_pval(value))]
     except QuasiError as e:

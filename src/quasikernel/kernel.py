@@ -916,30 +916,44 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
 
 
 def show_pval(v: PVal) -> str:
-    """Readable rendering; booleans print by their sum encoding names."""
-    match v:
-        case Undef():
-            return "undefined"
-        case UnitV():
-            return "()"
-        case NatV(n):
-            return str(n)
-        case InlV(UnitV()):
-            return "true"
-        case InrV(UnitV()):
-            return "false"
-        case InlV(x):
-            return f"inl {show_pval(x)}"
-        case InrV(x):
-            return f"inr {show_pval(x)}"
-        case PairV(a, b):
-            return f"({show_pval(a)}, {show_pval(b)})"
-        case FinMapV(entries):
-            inner = ", ".join(f"{show_pval(k)} -> {show_pval(x)}" for k, x in entries)
-            return "{" + inner + "}"
-        case PFunV():
-            return "<fun>"
-    return repr(v)
+    """Readable rendering; booleans print by their sum encoding names.
+
+    Pops values and literal text off an explicit stack, so a deep value (a
+    list's path keys nest two levels per element) prints without recursion.
+    """
+    out: list[str] = []
+    stack: list[PVal | str] = [v]
+    while stack:
+        item = stack.pop()
+        cls = type(item)  # dispatch by class test, as in _value_hash
+        if cls is str:
+            out.append(item)
+        elif cls is InlV or cls is InrV:
+            x = item.value
+            if type(x) is UnitV:
+                out.append("true" if cls is InlV else "false")
+            else:
+                out.append("inl " if cls is InlV else "inr ")
+                stack.append(x)
+        elif cls is PairV:
+            out.append("(")
+            stack += (")", item.snd, ", ", item.fst)
+        elif cls is NatV:
+            out.append(str(item.n))
+        elif isinstance(item, FinMapV):
+            out.append("{")
+            stack.append("}")
+            for i, (k, x) in enumerate(reversed(item.entries)):
+                stack += (x, " -> ", k) if i == 0 else (", ", x, " -> ", k)
+        elif cls is UnitV:
+            out.append("()")
+        elif cls is Undef:
+            out.append("undefined")
+        elif isinstance(item, PFunV):
+            out.append("<fun>")
+        else:
+            out.append(repr(item))
+    return "".join(out)
 
 
 # Logical values: a formula is a partial constant on Unit; it holds iff

@@ -10,9 +10,10 @@ equality; objects are compared up to listed-atom identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .kernel import QuasiError
 
@@ -83,12 +84,24 @@ def spap_obj(carrier: Iterable[int], family: Iterable[Iterable[int]] = ()) -> Fi
     return FinObj(SPAP, atoms, frozenset(frozenset(a) for a in family))
 
 
-def preserves_structure(src: FinObj, dst: FinObj, mapping: dict[int, int]) -> bool:
+def preserves_structure(
+    src: FinObj, dst: FinObj, mapping: Mapping[int, int] | Sequence[int]
+) -> bool:
+    """Does the set-function x |-> mapping[x] preserve structure?
+
+    ``mapping`` is anything indexable by the source's atoms: a dict, or a
+    tuple of values when the carrier is ``range(n)``.
+    """
+    target = dst.structure
     if src.kind == RERE:
-        return all((mapping[x], mapping[y]) in dst.structure for x, y in src.structure)
-    return all(
-        frozenset(mapping[x] for x in a) in dst.structure for a in src.structure
-    )
+        for x, y in src.structure:
+            if (mapping[x], mapping[y]) not in target:
+                return False
+        return True
+    for a in src.structure:
+        if frozenset(mapping[x] for x in a) not in target:
+            return False
+    return True
 
 
 def mor(src: FinObj, dst: FinObj, mapping: dict[int, int]) -> FinMor:
@@ -289,14 +302,23 @@ def all_objects(kind: str, max_size: int = 2) -> list[FinObj]:
     return out
 
 
-def is_regular_mono(m: FinMor, pool: Optional[list[FinObj]] = None) -> bool:
+@functools.cache
+def _probe_pool(kind: str) -> tuple[FinObj, ...]:
+    """Every object on at most two atoms, built on first use."""
+    return tuple(all_objects(kind, 2))
+
+
+@functools.cache
+def _coarseness_pool() -> tuple[FinObj, ...]:
+    return _probe_pool(RERE) + (indiscrete(range(3)),)
+
+
+def is_regular_mono(m: FinMor) -> bool:
     """Is the mono an equalizer of some parallel pair?  Exhaustive over a
     pool of small codomains."""
     if len({m(x) for x in m.src.carrier}) != len(m.src.carrier):
         raise LabError("not a monomorphism")
-    if pool is None:
-        pool = all_objects(m.src.kind, 2)
-    for w in pool:
+    for w in _probe_pool(m.src.kind):
         homs = hom_set(m.dst, w)
         for h in homs:
             for k in homs:
@@ -316,7 +338,7 @@ def regular_hull(m: FinMor) -> FinObj:
 # Coarseness and the naturals fragment
 
 
-def is_coarse(a: FinObj, pool: Optional[list[FinObj]] = None) -> bool:
+def is_coarse(a: FinObj) -> bool:
     """Does every singleton-valued family admit a choice morphism?
 
     Families over a probe object P are graphs of set-functions P -> a,
@@ -326,12 +348,10 @@ def is_coarse(a: FinObj, pool: Optional[list[FinObj]] = None) -> bool:
     """
     if a.kind != RERE:
         raise LabError("coarseness probing is defined for the relation category")
-    if pool is None:
-        pool = all_objects(RERE, 2) + [indiscrete(range(3))]
-    for p in pool:
+    for p in _coarseness_pool():
+        # every probe's carrier is range(n), so the value tuple is the mapping
         for values in itertools.product(a.carrier, repeat=len(p.carrier)):
-            mapping = dict(zip(p.carrier, values))
-            if not preserves_structure(p, a, mapping):
+            if not preserves_structure(p, a, values):
                 return False
     return True
 

@@ -73,7 +73,8 @@ class UnsupportedTypeFormer(QuasiError):
 
 
 class AmbiguousName(QuasiError):
-    """An unqualified recursion scheme with several free types installed."""
+    """An unqualified recursion scheme with several free types (or, for
+    ``unfold``, several cotypes) installed."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +316,11 @@ def parse(source: str) -> list[Decl | LetDef]:
             c.next()
             continue
         tok = c.peek()
-        if tok.kind == "name" and tok.text == "free":
-            d = _parse_freetype(c)
+        if tok.kind == "name" and tok.text in ("free", "cotype"):
+            d = _parse_freetype(c) if tok.text == "free" else _parse_cotype(c)
             if not d.params:
                 c.qualifiers.add(d.name)
             out.append(d)
-        elif tok.kind == "name" and tok.text == "cotype":
-            out.append(_parse_cotype(c))
         elif tok.kind == "name" and tok.text == "let":
             out.append(_parse_letdef(c))
         else:
@@ -916,19 +915,9 @@ class ElabEnv:
                 lambda args, _i=info, _n=c.name: _i.make(_n, args), len(c.arg_kinds)
             )
         n = len(info.ctors)
-        types = list(self.freetypes)
         for op, run in (("fold", info.fold), ("case", info.case), ("primrec", info.primrec)):
-            qualified = f"{info.display}.{op}"
-            self.terms[qualified] = _curried(
-                lambda args, _run=run: _run(args[:-1], args[-1]), n + 1
-            )
-            if len(types) == 1:
-                self.terms[op] = self.terms[qualified]
-            else:
-                forms = " or ".join(f"{d}.{op}" for d in types)
-                self.terms[op] = _ambiguous(
-                    f"{op!r} is ambiguous with {len(types)} free types installed: write {forms}"
-                )
+            scheme = _curried(lambda args, _run=run: _run(args[:-1], args[-1]), n + 1)
+            self._bind_scheme(op, info.display, scheme, list(self.freetypes), "free types")
 
     def _bind_cotype_terms(self, info: CotypeInfo):
         for s in info.sels:
@@ -945,8 +934,19 @@ class ElabEnv:
 
             return _i.handle.unfold(d, seed)
 
-        self.terms["unfold"] = _curried(run_unfold, 2)
-        self.terms[f"{info.display}.unfold"] = self.terms["unfold"]
+        unfold = _curried(run_unfold, 2)
+        self._bind_scheme("unfold", info.display, unfold, list(self.cotypes), "cotypes")
+
+    def _bind_scheme(self, op: str, display: str, scheme: PVal, installed: list[str], kinds: str):
+        """Bind ``display.op``, and the bare ``op`` while it names one type."""
+        self.terms[f"{display}.{op}"] = scheme
+        if len(installed) == 1:
+            self.terms[op] = scheme
+        else:
+            forms = " or ".join(f"{d}.{op}" for d in installed)
+            self.terms[op] = _ambiguous(
+                f"{op!r} is ambiguous with {len(installed)} {kinds} installed: write {forms}"
+            )
 
 
 def _ambiguous(message: str) -> PVal:

@@ -11,6 +11,7 @@ from quasikernel.surface import extract_functor, nf_to_sig, parse, parse_functor
 
 LIST_SRC = "free type List ::= nil | cons(Nat; List)\n"
 PROC_SRC = "cotype Proc ::= (out:? Bool; next:? Proc) | (spawnl, spawnr: Proc)\n"
+TWO_COTYPES_SRC = "cotype A ::= (a:? Bool; an:? A)\ncotype B ::= (b:? Nat; bn:? B)\n"
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
@@ -107,6 +108,30 @@ class TestEval:
         ]
         report, code = run(["eval", mixed, "-e", "Shape." + expr])
         assert code == 0 and report["checks"][0]["detail"] == "2"
+
+    def test_unfold_is_qualified_with_two_cotypes(self, tmp_path):
+        p = tmp_path / "two.qk"
+        p.write_text(TWO_COTYPES_SRC)
+        report, code = run(["eval", str(p), "-e", r"a (unfold (\z. (true, \u. z)) 0)"])
+        assert code == 1
+        assert report["checks"] == [
+            {
+                "name": "eval",
+                "status": "fail",
+                "detail": "'unfold' is ambiguous with 2 cotypes installed: "
+                "write A.unfold or B.unfold",
+            }
+        ]
+        report, code = run(["eval", str(p), "-e", r"b (bn (B.unfold (\z. (z, \u. suc z)) 3))"])
+        assert code == 0 and report["checks"][0]["detail"] == "4"
+
+    def test_long_list_literal_prints(self):
+        # its path keys nest two levels per element, past the recursion limit
+        digits = ",".join(str(i % 10) for i in range(640))
+        report, code = run(["eval", str(CORPUS / "lists.qk"), "-e", f"[{digits}]"])
+        assert code == 0
+        detail = report["checks"][0]["detail"]
+        assert detail.startswith("({true -> inr false, inr (0, true) -> inr inl 0, ")
 
 
 class TestCheck:

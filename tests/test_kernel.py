@@ -373,6 +373,45 @@ class TestLogical:
         assert apply_pval(logical(False), UNIT) == UNDEF
 
 
+class TestShow:
+    # the renderings of the recursive printer this one replaced
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (UNDEF, "undefined"),
+            (UNIT, "()"),
+            (nat(7), "7"),
+            (TRUE, "true"),
+            (FALSE, "false"),
+            (inl(nat(1)), "inl 1"),
+            (inr(nat(2)), "inr 2"),
+            (InlV(InrV(UNIT)), "inl false"),
+            (InrV(InlV(nat(0))), "inr inl 0"),
+            (pair(nat(1), pair(TRUE, UNIT)), "(1, (true, ()))"),
+            (PairV(UNDEF, nat(3)), "(undefined, 3)"),
+            (finmap({}), "{}"),
+            (finmap({nat(1): TRUE, nat(0): pair(nat(5), FALSE)}), "{0 -> (5, false), 1 -> true}"),
+            (
+                trie_of_paths([((), nat(1)), ((0,), nat(2)), ((1, 0), inl(UNIT))]),
+                "{true -> 1, inr (0, true) -> 2, inr (1, inr (0, true)) -> true}",
+            ),
+            (EMPTY_TRIE, "{}"),
+            (pfun(lambda x: x), "<fun>"),
+            (pair(pfun(lambda x: x), finmap({UNIT: inr(UNIT)})), "(<fun>, {() -> false})"),
+        ],
+    )
+    def test_rendering(self, value, text):
+        assert show_pval(value) == text
+
+    def test_deep_value_prints_without_recursion(self):
+        n = 5 * sys.getrecursionlimit()
+        deep = nat(0)
+        for _ in range(n):
+            deep = inr(pair(nat(1), deep))
+        text = show_pval(deep)
+        assert text.startswith("inr (1, inr (1, ") and text.endswith("(1, 0)" + ")" * (n - 1))
+
+
 # a tree of the corpus type Tagged, with both Bool labels and a Nat parameter
 HASH_SCRIPT = """
 from quasikernel.kernel import FALSE, TRUE, nat

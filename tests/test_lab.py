@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from quasikernel import lab
 from quasikernel.lab import (
     RERE,
     SPAP,
@@ -21,6 +23,7 @@ from quasikernel.lab import (
     is_regular_mono,
     mor,
     nno_fragment_check,
+    preserves_structure,
     product,
     pullback,
     regular_hull,
@@ -222,6 +225,77 @@ class TestCoarse:
                 o = rere_obj(atoms, edges)
                 expected = len(o.structure) == size * size
                 assert is_coarse(o) == expected, o
+
+
+    def test_spap_object_is_rejected(self):
+        with pytest.raises(LabError):
+            is_coarse(terminal(SPAP))
+
+
+class TestProbePools:
+    @pytest.fixture
+    def all_objects_calls(self, monkeypatch):
+        """Calls of lab.all_objects, with the probe pools not yet built."""
+        calls = []
+        real = lab.all_objects
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lab, "all_objects", counting)
+        lab._probe_pool.cache_clear()
+        lab._coarseness_pool.cache_clear()
+        yield calls
+        lab._probe_pool.cache_clear()
+        lab._coarseness_pool.cache_clear()
+
+    def test_coarseness_pool_is_built_once(self, all_objects_calls):
+        assert is_coarse(indiscrete(range(2)))
+        assert not is_coarse(discrete(range(2)))
+        assert len(all_objects_calls) == 1
+
+    def test_regular_mono_pool_is_built_once_per_kind(self, all_objects_calls):
+        zero, one = initial(SPAP), terminal(SPAP)
+        m = hom_set(zero, one)[0]
+        assert not is_regular_mono(m)
+        assert is_regular_mono(identity(one))
+        assert len(all_objects_calls) == 1
+
+
+def _ref_preserves(src, dst, mapping):
+    if src.kind == RERE:
+        return all((mapping[x], mapping[y]) in dst.structure for x, y in src.structure)
+    return all(frozenset(mapping[x] for x in a) in dst.structure for a in src.structure)
+
+
+@st.composite
+def _probe_and_function(draw):
+    """Two objects of one kind on carriers range(n), n <= 3, and the values
+    of an arbitrary set-function between their carriers."""
+    kind = draw(st.sampled_from([RERE, SPAP]))
+    objs = []
+    for _ in range(2):
+        atoms = tuple(range(draw(st.integers(0, 3))))
+        if kind == RERE:
+            off = [(x, y) for x in atoms for y in atoms if x != y]
+            objs.append(rere_obj(atoms, draw(st.sets(st.sampled_from(off))) if off else ()))
+        else:
+            subsets = [s for r in range(len(atoms) + 1) for s in itertools.combinations(atoms, r)]
+            objs.append(spap_obj(atoms, draw(st.sets(st.sampled_from(subsets)))))
+    src, dst = objs
+    if not dst.carrier:
+        src = initial(kind)
+    values = tuple(draw(st.sampled_from(dst.carrier)) for _ in src.carrier)
+    return src, dst, values
+
+
+@given(_probe_and_function())
+def test_value_tuple_is_a_mapping(case):
+    src, dst, values = case
+    expected = _ref_preserves(src, dst, dict(zip(src.carrier, values)))
+    assert preserves_structure(src, dst, values) == expected
+    assert preserves_structure(src, dst, dict(zip(src.carrier, values))) == expected
 
 
 def _edge_subsets(pairs):

@@ -393,9 +393,13 @@ MIXED_SRC = (
 )
 
 
+TWO_COTYPES_SRC = "cotype A ::= (a:? Bool; an:? A)\ncotype B ::= (b:? Nat; bn:? B)\n"
+
+
 class TestQualifiedSchemes:
     def run(self, env, expr):
-        return eval_term(parse_expr(expr, env.freetypes), env.terms, Fuel(100000))
+        qualifiers = [*env.freetypes, *env.cotypes]
+        return eval_term(parse_expr(expr, qualifiers), env.terms, Fuel(100000))
 
     def test_qualified_schemes_with_two_free_types(self):
         env = elaborate(parse(MIXED_SRC))
@@ -429,3 +433,23 @@ class TestQualifiedSchemes:
         assert self.run(env, "fold 0 plus [1,2,3]") == nat(6)
         assert self.run(env, "List.fold 0 plus [1,2,3]") == nat(6)
         assert self.run(env, r"case 42 (\x. \l. x) [7,8]") == nat(7)
+
+    def test_qualified_unfold_with_two_cotypes(self):
+        env = elaborate(parse(TWO_COTYPES_SRC))
+        assert self.run(env, r"a (an (A.unfold (\z. (true, \u. z)) 0))") == TRUE
+        assert self.run(env, r"b (bn (B.unfold (\z. (z, \u. suc z)) 3))") == nat(4)
+
+    def test_qualified_unfold_in_a_let(self):
+        env = elaborate(parse(TWO_COTYPES_SRC + r"let s = B.unfold (\z. (z, \u. suc z)) 5"))
+        assert self.run(env, "b (bn s)") == nat(6)
+
+    def test_unqualified_unfold_is_ambiguous_with_two_cotypes(self):
+        env = elaborate(parse(TWO_COTYPES_SRC))
+        with pytest.raises(AmbiguousName, match="with 2 cotypes installed: write A.unfold or B.unfold"):
+            self.run(env, r"unfold (\z. (true, \u. z)) 0")
+
+    def test_single_cotype_keeps_unqualified_unfold(self):
+        env = elaborate(parse(PROC_SRC))
+        coalg = r"(\z. inl (true, \u. z))"
+        for op in ("unfold", "Proc.unfold"):
+            assert self.run(env, f"out (next ({op} {coalg} 0))") == TRUE
