@@ -226,7 +226,6 @@ class TestCoarse:
                 expected = len(o.structure) == size * size
                 assert is_coarse(o) == expected, o
 
-
     def test_spap_object_is_rejected(self):
         with pytest.raises(LabError):
             is_coarse(terminal(SPAP))
