@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -14,15 +15,32 @@ from .kernel import Fuel, QuasiError, show_pval
 from .surface import elaborate, nf_to_sig, parse, parse_expr, pretty_functor
 
 
+def _obs_depth(text: str) -> int:
+    """An ``--obs-depth`` value: below 1 no tree is enumerated, so no check would test anything."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {depth}")
+    return depth
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--fuel", type=int, default=10000)
-    p.add_argument("--obs-depth", type=int, default=4)
+    p.add_argument("--obs-depth", type=_obs_depth, default=4)
     p.add_argument("--chain-bound", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on first use and shared by every later call.
+
+    Sharing is safe because ``parse_args`` keeps nothing between calls: each
+    returns a fresh ``Namespace`` filled from the immutable defaults below.
+    """
     ap = argparse.ArgumentParser(prog="quasikernel")
     sub = ap.add_subparsers(dest="command", required=True)
 

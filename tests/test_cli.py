@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -209,3 +210,55 @@ class TestReportShape:
         assert proc.returncode == 0
         assert "5" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestParser:
+    def test_built_once_per_process(self, list_file, monkeypatch):
+        run(["eval", list_file, "-e", "suc 1"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run(["eval", list_file, "-e", "suc 1"])
+        run(["lab", "mtypes"])
+        assert built == []
+
+    def test_no_state_carries_over(self, list_file):
+        report, _ = run(
+            ["check", list_file, "--suite", "cpo", "--seed", "5", "--obs-depth", "2",
+             "--chain-bound", "8", "--fuel", "99", "--format", "json"]
+        )
+        assert report["config"] == {
+            "fuel": 99, "obs_depth": 2, "chain_bound": 8, "seed": 5, "format": "json"
+        }
+        assert all(c["name"].startswith("cpo.") for c in report["checks"])
+        report, _ = run(["eval", list_file, "-e", "suc 1"])
+        assert report["config"] == {
+            "fuel": 10000, "obs_depth": 4, "chain_bound": 32, "seed": 0, "format": "text"
+        }
+        report, code = run(["check", list_file])
+        assert code == 0
+        prefixes = {c["name"].split(".")[0] for c in report["checks"]}
+        assert prefixes == {"initial", "cpo"}
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_obs_depth_below_one_is_rejected(self, list_file, depth, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", list_file, "--obs-depth", depth, "--suite", "initial"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--obs-depth: must be at least 1" in err
+
+    def test_bad_argument_then_valid_call(self):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["lab", "nope"])
+            assert exc.value.code == 2
+        report, code = run(["lab", "mtypes"])
+        assert code == 0
+        assert report["config"]["seed"] == 0
