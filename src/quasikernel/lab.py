@@ -128,6 +128,8 @@ def compose(f: FinMor, g: FinMor) -> FinMor:
 
 def hom_set(a: FinObj, b: FinObj) -> list[FinMor]:
     """All morphisms a -> b, by filtering every total function."""
+    if a.kind != b.kind:
+        raise LabError("morphism across categories")
     atoms = a.carrier
     out = []
     for values in itertools.product(b.carrier, repeat=len(atoms)):
@@ -310,7 +312,10 @@ def _probe_pool(kind: str) -> tuple[FinObj, ...]:
 
 @functools.cache
 def _coarseness_pool() -> tuple[FinObj, ...]:
-    return _probe_pool(RERE) + (indiscrete(range(3)),)
+    # most off-diagonal edges first: a set-function out of a discrete probe
+    # preserves every reflexive relation, so only probes with edges can reject
+    probes = _probe_pool(RERE) + (indiscrete(range(3)),)
+    return tuple(sorted(probes, key=lambda p: len(p.carrier) - len(p.structure)))
 
 
 def is_regular_mono(m: FinMor) -> bool:
@@ -344,7 +349,8 @@ def is_coarse(a: FinObj) -> bool:
     Families over a probe object P are graphs of set-functions P -> a,
     carried as full (hence regular) subobjects of P x a; a choice
     morphism exists exactly if the underlying set-function preserves
-    structure.  The probe pool is exhaustive at small size.
+    structure.  The probe pool is exhaustive at small size; its order only
+    decides how soon a failing set-function is found.
     """
     if a.kind != RERE:
         raise LabError("coarseness probing is defined for the relation category")
@@ -354,6 +360,20 @@ def is_coarse(a: FinObj) -> bool:
             if not preserves_structure(p, a, values):
                 return False
     return True
+
+
+def coarseness_counterexample(max_size: int = 4) -> FinObj | None:
+    """A reflexive relation on at most ``max_size`` atoms whose coarseness
+    differs from its indiscreteness, or None if every one agrees."""
+    for size in range(max_size + 1):
+        atoms = tuple(range(size))
+        diag = frozenset((x, x) for x in atoms)
+        off = [(x, y) for x in atoms for y in atoms if x != y]
+        for edges in _subsets(off):
+            o = FinObj(RERE, atoms, diag.union(edges))
+            if is_coarse(o) != (len(edges) == len(off)):
+                return o
+    return None
 
 
 @dataclass
@@ -374,11 +394,13 @@ class NnoFragmentReport:
 def _algebra_morphism_count(n_obj: FinObj, b: FinObj, zero: int, suc: dict[int, int]) -> int:
     """Morphisms out of the truncated naturals determined by the 0/suc clauses."""
     count = 0
-    for h in hom_set(n_obj, b):
-        ok = h(0) == zero
-        for x in n_obj.carrier[:-1]:
-            ok = ok and h(x + 1) == suc[h(x)]
-        if ok:
+    # the carrier is range(n), so the value tuple is the set-function
+    for values in itertools.product(b.carrier, repeat=len(n_obj.carrier)):
+        if (
+            values[0] == zero
+            and all(suc[v] == w for v, w in zip(values, values[1:]))
+            and preserves_structure(n_obj, b, values)
+        ):
             count += 1
     return count
 

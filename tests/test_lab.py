@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasikernel import lab
+from quasikernel.cli import run
 from quasikernel.lab import (
     RERE,
     SPAP,
     LabError,
     all_objects,
+    coarseness_counterexample,
     compose,
     coproduct,
     discrete,
@@ -71,6 +73,14 @@ class TestBasicObjects:
         assert len(hom_set(discrete(range(2)), discrete(range(2)))) == 4
         assert len(hom_set(indiscrete(range(2)), discrete(range(2)))) == 2
         assert len(hom_set(indiscrete(range(2)), indiscrete(range(2)))) == 4
+
+    @pytest.mark.parametrize(
+        "a, b", [(rere_obj((0,)), terminal(SPAP)), (terminal(SPAP), rere_obj((0,)))]
+    )
+    def test_hom_set_across_categories_is_rejected(self, a, b):
+        # an empty list would claim there are no morphisms; mor raises too
+        with pytest.raises(LabError, match="across categories"):
+            hom_set(a, b)
 
 
 class TestLimits:
@@ -224,7 +234,7 @@ class TestCoarse:
             for edges in _edge_subsets(off_diag):
                 o = rere_obj(atoms, edges)
                 expected = len(o.structure) == size * size
-                assert is_coarse(o) == expected, o
+                assert is_coarse(o) == expected == _ref_is_coarse(o), o
 
     def test_spap_object_is_rejected(self):
         with pytest.raises(LabError):
@@ -313,3 +323,80 @@ class TestNnoFragment:
         report = nno_fragment_check()
         # the terminal algebra admits exactly one clause-respecting morphism
         assert report.discrete_unique_counts[-1] == 1
+
+
+def _ref_is_coarse(a):
+    """Coarseness probed in the pool's original order, smallest first."""
+    pool = all_objects(RERE, 2) + [indiscrete(range(3))]
+    return all(
+        _ref_preserves(p, a, dict(zip(p.carrier, values)))
+        for p in pool
+        for values in itertools.product(a.carrier, repeat=len(p.carrier))
+    )
+
+
+class TestFailFirstCoarseness:
+    @given(st.sets(st.sampled_from([(x, y) for x in range(5) for y in range(5) if x != y])))
+    def test_agrees_with_reference_on_five_atoms(self, edges):
+        o = rere_obj(range(5), edges)
+        assert is_coarse(o) == _ref_is_coarse(o)
+
+    def test_lab_rere_does_less_work_on_the_same_objects(self, monkeypatch):
+        calls = {"preserves_structure": 0, "is_coarse": 0}
+        for name in calls:
+            real = getattr(lab, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lab, name, counting)
+        report, code = run(["lab", "rere"])
+        assert code == 0
+        # the smallest-first order made 101,580 structure checks here
+        assert calls["preserves_structure"] <= 15_000
+        # every reflexive relation on at most four atoms, plus the NNO's N
+        assert calls["is_coarse"] == 4_167
+
+    def test_no_counterexample(self):
+        assert coarseness_counterexample() is None
+
+    def test_the_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(lab, "is_coarse", lambda a: True)
+        o = coarseness_counterexample()
+        assert o is not None and len(o.structure) < len(o.carrier) ** 2
+        report, code = run(["lab", "rere"])
+        assert code == 1
+        (sweep,) = [c for c in report["checks"] if c["name"] == "lab.rere.coarse-iff-indiscrete"]
+        assert sweep["status"] == "fail"
+        assert sweep["detail"].startswith("counterexample: ")
+
+
+NNO_ALGEBRAS = [
+    (discrete(range(2)), 0, {0: 1, 1: 0}),
+    (indiscrete(range(2)), 0, {0: 1, 1: 1}),
+    (discrete(range(3)), 0, {0: 1, 1: 2, 2: 2}),
+    (terminal(RERE), 0, {0: 0}),
+]
+
+
+def _ref_algebra_morphism_count(n_obj, b, zero, suc):
+    return sum(
+        h(0) == zero and all(h(x + 1) == suc[h(x)] for x in n_obj.carrier[:-1])
+        for h in hom_set(n_obj, b)
+    )
+
+
+class TestNnoCounts:
+    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize("make_n", [discrete, indiscrete])
+    def test_count_agrees_with_hom_set_reference(self, make_n, size):
+        n_obj = make_n(range(size))
+        for b, zero, suc in NNO_ALGEBRAS:
+            expected = _ref_algebra_morphism_count(n_obj, b, zero, suc)
+            assert lab._algebra_morphism_count(n_obj, b, zero, suc) == expected
+
+    def test_report_counts(self):
+        report = nno_fragment_check()
+        assert report.discrete_unique_counts == [1, 1, 1, 1]
+        assert report.indiscrete_unique_counts == [0, 1, 0, 1]
