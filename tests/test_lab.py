@@ -312,12 +312,38 @@ def _edge_subsets(pairs):
         yield from itertools.combinations(pairs, r)
 
 
+# the algebras that nno_fragment_check counts morphisms into
+NNO_ALGEBRAS = [
+    (discrete(range(2)), 0, {0: 1, 1: 0}),
+    (indiscrete(range(2)), 0, {0: 1, 1: 1}),
+    (discrete(range(3)), 0, {0: 1, 1: 2, 2: 2}),
+    (terminal(RERE), 0, {0: 0}),
+]
+
+
+def _ref_algebra_morphism_count(n_obj, b, zero, suc):
+    return sum(
+        h(0) == zero and all(h(x + 1) == suc[h(x)] for x in n_obj.carrier[:-1])
+        for h in hom_set(n_obj, b)
+    )
+
+
 class TestNnoFragment:
     def test_report(self):
         report = nno_fragment_check()
         assert report.discrete_not_coarse
         assert report.discrete_initiality_ok
         assert report.indiscrete_fails
+        assert report.discrete_unique_counts == [1, 1, 1, 1]
+        assert report.indiscrete_unique_counts == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize("make_n", [discrete, indiscrete])
+    def test_count_agrees_with_hom_set_reference(self, make_n, size):
+        n_obj = make_n(range(size))
+        for b, zero, suc in NNO_ALGEBRAS:
+            expected = _ref_algebra_morphism_count(n_obj, b, zero, suc)
+            assert lab._algebra_morphism_count(n_obj, b, zero, suc) == expected
 
     def test_one_point_algebra_unique(self):
         report = nno_fragment_check()
@@ -370,33 +396,3 @@ class TestFailFirstCoarseness:
         (sweep,) = [c for c in report["checks"] if c["name"] == "lab.rere.coarse-iff-indiscrete"]
         assert sweep["status"] == "fail"
         assert sweep["detail"].startswith("counterexample: ")
-
-
-NNO_ALGEBRAS = [
-    (discrete(range(2)), 0, {0: 1, 1: 0}),
-    (indiscrete(range(2)), 0, {0: 1, 1: 1}),
-    (discrete(range(3)), 0, {0: 1, 1: 2, 2: 2}),
-    (terminal(RERE), 0, {0: 0}),
-]
-
-
-def _ref_algebra_morphism_count(n_obj, b, zero, suc):
-    return sum(
-        h(0) == zero and all(h(x + 1) == suc[h(x)] for x in n_obj.carrier[:-1])
-        for h in hom_set(n_obj, b)
-    )
-
-
-class TestNnoCounts:
-    @pytest.mark.parametrize("size", range(1, 7))
-    @pytest.mark.parametrize("make_n", [discrete, indiscrete])
-    def test_count_agrees_with_hom_set_reference(self, make_n, size):
-        n_obj = make_n(range(size))
-        for b, zero, suc in NNO_ALGEBRAS:
-            expected = _ref_algebra_morphism_count(n_obj, b, zero, suc)
-            assert lab._algebra_morphism_count(n_obj, b, zero, suc) == expected
-
-    def test_report_counts(self):
-        report = nno_fragment_check()
-        assert report.discrete_unique_counts == [1, 1, 1, 1]
-        assert report.indiscrete_unique_counts == [0, 1, 0, 1]
