@@ -12,7 +12,7 @@ from . import kernel, surface
 from .checks import CheckConfig, CheckResult, check, suite_cpo, suite_final, suite_initial, suite_lab
 from .functors import to_extpoly_nf, to_poly_nf
 from .kernel import Fuel, QuasiError, show_pval
-from .surface import elaborate, nf_to_sig, parse, parse_expr, pretty_functor
+from .surface import elaborate, nf_to_sig, parse, parse_expr, pretty_ty
 
 
 def _obs_depth(text: str) -> int:
@@ -91,13 +91,7 @@ def cmd_elaborate(args) -> list[CheckResult]:
             surface.check_positivity(d)
             functor = surface.extract_functor(d)
             nf = to_poly_nf(functor) if d.kind == "free" else to_extpoly_nf(functor)
-            out.append(
-                check(
-                    f"elaborate.{d.name}",
-                    True,
-                    pretty_functor(nf_to_sig(nf)),
-                )
-            )
+            out.append(check(f"elaborate.{d.name}", True, pretty_ty(nf_to_sig(nf))))
         except QuasiError as e:
             out.append(CheckResult(f"elaborate.{d.name}", "fail", str(e)))
     try:

@@ -104,7 +104,10 @@ class Partial(Ty):
 
 @dataclass(frozen=True)
 class Named(Ty):
+    """A type name, applied to ``args`` when it names a type constructor."""
+
     name: str
+    args: tuple[Ty, ...] = ()
 
 
 def normalize_ty(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> Ty:
@@ -847,7 +850,7 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
     match term:
         case Var(name):
             if name not in env:
-                raise UnboundName(name)
+                raise UnboundName(f"unbound name: {name!r}")
             return env[name]
         case Lit(v):
             return v

@@ -78,68 +78,20 @@ class AmbiguousName(QuasiError):
 
 
 # ---------------------------------------------------------------------------
-# Surface type expressions
-
-
-class TyExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TName(TyExpr):
-    name: str
-    args: tuple[TyExpr, ...] = ()
-
-
-@dataclass(frozen=True)
-class TUnit(TyExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TNat(TyExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TBool(TyExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TZero(TyExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TSum(TyExpr):
-    left: TyExpr
-    right: TyExpr
-
-
-@dataclass(frozen=True)
-class TProd(TyExpr):
-    left: TyExpr
-    right: TyExpr
-
-
-@dataclass(frozen=True)
-class TArrow(TyExpr):
-    arg: TyExpr
-    res: TyExpr
+# Declarations: types are kernel ``Ty``, with every name a ``Named``
 
 
 @dataclass(frozen=True)
 class Alt:
     name: str
-    args: tuple[TyExpr, ...] = ()
+    args: tuple[Ty, ...] = ()
 
 
 @dataclass(frozen=True)
 class SelGroup:
     names: tuple[str, ...]
     partial: bool
-    codomain: TyExpr
+    codomain: Ty
 
 
 @dataclass(frozen=True)
@@ -244,62 +196,54 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
-# Type expression parsing: arrow < sum < product < atom, arrows right-associative
+# Type parsing: arrow < sum < product < atom, every binary former
+# right-associative.  The parser and the printer share one precedence table.
 
 
-def _parse_tyexpr(c: _Cursor) -> TyExpr:
-    left = _parse_tysum(c)
-    if c.at("arrow"):
-        c.next()
-        return TArrow(left, _parse_tyexpr(c))
-    return left
+_INFIX: dict[type, tuple[int, str]] = {
+    TyTotal: (0, "->"),
+    TySum: (1, "+"),
+    SumF: (1, "+"),
+    TyProd: (2, "*"),
+    ProdF: (2, "*"),
+}
+_FORMER_OF_TOKEN = {"arrow": TyTotal, "+": TySum, "times": TyProd}
 
 
-def _parse_tysum(c: _Cursor) -> TyExpr:
-    left = _parse_typrod(c)
-    if c.at("+"):
-        c.next()
-        return TSum(left, _parse_tysum(c))
-    return left
-
-
-def _parse_typrod(c: _Cursor) -> TyExpr:
+def _parse_ty(c: _Cursor, min_prec: int = 0) -> Ty:
+    """Precedence climbing: the right operand of a former at precedence p
+    takes every former at p or above, which makes them right-associative."""
     left = _parse_tyatom(c)
-    if c.at("times"):
+    while (former := _FORMER_OF_TOKEN.get(c.peek().kind)) and _INFIX[former][0] >= min_prec:
         c.next()
-        return TProd(left, _parse_typrod(c))
+        left = former(left, _parse_ty(c, _INFIX[former][0]))
     return left
 
 
-def _parse_tyatom(c: _Cursor) -> TyExpr:
+def _parse_tyatom(c: _Cursor) -> Ty:
     t = c.peek()
     if t.kind == "(":
         c.next()
-        inner = _parse_tyexpr(c)
+        inner = _parse_ty(c)
         c.expect(")")
         return inner
     if t.kind == "name":
         # builtin type names resolve during elaboration, so a declaration
         # may shadow them (a user type named Nat must still recurse on itself)
         c.next()
-        args: list[TyExpr] = []
+        args: list[Ty] = []
         if c.at("["):
             c.next()
-            args.append(_parse_tyexpr(c))
+            args.append(_parse_ty(c))
             while c.at(","):
                 c.next()
-                args.append(_parse_tyexpr(c))
+                args.append(_parse_ty(c))
             c.expect("]")
-            return TName(t.text, tuple(args))
+            return Named(t.text, tuple(args))
         # juxtaposed arguments: Tree a b, List (Tree a b)
         while (c.at("name") and c.peek().text not in KEYWORDS) or c.at("("):
-            if c.at("("):
-                c.next()
-                args.append(_parse_tyexpr(c))
-                c.expect(")")
-            else:
-                args.append(TName(c.next().text))
-        return TName(t.text, tuple(args))
+            args.append(_parse_tyatom(c) if c.at("(") else Named(c.next().text))
+        return Named(t.text, tuple(args))
     c.fail("expected a type expression")
 
 
@@ -363,18 +307,18 @@ def _parse_alt(c: _Cursor) -> Alt:
         ctor = c.next().text
     else:
         ctor = c.expect("name").text
-    args: list[TyExpr] = []
+    args: list[Ty] = []
     if c.at("("):
         c.next()
-        args.append(_parse_tyexpr(c))
+        args.append(_parse_ty(c))
         while c.at(";"):
             c.next()
-            args.append(_parse_tyexpr(c))
+            args.append(_parse_ty(c))
         c.expect(")")
     else:
         # unparenthesized display form: each argument is a single name
         while c.at("name") and c.peek().text not in KEYWORDS:
-            args.append(TName(c.next().text))
+            args.append(Named(c.next().text))
     return Alt(ctor, tuple(args))
 
 
@@ -409,7 +353,7 @@ def _parse_selgroup(c: _Cursor) -> SelGroup:
     else:
         c.expect(":")
         partial = False
-    return SelGroup(tuple(names), partial, _parse_tyexpr(c))
+    return SelGroup(tuple(names), partial, _parse_ty(c))
 
 
 def _parse_letdef(c: _Cursor) -> LetDef:
@@ -424,7 +368,8 @@ def _parse_letdef(c: _Cursor) -> LetDef:
 
 
 def parse_expr(source: str, qualifiers: Iterable[str] = ()) -> kernel.Term:
-    """Parse an expression; ``T.op`` is one name for each T in ``qualifiers``."""
+    """Parse an expression; ``T.op`` and ``T.0`` are one name for each T in
+    ``qualifiers``."""
     c = _Cursor(_lex(source), qualifiers)
     term = _parse_expr(c)
     if not c.at("eof", "nl"):
@@ -457,7 +402,7 @@ def _parse_expr_atom(c: _Cursor) -> kernel.Term:
         return kernel.Lit(kernel.nat(int(t.text)))
     if t.kind == "name":
         c.next()
-        if t.text in c.qualifiers and c.at(".") and c.tokens[c.pos + 1].kind == "name":
+        if t.text in c.qualifiers and c.at(".") and c.tokens[c.pos + 1].kind in ("name", "nat"):
             c.next()
             return kernel.Var(f"{t.text}.{c.next().text}")
         return kernel.Var(t.text)
@@ -495,32 +440,32 @@ def _parse_expr_atom(c: _Cursor) -> kernel.Term:
 # Pretty-printing
 
 
-def pretty_ty(t: TyExpr) -> str:
+def pretty_ty(t: Ty | SigFunctor) -> str:
+    """Print a type, or a functor with X for its recursion variable.
+
+    By ``_INFIX``, a left operand is parenthesised when it binds no tighter
+    than its former, and a right operand when it binds looser."""
     match t:
-        case TUnit():
-            return "Unit"
-        case TNat():
-            return "Nat"
-        case TBool():
-            return "Bool"
-        case TZero():
-            return "Zero"
-        case TName(name, args):
-            if not args:
-                return name
-            return f"{name}[{', '.join(pretty_ty(a) for a in args)}]"
-        case TSum(l, r):
-            return f"{_paren(l, (TArrow, TSum))} + {_paren(r, (TArrow,))}"
-        case TProd(l, r):
-            return f"{_paren(l, (TArrow, TSum, TProd))} * {_paren(r, (TArrow, TSum))}"
-        case TArrow(a, r):
-            return f"{_paren(a, (TArrow,))} -> {pretty_ty(r)}"
-    raise TypeMismatch(f"unknown type expression {t!r}")
-
-
-def _paren(t: TyExpr, wrap: tuple) -> str:
-    s = pretty_ty(t)
-    return f"({s})" if isinstance(t, wrap) else s
+        case Unit() | Nat() | Bool() | Zero():
+            return type(t).__name__
+        case Named(name, args):
+            return f"{name}[{', '.join(map(pretty_ty, args))}]" if args else name
+        case Id():
+            return "X"
+        case ExpConst(b, _):
+            return f"({pretty_ty(b)} -> X)"
+        case Const(ty):
+            # composite constants must not merge with functor-level sums
+            # and products when the expression is read back
+            return f"({pretty_ty(ty)})" if type(ty) in _INFIX else pretty_ty(ty)
+        case TySum(l, r) | TyProd(l, r) | TyTotal(l, r) | SumF(l, r) | ProdF(l, r):
+            prec, op = _INFIX[type(t)]
+            left, right = (
+                f"({pretty_ty(x)})" if _INFIX.get(type(x), (3,))[0] < bound else pretty_ty(x)
+                for x, bound in ((l, prec + 1), (r, prec))
+            )
+            return f"{left} {op} {right}"
+    raise TypeMismatch(f"unprintable type {t!r}")
 
 
 def pretty_decl(d: Decl) -> str:
@@ -547,15 +492,15 @@ def pretty_decl(d: Decl) -> str:
 # Positivity
 
 
-def _pattern_of(d: Decl) -> TyExpr:
-    return TName(d.name, tuple(TName(p) for p in d.params))
+def _pattern_of(d: Decl) -> Named:
+    return Named(d.name, tuple(Named(p) for p in d.params))
 
 
-def _mentions_name(t: TyExpr, name: str) -> bool:
+def _mentions_name(t: Ty, name: str) -> bool:
     match t:
-        case TName(n, args):
+        case Named(n, args):
             return n == name or any(_mentions_name(a, name) for a in args)
-        case TSum(l, r) | TProd(l, r) | TArrow(l, r):
+        case TySum(l, r) | TyProd(l, r) | TyTotal(l, r):
             return _mentions_name(l, name) or _mentions_name(r, name)
     return False
 
@@ -574,67 +519,51 @@ def check_positivity(d: Decl) -> None:
                 )
 
 
-def _positivity_walk(t: TyExpr, d: Decl, where: str) -> None:
+def _positivity_walk(t: Ty, d: Decl, where: str) -> None:
     match t:
-        case TArrow(arg, res):
+        case TyTotal(arg, res):
             if _mentions_name(arg, d.name):
                 raise NegativeOccurrence(
                     f"{d.name} occurs in a function argument at {where}"
                 )
             _positivity_walk(res, d, where)
-        case TSum(l, r) | TProd(l, r):
+        case TySum(l, r) | TyProd(l, r):
             _positivity_walk(l, d, where)
             _positivity_walk(r, d, where)
-        case _:
-            pass
 
 
 # ---------------------------------------------------------------------------
-# Resolution of closed surface types to kernel types
+# Resolution of builtin type names, and substitution of type parameters
 
 
-def resolve_ty(t: TyExpr, subst: Optional[dict[str, TyExpr]] = None) -> Ty:
+_BUILTIN_TYPES = {"Unit": Unit(), "Nat": Nat(), "Bool": Bool(), "Zero": Zero()}
+
+
+def resolve_ty(t: Ty) -> Ty:
+    """Resolve builtin names in a closed type; other names stay ``Named``,
+    and atoms that are already kernel types pass through."""
     match t:
-        case TUnit():
-            return Unit()
-        case TNat():
-            return Nat()
-        case TBool():
-            return Bool()
-        case TZero():
-            return Zero()
-        case TSum(l, r):
-            return TySum(resolve_ty(l, subst), resolve_ty(r, subst))
-        case TProd(l, r):
-            return TyProd(resolve_ty(l, subst), resolve_ty(r, subst))
-        case TArrow(a, r):
-            return TyTotal(resolve_ty(a, subst), resolve_ty(r, subst))
-        case TName(name, args):
-            if args:
-                raise UnsupportedTypeFormer(
-                    f"type constructor {name!r} cannot appear in a constant position"
-                )
-            if subst is not None and name in subst:
-                return resolve_ty(subst[name], subst)
-            builtin = {"Unit": Unit(), "Nat": Nat(), "Bool": Bool(), "Zero": Zero()}
-            if name in builtin:
-                return builtin[name]
-            return Named(name)
-    raise TypeMismatch(f"unknown type expression {t!r}")
+        case Named(name, ()):
+            return _BUILTIN_TYPES.get(name, t)
+        case Named(name, _):
+            raise UnsupportedTypeFormer(
+                f"type constructor {name!r} cannot appear in a constant position"
+            )
+        case TySum(l, r) | TyProd(l, r) | TyTotal(l, r):
+            return type(t)(resolve_ty(l), resolve_ty(r))
+    return t
 
 
-def _substitute(t: TyExpr, subst: dict[str, TyExpr]) -> TyExpr:
+def _substitute(t: Ty, subst: Optional[dict[str, Ty]]) -> Ty:
+    if not subst:
+        return t
     match t:
-        case TName(name, ()) if name in subst:
+        case Named(name, ()) if name in subst:
             return subst[name]
-        case TName(name, args):
-            return TName(name, tuple(_substitute(a, subst) for a in args))
-        case TSum(l, r):
-            return TSum(_substitute(l, subst), _substitute(r, subst))
-        case TProd(l, r):
-            return TProd(_substitute(l, subst), _substitute(r, subst))
-        case TArrow(a, r):
-            return TArrow(_substitute(a, subst), _substitute(r, subst))
+        case Named(name, args):
+            return Named(name, tuple(_substitute(a, subst) for a in args))
+        case TySum(l, r) | TyProd(l, r) | TyTotal(l, r):
+            return type(t)(_substitute(l, subst), _substitute(r, subst))
     return t
 
 
@@ -642,61 +571,57 @@ def _substitute(t: TyExpr, subst: dict[str, TyExpr]) -> TyExpr:
 # Functor extraction
 
 
-def extract_functor(d: Decl, subst: Optional[dict[str, TyExpr]] = None) -> SigFunctor:
+def extract_functor(d: Decl, subst: Optional[dict[str, Ty]] = None) -> SigFunctor:
     """Sum over constructors (sel);  products over argument functors."""
-    pattern = _substitute(_pattern_of(d), subst or {})
+    return _sum_of_products(_field_functors(d, subst))
+
+
+def _sum_of_products(alts: list[list[SigFunctor]]) -> SigFunctor:
+    return fold_right(SumF, Const(Zero()), [fold_right(ProdF, Const(Unit()), fs) for fs in alts])
+
+
+def _field_functors(d: Decl, subst: Optional[dict[str, Ty]]) -> list[list[SigFunctor]]:
+    """Per alternative, the functor of each constructor argument, or of each
+    selector's codomain (a group ``a, b: T`` gives one per name)."""
     if d.kind == "free":
-        parts = [_ctor_functor(alt, d, pattern, subst) for alt in d.alts]
+        fields = [alt.args for alt in d.alts]
     else:
-        parts = [_coalt_functor(alt, d, pattern, subst) for alt in d.coalts]
-    return fold_right(SumF, Const(Zero()), parts)
+        fields = [[g.codomain for g in alt for _ in g.names] for alt in d.coalts]
+    pattern = _substitute(_pattern_of(d), subst)
+    return [[_functor_of(_substitute(t, subst), pattern, d.kind) for t in fs] for fs in fields]
 
 
-def _ctor_functor(alt: Alt, d: Decl, pattern: TyExpr, subst) -> SigFunctor:
-    return fold_right(
-        ProdF,
-        Const(Unit()),
-        [_arg_functor(_substitute(a, subst or {}), d, pattern, "free") for a in alt.args],
-    )
-
-
-def _coalt_functor(alt: tuple[SelGroup, ...], d: Decl, pattern: TyExpr, subst) -> SigFunctor:
-    sels = []
-    for g in alt:
-        for _name in g.names:
-            sels.append(
-                _arg_functor(_substitute(g.codomain, subst or {}), d, pattern, "cotype")
-            )
-    return fold_right(ProdF, Const(Unit()), sels)
-
-
-def _arg_functor(t: TyExpr, d: Decl, pattern: TyExpr, kind: str) -> SigFunctor:
-    if not _mentions_name(t, d.name):
+def _functor_of(t: Ty, pattern: Named, kind: str) -> SigFunctor:
+    """Read ``t`` as a functor whose recursion variable is ``pattern``; in a
+    cotype (``kind``), ``B -> pattern`` is an exponential."""
+    name = pattern.name
+    if not _mentions_name(t, name):
         return Const(resolve_ty(t))
     if t == pattern:
         return Id()
     match t:
-        case TSum(l, r):
-            return SumF(_arg_functor(l, d, pattern, kind), _arg_functor(r, d, pattern, kind))
-        case TProd(l, r):
-            return ProdF(_arg_functor(l, d, pattern, kind), _arg_functor(r, d, pattern, kind))
-        case TArrow(a, r):
+        case TySum(l, r):
+            return SumF(_functor_of(l, pattern, kind), _functor_of(r, pattern, kind))
+        case TyProd(l, r):
+            return ProdF(_functor_of(l, pattern, kind), _functor_of(r, pattern, kind))
+        case TyTotal(a, r):
             if kind == "free":
                 raise UnsupportedTypeFormer(
-                    f"{d.name}: recursion under a function arrow is not a polynomial "
+                    f"{name}: recursion under a function arrow is not a polynomial "
                     "position (infinite branching is unsupported)"
                 )
             if r != pattern:
                 raise UnsupportedTypeFormer(
-                    f"{d.name}: exponential selector bodies must be the declared pattern"
+                    f"{name}: exponential selector bodies must be the declared pattern"
                 )
+            if _mentions_name(a, name):
+                raise UnsupportedTypeFormer(f"{name}: an exponent must not mention {name}")
             return ExpConst(resolve_ty(a), Id())
-        case TName(name, _):
-            raise UnsupportedTypeFormer(
-                f"{d.name}: recursive occurrence under type constructor {name!r} "
-                "is the user's responsibility and is rejected"
-            )
-    raise UnsupportedTypeFormer(f"{d.name}: unsupported recursive position {t!r}")
+    # a Named that mentions the pattern's name but is not the pattern
+    raise UnsupportedTypeFormer(
+        f"{name}: recursive occurrence under type constructor {t.name!r} "
+        "is the user's responsibility and is rejected"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -882,13 +807,13 @@ class ElabEnv:
         self.templates: dict[str, Decl] = {}
         self.terms: dict[str, PVal] = {}
 
-    def instantiate(self, name: str, ty_args: Sequence[TyExpr]) -> FreeTypeInfo | CotypeInfo:
+    def instantiate(self, name: str, ty_args: Sequence[Ty]) -> FreeTypeInfo | CotypeInfo:
         if name not in self.templates:
             raise kernel.UnboundName(f"no parameterized declaration {name!r}")
         d = self.templates[name]
         if len(ty_args) != len(d.params):
             raise TypeMismatch(f"{name} expects {len(d.params)} type arguments")
-        display = f"{name}[{', '.join(pretty_ty(t) for t in ty_args)}]"
+        display = pretty_ty(Named(name, tuple(ty_args)))
         if display in self.freetypes:
             return self.freetypes[display]
         if display in self.cotypes:
@@ -896,22 +821,24 @@ class ElabEnv:
         subst = dict(zip(d.params, ty_args))
         return self._install(d, subst, display)
 
-    def _install(self, d: Decl, subst: Optional[dict], display: str):
+    def _install(self, d: Decl, subst: Optional[dict[str, Ty]], display: str):
         check_positivity(d)
-        functor = extract_functor(d, subst)
+        fields = _field_functors(d, subst)
         if d.kind == "free":
-            info = _elaborate_freetype(d, functor, display, subst)
+            info = _elaborate_freetype(d, fields, display)
             self.freetypes[display] = info
             self._bind_freetype_terms(info)
             return info
-        info = _elaborate_cotype(d, functor, display, subst)
+        info = _elaborate_cotype(d, fields, display)
         self.cotypes[display] = info
         self._bind_cotype_terms(info)
         return info
 
     def _bind_freetype_terms(self, info: FreeTypeInfo):
+        """Bind each constructor ``c`` as ``c`` and as ``T.c``: a constructor
+        named by digits (``Nat2.0``) is reachable only qualified."""
         for c in info.ctors:
-            self.terms[c.name] = _curried(
+            self.terms[c.name] = self.terms[f"{info.display}.{c.name}"] = _curried(
                 lambda args, _i=info, _n=c.name: _i.make(_n, args), len(c.arg_kinds)
             )
         n = len(info.ctors)
@@ -966,25 +893,23 @@ def _curried(fn: Callable[[list[PVal]], PVal], arity: int) -> PVal:
     return out
 
 
-def _elaborate_freetype(
-    d: Decl, functor: SigFunctor, display: str, subst: Optional[dict]
-) -> FreeTypeInfo:
+def _elaborate_freetype(d: Decl, fields: list[list[SigFunctor]], display: str) -> FreeTypeInfo:
+    functor = _sum_of_products(fields)
     nf = to_poly_nf(functor)
     ctors: list[CtorInfo] = []
     n_consts = 0
     next_summand = 1
     param_names = set(d.params)
     shape: list[list[list[bool]]] = [[] for _ in nf.summands]
-    for alt in d.alts:
+    for alt, fs in zip(d.alts, fields):
         kinds, const_tys, const_is_var = [], [], []
-        for arg in alt.args:
-            arg_s = _substitute(arg, subst or {})
-            if _mentions_name(arg, d.name):
-                kinds.append("rec")
-            else:
+        for arg, f in zip(alt.args, fs):
+            if isinstance(f, Const):
                 kinds.append("const")
-                const_tys.append(resolve_ty(arg_s))
-                const_is_var.append(isinstance(arg, TName) and arg.name in param_names)
+                const_tys.append(f.ty)
+                const_is_var.append(isinstance(arg, Named) and arg.name in param_names)
+            else:
+                kinds.append("rec")
         flags = [
             v for t, v in zip(const_tys, const_is_var) if t != Unit()
         ]
@@ -1002,41 +927,28 @@ def _elaborate_freetype(
     return FreeTypeInfo(d, display, functor, nf, handle, ctors, n_consts)
 
 
-def _elaborate_cotype(
-    d: Decl, functor: SigFunctor, display: str, subst: Optional[dict]
-) -> CotypeInfo:
+def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> CotypeInfo:
+    functor = _sum_of_products(fields)
     nf = to_extpoly_nf(functor)
     handle = final_mod.FinalCoalgebra(nf)
-    pattern = _substitute(_pattern_of(d), subst or {})
     sels: list[SelInfo] = []
     alt_const_tys: list[tuple[Ty, ...]] = []
     alt_rec_count: list[int] = []
-    for alt_idx, alt in enumerate(d.coalts):
+    for alt_idx, (alt, fs) in enumerate(zip(d.coalts, fields)):
         const_tys: list[Ty] = []
         n_rec = 0
-        for g in alt:
-            cod = _substitute(g.codomain, subst or {})
-            for name in g.names:
-                if not _mentions_name(cod, d.name):
-                    sels.append(
-                        SelInfo(name, alt_idx, "const", const_pos=len(const_tys))
-                    )
-                    const_tys.append(resolve_ty(cod))
-                elif cod == pattern:
+        for name, f in zip((n for g in alt for n in g.names), fs):
+            match f:
+                case Const(ty):
+                    sels.append(SelInfo(name, alt_idx, "const", const_pos=len(const_tys)))
+                    const_tys.append(ty)
+                case Id():
                     sels.append(SelInfo(name, alt_idx, "rec", rec_pos=n_rec))
                     n_rec += 1
-                elif isinstance(cod, TArrow) and cod.res == pattern:
-                    sels.append(
-                        SelInfo(
-                            name,
-                            alt_idx,
-                            "fn",
-                            rec_pos=n_rec,
-                            exponent=resolve_ty(cod.arg),
-                        )
-                    )
+                case ExpConst(b, _):
+                    sels.append(SelInfo(name, alt_idx, "fn", rec_pos=n_rec, exponent=b))
                     n_rec += 1
-                else:
+                case _:
                     raise UnsupportedTypeFormer(
                         f"{d.name}: selector {name} has an unsupported codomain"
                     )
@@ -1086,87 +998,16 @@ def base_builtins() -> dict[str, PVal]:
 
 
 # ---------------------------------------------------------------------------
-# Printing and re-parsing normal forms as functor expressions over X
-
-
-def pretty_kernel_ty(t: Ty) -> str:
-    match t:
-        case kernel.Unit():
-            return "Unit"
-        case kernel.Nat():
-            return "Nat"
-        case kernel.Bool():
-            return "Bool"
-        case kernel.Zero():
-            return "Zero"
-        case Named(name):
-            return name
-        case kernel.Sum(l, r):
-            return f"{_kparen(l, (kernel.Total, kernel.Sum))} + {_kparen(r, (kernel.Total,))}"
-        case kernel.Prod(l, r):
-            return (
-                f"{_kparen(l, (kernel.Total, kernel.Sum, kernel.Prod))} "
-                f"* {_kparen(r, (kernel.Total, kernel.Sum))}"
-            )
-        case kernel.Total(a, r):
-            return f"{_kparen(a, (kernel.Total,))} -> {pretty_kernel_ty(r)}"
-    raise TypeMismatch(f"unprintable type {t!r}")
-
-
-def _kparen(t: Ty, wrap: tuple) -> str:
-    s = pretty_kernel_ty(t)
-    return f"({s})" if isinstance(t, wrap) else s
-
-
-def pretty_functor(f: SigFunctor) -> str:
-    match f:
-        case Id():
-            return "X"
-        case Const(t):
-            # composite constants must not merge with functor-level sums
-            # and products when the expression is read back
-            s = pretty_kernel_ty(t)
-            if isinstance(t, (kernel.Sum, kernel.Prod, kernel.Total)):
-                return f"({s})"
-            return s
-        case SumF(l, r):
-            return f"{_fparen(l, (SumF,))} + {pretty_functor(r)}"
-        case ProdF(l, r):
-            return f"{_fparen(l, (SumF, ProdF))} * {_fparen(r, (SumF,))}"
-        case ExpConst(b, _):
-            return f"({pretty_kernel_ty(b)} -> X)"
-    raise TypeMismatch(f"unprintable functor {f!r}")
-
-
-def _fparen(f: SigFunctor, wrap: tuple) -> str:
-    s = pretty_functor(f)
-    return f"({s})" if isinstance(f, wrap) else s
+# Normal forms as functor expressions over X
 
 
 def parse_functor(source: str) -> SigFunctor:
     """Parse a functor expression in which X marks the recursion variable."""
     c = _Cursor(_lex(source))
-    t = _parse_tyexpr(c)
+    t = _parse_ty(c)
     if not c.at("eof", "nl"):
         c.fail("trailing input after functor expression")
-    return _tyexpr_to_functor(t)
-
-
-def _tyexpr_to_functor(t: TyExpr) -> SigFunctor:
-    if not _mentions_name(t, "X"):
-        return Const(resolve_ty(t))
-    match t:
-        case TName("X", ()):
-            return Id()
-        case TSum(l, r):
-            return SumF(_tyexpr_to_functor(l), _tyexpr_to_functor(r))
-        case TProd(l, r):
-            return ProdF(_tyexpr_to_functor(l), _tyexpr_to_functor(r))
-        case TArrow(a, r):
-            if _mentions_name(a, "X") or _tyexpr_to_functor(r) != Id():
-                raise UnsupportedTypeFormer("exponentials must have the shape B -> X")
-            return ExpConst(resolve_ty(a), Id())
-    raise UnsupportedTypeFormer(f"cannot read {t!r} back as a functor")
+    return _functor_of(t, Named("X"), "cotype")
 
 
 def nf_to_sig(nf) -> SigFunctor:

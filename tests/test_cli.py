@@ -31,12 +31,23 @@ def both_file(tmp_path):
 
 
 class TestElaborate:
-    def test_prints_normal_forms(self, list_file):
-        report, code = run(["elaborate", list_file])
+    @pytest.mark.parametrize(
+        "corpus_file, name, printed",
+        [
+            ("lists", "List", "Unit + Nat * X"),
+            ("mixed", "Shape", "(Unit + Unit) + Unit * X * X"),
+            ("mixed", "Tagged", "Bool + Nat * X * X"),
+            ("naturals", "Nat2", "Unit + Unit * X"),
+            ("processes", "Proc", "Bool * (Unit -> X) + Unit * (Unit + Unit -> X)"),
+        ],
+        ids=["List", "Shape", "Tagged", "Nat2", "Proc"],
+    )
+    def test_prints_normal_forms(self, corpus_file, name, printed):
+        report, code = run(["elaborate", str(CORPUS / f"{corpus_file}.qk")])
         assert code == 0
-        (entry,) = [c for c in report["checks"] if c["name"] == "elaborate.List"]
+        (entry,) = [c for c in report["checks"] if c["name"] == f"elaborate.{name}"]
         assert entry["status"] == "pass"
-        assert entry["detail"] == "Unit + Nat * X"
+        assert entry["detail"] == printed
 
     def test_printed_normal_forms_reparse(self, both_file):
         report, _ = run(["elaborate", both_file])
@@ -93,6 +104,7 @@ class TestEval:
         report, code = run(["eval", list_file, "-e", "missing_name"])
         assert code == 1
         assert report["checks"][0]["status"] == "fail"
+        assert report["checks"][0]["detail"] == "unbound name: 'missing_name'"
 
     def test_schemes_are_qualified_with_two_free_types(self):
         expr = r"fold 1 1 (\a. \b. plus a b) (glue circle square)"

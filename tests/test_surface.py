@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from quasikernel.functors import (
     Const,
@@ -20,7 +21,9 @@ from quasikernel.kernel import (
     Fuel,
     Named,
     Nat,
+    Prod,
     Sum,
+    Total,
     Unit,
     apply_pval,
     eval_term,
@@ -37,14 +40,13 @@ from quasikernel.surface import (
     NegativeOccurrence,
     ParseError,
     SelGroup,
-    TArrow,
-    TName,
     UnsupportedTypeFormer,
     check_positivity,
     elaborate,
     extract_functor,
     parse,
     parse_expr,
+    parse_functor,
     pretty_decl,
     resolve_ty,
 )
@@ -54,6 +56,17 @@ NAT_SRC = "free type Nat ::= 0 | suc Nat"
 PROC_SRC = "cotype Proc ::= (out:? Bool; next:? Proc) | (spawnl, spawnr: Proc)"
 TREE_SRC = "free type Tree a b ::= leaf a | branch(b -> List (Tree a b))"
 MONO_LIST_SRC = "free type List ::= nil | cons(Nat; List)"
+
+# closed and parametric types as the parser builds them: Named leaves
+# (builtins, parameters, bracketed applications) under nested Sum/Prod/Total
+DRAWN_TYPES = st.recursive(
+    st.sampled_from([Named(n) for n in ("Unit", "Nat", "Bool", "Zero", "a", "b")]),
+    lambda inner: st.one_of(
+        st.builds(lambda former, l, r: former(l, r), st.sampled_from([Sum, Prod, Total]), inner, inner),
+        st.builds(lambda args: Named("List", tuple(args)), st.lists(inner, min_size=1, max_size=2)),
+    ),
+    max_leaves=8,
+)
 
 GOLDEN = [
     LIST_SRC,
@@ -74,7 +87,7 @@ class TestParse:
             ("a",),
             alts=(
                 Alt("nil"),
-                Alt("cons", (TName("a"), TName("List", (TName("a"),)))),
+                Alt("cons", (Named("a"), Named("List", (Named("a"),)))),
             ),
         )
 
@@ -83,10 +96,10 @@ class TestParse:
         assert d.kind == "cotype"
         assert len(d.coalts) == 2
         assert d.coalts[0] == (
-            SelGroup(("out",), True, TName("Bool")),
-            SelGroup(("next",), True, TName("Proc")),
+            SelGroup(("out",), True, Named("Bool")),
+            SelGroup(("next",), True, Named("Proc")),
         )
-        assert d.coalts[1] == (SelGroup(("spawnl", "spawnr"), False, TName("Proc")),)
+        assert d.coalts[1] == (SelGroup(("spawnl", "spawnr"), False, Named("Proc")),)
 
     def test_empty_source(self):
         assert parse("") == []
@@ -94,7 +107,7 @@ class TestParse:
 
     def test_numeric_constructor_and_display_form(self):
         (d,) = parse(NAT_SRC)
-        assert d.alts == (Alt("0"), Alt("suc", (TName("Nat"),)))
+        assert d.alts == (Alt("0"), Alt("suc", (Named("Nat"),)))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
@@ -115,6 +128,15 @@ class TestParse:
     def test_parse_pretty_round_trip(self, src):
         (d,) = parse(src)
         assert parse(pretty_decl(d)) == [d]
+
+    @given(DRAWN_TYPES)
+    def test_drawn_types_round_trip(self, t):
+        # as a constructor argument and as a selector codomain
+        for d in (
+            Decl("free", "T", ("a", "b"), alts=(Alt("e"), Alt("c", (t, Named("T", (Named("a"), Named("b"))))))),
+            Decl("cotype", "C", ("a", "b"), coalts=((SelGroup(("s",), True, t),),)),
+        ):
+            assert parse(pretty_decl(d)) == [d]
 
 
 class TestPositivity:
@@ -166,21 +188,23 @@ class TestExtraction:
         with pytest.raises(UnsupportedTypeFormer):
             extract_functor(d)
 
+    @pytest.mark.parametrize("src", ["(X -> Nat) * X", "X -> X"])
+    def test_functor_reader_takes_only_exponentials_of_x(self, src):
+        with pytest.raises(UnsupportedTypeFormer):
+            parse_functor(src)
+
 
 class TestResolution:
     def test_builtins(self):
-        assert resolve_ty(TName("Bool")) == Bool()
-        assert resolve_ty(TName("Nat")) == Nat()
+        assert resolve_ty(Named("Bool")) == Bool()
+        assert resolve_ty(Named("Nat")) == Nat()
+        assert resolve_ty(Nat()) == Nat()  # resolved atoms pass through
 
     def test_unknown_names_stay_named(self):
-        assert resolve_ty(TName("mystery")) == Named("mystery")
+        assert resolve_ty(Named("mystery")) == Named("mystery")
 
     def test_arrow_resolves_total(self):
-        from quasikernel.kernel import Total
-
-        assert resolve_ty(TArrow(TName("Bool"), TName("Unit"))) == Total(
-            Bool(), Unit()
-        )
+        assert resolve_ty(Total(Named("Bool"), Named("Unit"))) == Total(Bool(), Unit())
 
 
 class TestElaborateFreeTypes:
@@ -200,14 +224,16 @@ class TestElaborateFreeTypes:
     def test_template_instantiation(self):
         env = elaborate(parse(LIST_SRC))
         assert "List" in env.templates
-        info = env.instantiate("List", [TName("Nat")])
+        info = env.instantiate("List", [Named("Nat")])
         assert info.nf == PolyNF(((Unit(), 0), (Nat(), 1)))
-        assert env.instantiate("List", [TName("Nat")]) is info
+        assert env.instantiate("List", [Named("Nat")]) is info
+        assert info.display == "List[Nat]"
+        assert env.instantiate("List", [Nat()]) is info
 
     def test_fold_specializes_to_the_list_equations(self):
         # fold c f nil = c  and  fold c f (cons x l) = f x (fold c f l)
         env = elaborate(parse(LIST_SRC))
-        info = env.instantiate("List", [TName("Nat")])
+        info = env.instantiate("List", [Named("Nat")])
         c = nat(100)
         f = lambda x, r: nat(x.n + r.n)
         nil = info.make("nil", [])
@@ -218,7 +244,7 @@ class TestElaborateFreeTypes:
 
     def test_fold_matches_direct_recursion_oracle(self):
         env = elaborate(parse(LIST_SRC))
-        info = env.instantiate("List", [TName("Bool")])
+        info = env.instantiate("List", [Named("Bool")])
 
         def direct(vals):
             out = nat(0)
@@ -237,7 +263,7 @@ class TestElaborateFreeTypes:
         # per-constructor fold over every tree buildable within depth 4
         # over a 2-element parameter type
         env = elaborate(parse(LIST_SRC))
-        info = env.instantiate("List", [TName("Bool")])
+        info = env.instantiate("List", [Named("Bool")])
         branches = [nat(7), lambda x, r: nat((1 if x == TRUE else 2) + 3 * r.n)]
         for t in info.handle.enumerate_trees(4):
             i, w, children = info.handle.destruct(t)
@@ -338,7 +364,7 @@ class TestElaborateCotypes:
 
     def test_cotype_template_instantiation(self):
         env = elaborate(parse("cotype Stream a ::= (head: a; tail: Stream a)"))
-        info = env.instantiate("Stream", [TName("Nat")])
+        info = env.instantiate("Stream", [Named("Nat")])
         assert info.nf == ExtPolyNF(((Nat(), Unit()),))
         t = info.handle.unfold(lambda n: (0, nat(n), lambda _y: n + 1), 5)
         assert info.select("head", t) == nat(5)
@@ -408,6 +434,12 @@ class TestQualifiedSchemes:
         assert self.run(env, r"Tagged.fold (\b. 0) (\n. \l. \r. plus n (plus l r)) " + tagged) == nat(4)
         assert self.run(env, r"Tagged.case (\b. 0) (\n. \l. \r. n) " + tagged) == nat(3)
         assert self.run(env, r"Tagged.primrec (\b. 0) (\n. \l. \r. \l2. \r2. plus n r2) " + tagged) == nat(4)
+
+    def test_digit_named_constructor_is_reachable_qualified(self):
+        env = elaborate(parse("free type Nat2 ::= 0 | suc Nat2"))
+        info = env.freetypes["Nat2"]
+        two = info.make("suc", [info.make("suc", [info.make("0", [])])])
+        assert self.run(env, "Nat2.suc (Nat2.suc Nat2.0)") == two
 
     def test_qualified_scheme_in_a_let(self):
         env = elaborate(parse(MIXED_SRC + r"let s = Shape.fold 1 1 (\a. \b. plus a b) (glue circle square)"))
