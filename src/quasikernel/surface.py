@@ -444,7 +444,8 @@ def pretty_ty(t: Ty | SigFunctor) -> str:
     """Print a type, or a functor with X for its recursion variable.
 
     By ``_INFIX``, a left operand is parenthesised when it binds no tighter
-    than its former, and a right operand when it binds looser."""
+    than its former, and a right operand when it binds looser; atoms (3)
+    bind tighter than every former."""
     match t:
         case Unit() | Nat() | Bool() | Zero():
             return type(t).__name__
