@@ -8,11 +8,10 @@ import json
 import sys
 import time
 
-from . import kernel, surface
+from . import kernel
 from .checks import CheckConfig, CheckResult, check, suite_cpo, suite_final, suite_initial, suite_lab
-from .functors import to_extpoly_nf, to_poly_nf
 from .kernel import Fuel, QuasiError, show_pval
-from .surface import elaborate, nf_to_sig, parse, parse_expr, pretty_ty
+from .surface import ElabEnv, LetDef, elaborate, parse, parse_expr
 
 
 def _obs_depth(text: str) -> int:
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="quasikernel")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("elaborate", help="parse, check positivity, print normal forms")
+    p = sub.add_parser("elaborate", help="install each declaration, print normal forms")
     p.add_argument("file")
     _common_flags(p)
 
@@ -76,28 +75,22 @@ def _config(args) -> CheckConfig:
 
 
 def cmd_elaborate(args) -> list[CheckResult]:
+    """One check per declaration, each declared as ``check`` and ``eval`` do;
+    a failed declaration is left out and the rest are still declared."""
     with open(args.file, encoding="utf-8") as fh:
         source = fh.read()
-    out = []
     try:
         decls = parse(source)
     except QuasiError as e:
         return [CheckResult("elaborate.parse", "fail", str(e))]
+    env = ElabEnv(fuel_steps=args.fuel)
+    out = []
     for d in decls:
-        if isinstance(d, surface.LetDef):
-            out.append(check(f"elaborate.let.{d.name}", True, "term binding"))
-            continue
+        name = f"elaborate.let.{d.name}" if isinstance(d, LetDef) else f"elaborate.{d.name}"
         try:
-            surface.check_positivity(d)
-            functor = surface.extract_functor(d)
-            nf = to_poly_nf(functor) if d.kind == "free" else to_extpoly_nf(functor)
-            out.append(check(f"elaborate.{d.name}", True, pretty_ty(nf_to_sig(nf))))
+            out.append(check(name, True, env.declare(d)))
         except QuasiError as e:
-            out.append(CheckResult(f"elaborate.{d.name}", "fail", str(e)))
-    try:
-        elaborate(decls, fuel_steps=args.fuel)
-    except QuasiError as e:
-        out.append(CheckResult("elaborate.install", "fail", str(e)))
+            out.append(CheckResult(name, "fail", str(e)))
     return out
 
 

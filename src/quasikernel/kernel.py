@@ -178,8 +178,7 @@ def _value_hash(v: PVal) -> int:
     (``inl x``/``inr x``, ``TRUE``/``FALSE``, ``UNIT``/``UNDEF``), and
     being a plain integer it hashes the same in every process.  Values are
     immutable, so the constructors whose payload is a value cache the hash:
-    trees are hashed on every table lookup.  A table keyed by tree paths
-    hashes as the equal ``PathTrie`` does; procedural maps hash by
+    trees are hashed on every table lookup.  Procedural maps hash by
     identity, as they compare.
     """
     cls = type(v)  # dispatch by class test: a class pattern costs several times more
@@ -194,8 +193,7 @@ def _value_hash(v: PVal) -> int:
         elif cls is InlV:
             h = hash((3, v.value))
         elif cls is FinMapV:
-            t = _trie_of_flat(v)
-            h = hash((6, v.entries)) if t is None else t._hash
+            h = hash((6, v.entries))
         elif cls is PFunV:
             return hash((7, id(v.fn)))
         elif cls is UnitV:
@@ -297,8 +295,13 @@ class FinMapV(PVal):
 
     @staticmethod
     def of(table: Mapping[PVal, PVal] | Iterable[tuple[PVal, PVal]]) -> "FinMapV":
+        """The defined entries as a table: the interned ``PathTrie`` when every
+        key is a tree path (the empty table too), else flat and sorted."""
         items = table.items() if isinstance(table, Mapping) else table
         kept = [(k, v) for k, v in items if v.defined()]
+        paths = [_path_steps(k) for k, _ in kept]
+        if None not in paths:
+            return trie_of_paths(zip(paths, (v for _, v in kept)))
         kept.sort(key=lambda kv: _sort_key(kv[0]))
         for (k1, _), (k2, _) in zip(kept, kept[1:]):
             if k1 == k2:
@@ -337,8 +340,8 @@ class PathTrie(FinMapV):
 
     It is a ``FinMapV``: ``entries`` is derived on first use, in the
     canonical key order (the root first, then each child j's block by j
-    as a number), so it equals the flat table with the same entries, and
-    both hash alike.
+    as a number).  ``FinMapV.of`` returns a trie for every table keyed by
+    tree paths, so a trie is compared only with tries.
     """
 
     __slots__ = ("root", "children", "_hash", "_flat")
@@ -387,11 +390,7 @@ class PathTrie(FinMapV):
         if self is other:
             return True
         if type(other) is not PathTrie:
-            if not isinstance(other, FinMapV):
-                return NotImplemented
-            other = _trie_of_flat(other)
-            if other is None:
-                return False
+            return NotImplemented
         # equal tables are one node unless two were interned concurrently:
         # compare structurally, by a loop
         stack = [(self, other)]
@@ -492,17 +491,6 @@ def _path_key(path: tuple[int, ...], keys: dict) -> PVal:
     for p in reversed(missing):
         key = keys[p] = InrV(PairV(NatV(p[0]), key))
     return key
-
-
-def _trie_of_flat(m: FinMapV) -> Optional[PathTrie]:
-    """The trie equal to a flat table keyed by tree paths, else None."""
-    items = []
-    for k, v in m.entries:
-        path = _path_steps(k)
-        if path is None:
-            return None
-        items.append((path, v))
-    return trie_of_paths(items)
 
 
 def nat(n: int) -> NatV:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import initial as initial_mod
 from . import final as final_mod
@@ -38,6 +38,7 @@ from .kernel import (
     Bool,
     Named,
     Nat,
+    NonEnumerableType,
     PairV,
     PVal,
     QuasiError,
@@ -48,6 +49,7 @@ from .kernel import (
     apply_pval,
     fold_right,
     pfun,
+    ty_card,
     tuple_of,
     untuple,
 )
@@ -70,6 +72,10 @@ class NegativeOccurrence(QuasiError):
 
 class UnsupportedTypeFormer(QuasiError):
     pass
+
+
+class DuplicateDeclaration(QuasiError):
+    """A second declaration of a type name already declared."""
 
 
 class AmbiguousName(QuasiError):
@@ -166,6 +172,9 @@ def _lex(source: str) -> list[Token]:
     return tokens
 
 
+T = TypeVar("T")
+
+
 class _Cursor:
     def __init__(self, tokens: list[Token], qualifiers: Iterable[str] = ()):
         self.tokens = tokens
@@ -193,6 +202,14 @@ class _Cursor:
     def fail(self, message: str):
         t = self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def separated(self, item: Callable[["_Cursor"], T], sep: str) -> list[T]:
+        """``item (sep item)*``."""
+        items = [item(self)]
+        while self.at(sep):
+            self.next()
+            items.append(item(self))
+        return items
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +248,14 @@ def _parse_tyatom(c: _Cursor) -> Ty:
         # builtin type names resolve during elaboration, so a declaration
         # may shadow them (a user type named Nat must still recurse on itself)
         c.next()
-        args: list[Ty] = []
         if c.at("["):
             c.next()
-            args.append(_parse_ty(c))
-            while c.at(","):
-                c.next()
-                args.append(_parse_ty(c))
+            args = c.separated(_parse_ty, ",")
             c.expect("]")
-            return Named(t.text, tuple(args))
-        # juxtaposed arguments: Tree a b, List (Tree a b)
-        while (c.at("name") and c.peek().text not in KEYWORDS) or c.at("("):
-            args.append(_parse_tyatom(c) if c.at("(") else Named(c.next().text))
+        else:  # juxtaposed arguments: Tree a b, List (Tree a b)
+            args = []
+            while (c.at("name") and c.peek().text not in KEYWORDS) or c.at("("):
+                args.append(_parse_tyatom(c) if c.at("(") else Named(c.next().text))
         return Named(t.text, tuple(args))
     c.fail("expected a type expression")
 
@@ -294,11 +307,7 @@ def _parse_freetype(c: _Cursor) -> Decl:
     _expect_keyword(c, "free")
     _expect_keyword(c, "type")
     name, params = _parse_decl_head(c)
-    alts = [_parse_alt(c)]
-    while c.at("|"):
-        c.next()
-        alts.append(_parse_alt(c))
-    return Decl("free", name, params, alts=tuple(alts))
+    return Decl("free", name, params, alts=tuple(c.separated(_parse_alt, "|")))
 
 
 def _parse_alt(c: _Cursor) -> Alt:
@@ -307,15 +316,12 @@ def _parse_alt(c: _Cursor) -> Alt:
         ctor = c.next().text
     else:
         ctor = c.expect("name").text
-    args: list[Ty] = []
     if c.at("("):
         c.next()
-        args.append(_parse_ty(c))
-        while c.at(";"):
-            c.next()
-            args.append(_parse_ty(c))
+        args = c.separated(_parse_ty, ";")
         c.expect(")")
     else:
+        args = []
         # unparenthesized display form: each argument is a single name
         while c.at("name") and c.peek().text not in KEYWORDS:
             args.append(Named(c.next().text))
@@ -325,28 +331,18 @@ def _parse_alt(c: _Cursor) -> Alt:
 def _parse_cotype(c: _Cursor) -> Decl:
     _expect_keyword(c, "cotype")
     name, params = _parse_decl_head(c)
-    coalts = [_parse_coalt(c)]
-    while c.at("|"):
-        c.next()
-        coalts.append(_parse_coalt(c))
-    return Decl("cotype", name, params, coalts=tuple(coalts))
+    return Decl("cotype", name, params, coalts=tuple(c.separated(_parse_coalt, "|")))
 
 
 def _parse_coalt(c: _Cursor) -> tuple[SelGroup, ...]:
     c.expect("(")
-    groups = [_parse_selgroup(c)]
-    while c.at(";"):
-        c.next()
-        groups.append(_parse_selgroup(c))
+    groups = c.separated(_parse_selgroup, ";")
     c.expect(")")
     return tuple(groups)
 
 
 def _parse_selgroup(c: _Cursor) -> SelGroup:
-    names = [c.expect("name").text]
-    while c.at(","):
-        c.next()
-        names.append(c.expect("name").text)
+    names = c.separated(lambda c: c.expect("name").text, ",")
     if c.at("colonq"):
         c.next()
         partial = True
@@ -378,62 +374,43 @@ def parse_expr(source: str, qualifiers: Iterable[str] = ()) -> kernel.Term:
 
 
 def _parse_expr(c: _Cursor) -> kernel.Term:
-    if c.at("lam"):
-        c.next()
-        param = c.expect("name").text
-        c.expect(".")
-        return kernel.Lam(param, _parse_expr(c))
-    parts = [_parse_expr_atom(c)]
-    while c.at("name", "nat", "(", "[", "lam"):
-        if c.at("lam"):
-            parts.append(_parse_expr(c))
+    """A left-nested application of atoms; a lambda extends to the end.
+
+    Atoms are read here rather than in a helper of their own, so each level
+    of bracket nesting takes two Python frames (this and ``separated``)."""
+    parts: list[kernel.Term] = []
+    while not parts or c.at("name", "nat", "(", "[", "lam"):
+        t = c.next()
+        if t.kind == "lam":
+            param = c.expect("name").text
+            c.expect(".")
+            parts.append(kernel.Lam(param, _parse_expr(c)))
             break
-        parts.append(_parse_expr_atom(c))
+        if t.kind == "nat":
+            parts.append(kernel.Lit(kernel.nat(int(t.text))))
+        elif t.kind == "name":
+            if t.text in c.qualifiers and c.at(".") and c.tokens[c.pos + 1].kind in ("name", "nat"):
+                c.next()
+                parts.append(kernel.Var(f"{t.text}.{c.next().text}"))
+            else:
+                parts.append(kernel.Var(t.text))
+        elif t.kind in ("(", "["):
+            close = ")" if t.kind == "(" else "]"
+            items = [] if c.at(close) else c.separated(_parse_expr, ",")
+            c.expect(close)
+            if t.kind == "(":  # () is unit, (e) is e, and tuples nest to the right
+                parts.append(fold_right(kernel.PairE, kernel.Lit(UNIT), items))
+                continue
+            term: kernel.Term = kernel.Var("nil")
+            for item in reversed(items):
+                term = kernel.App(kernel.App(kernel.Var("cons"), item), term)
+            parts.append(term)
+        else:
+            raise ParseError("expected an expression", t.line, t.col)
     term = parts[0]
     for p in parts[1:]:
         term = kernel.App(term, p)
     return term
-
-
-def _parse_expr_atom(c: _Cursor) -> kernel.Term:
-    t = c.peek()
-    if t.kind == "nat":
-        c.next()
-        return kernel.Lit(kernel.nat(int(t.text)))
-    if t.kind == "name":
-        c.next()
-        if t.text in c.qualifiers and c.at(".") and c.tokens[c.pos + 1].kind in ("name", "nat"):
-            c.next()
-            return kernel.Var(f"{t.text}.{c.next().text}")
-        return kernel.Var(t.text)
-    if t.kind == "(":
-        c.next()
-        if c.at(")"):
-            c.next()
-            return kernel.Lit(UNIT)
-        inner = [_parse_expr(c)]
-        while c.at(","):
-            c.next()
-            inner.append(_parse_expr(c))
-        c.expect(")")
-        term = inner[-1]
-        for p in reversed(inner[:-1]):
-            term = kernel.PairE(p, term)
-        return term
-    if t.kind == "[":
-        c.next()
-        items = []
-        if not c.at("]"):
-            items.append(_parse_expr(c))
-            while c.at(","):
-                c.next()
-                items.append(_parse_expr(c))
-        c.expect("]")
-        term: kernel.Term = kernel.Var("nil")
-        for item in reversed(items):
-            term = kernel.App(kernel.App(kernel.Var("cons"), item), term)
-        return term
-    c.fail("expected an expression")
 
 
 # ---------------------------------------------------------------------------
@@ -800,13 +777,33 @@ def _apply_branch(branch: PVal | Callable, args: Sequence[PVal]) -> PVal:
 
 
 class ElabEnv:
-    """Installed datatypes and process types, plus term-level bindings."""
+    """Installed datatypes and process types, plus term-level bindings;
+    each ``let`` is evaluated with a budget of ``fuel_steps``."""
 
-    def __init__(self):
+    def __init__(self, fuel_steps: int = 100000):
+        self.fuel_steps = fuel_steps
         self.freetypes: dict[str, FreeTypeInfo] = {}
         self.cotypes: dict[str, CotypeInfo] = {}
         self.templates: dict[str, Decl] = {}
-        self.terms: dict[str, PVal] = {}
+        self.terms: dict[str, PVal] = base_builtins()
+
+    def declare(self, d: Decl | LetDef) -> str:
+        """Elaborate one declaration: bind a ``let``, register a template or
+        install a type.  Returns what ``elaborate`` prints for it: the
+        normal form over X of a type, or "term binding"."""
+        if isinstance(d, LetDef):
+            self.terms[d.name] = kernel.eval_term(d.body, self.terms, kernel.Fuel(self.fuel_steps))
+            return "term binding"
+        if d.name in self.templates or d.name in self.freetypes or d.name in self.cotypes:
+            raise DuplicateDeclaration(f"duplicate declaration {d.name!r}")
+        if d.params:
+            check_positivity(d)
+            functor = extract_functor(d)
+            nf = to_poly_nf(functor) if d.kind == "free" else to_extpoly_nf(functor)
+            self.templates[d.name] = d
+        else:
+            nf = self._install(d, None, d.name).nf
+        return pretty_ty(nf_to_sig(nf))
 
     def instantiate(self, name: str, ty_args: Sequence[Ty]) -> FreeTypeInfo | CotypeInfo:
         if name not in self.templates:
@@ -929,9 +926,8 @@ def _elaborate_freetype(d: Decl, fields: list[list[SigFunctor]], display: str) -
 
 
 def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> CotypeInfo:
-    functor = _sum_of_products(fields)
-    nf = to_extpoly_nf(functor)
-    handle = final_mod.FinalCoalgebra(nf)
+    """Classify each selector, then build the coalgebra: an unsupported
+    codomain or an exponent that is not finite fails naming its selector."""
     sels: list[SelInfo] = []
     alt_const_tys: list[tuple[Ty, ...]] = []
     alt_rec_count: list[int] = []
@@ -947,6 +943,13 @@ def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> 
                     sels.append(SelInfo(name, alt_idx, "rec", rec_pos=n_rec))
                     n_rec += 1
                 case ExpConst(b, _):
+                    try:
+                        ty_card(b)
+                    except NonEnumerableType:
+                        raise final_mod.NonEnumerableExponent(
+                            f"{d.name}: selector {name} has an exponent that is not finite: "
+                            f"{pretty_ty(b)}"
+                        ) from None
                     sels.append(SelInfo(name, alt_idx, "fn", rec_pos=n_rec, exponent=b))
                     n_rec += 1
                 case _:
@@ -955,24 +958,18 @@ def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> 
                     )
         alt_const_tys.append(tuple(const_tys))
         alt_rec_count.append(n_rec)
+    functor = _sum_of_products(fields)
+    nf = to_extpoly_nf(functor)
+    handle = final_mod.FinalCoalgebra(nf)
     return CotypeInfo(d, display, functor, nf, handle, sels, alt_const_tys, alt_rec_count)
 
 
 def elaborate(decls: Sequence[Decl | LetDef], fuel_steps: int = 100000) -> ElabEnv:
-    """Install every declaration; templates wait for explicit instantiation."""
-    env = ElabEnv()
-    env.terms.update(base_builtins())
+    """Declare every declaration in order; templates wait for explicit
+    instantiation."""
+    env = ElabEnv(fuel_steps)
     for d in decls:
-        if isinstance(d, LetDef):
-            env.terms[d.name] = kernel.eval_term(
-                d.body, env.terms, kernel.Fuel(fuel_steps)
-            )
-        elif d.params:
-            env.templates[d.name] = d
-            check_positivity(d)
-            extract_functor(d)  # reject bad templates eagerly
-        else:
-            env._install(d, None, d.name)
+        env.declare(d)
     return env
 
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quasikernel.cli import main, run
 from quasikernel.functors import to_extpoly_nf, to_poly_nf
@@ -92,6 +93,108 @@ class TestElaborate:
         (entry,) = [c for c in report["checks"] if c["name"] == "elaborate.L"]
         assert entry["status"] == "fail"
         assert "argument" in entry["detail"]
+
+
+class TestElaborateReportsWhatItInstalls:
+    """Each declaration gets exactly one check, under its own name, and it
+    fails exactly when installing the declaration fails."""
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            (
+                "cotype D ::= (next: D * Nat)\n",
+                [("elaborate.D", "fail", "D: selector next has an unsupported codomain")],
+            ),
+            (
+                "cotype F ::= (next: (Nat -> F) + Nat)\n",
+                [("elaborate.F", "fail", "F: selector next has an unsupported codomain")],
+            ),
+            (
+                "cotype S ::= (next: Nat -> S)\n",
+                [("elaborate.S", "fail", "S: selector next has an exponent that is not finite: Nat")],
+            ),
+            (
+                "free type A ::= a\nfree type B ::= b\nlet ok = fold a (\\x. \\y. b x y) a\n",
+                [
+                    ("elaborate.A", "pass", "Unit"),
+                    ("elaborate.B", "pass", "Unit"),
+                    (
+                        "elaborate.let.ok",
+                        "fail",
+                        "'fold' is ambiguous with 2 free types installed: write A.fold or B.fold",
+                    ),
+                ],
+            ),
+            (
+                "free type A ::= a | s(A)\nfree type A ::= b\n",
+                [
+                    ("elaborate.A", "pass", "Unit + Unit * X"),
+                    ("elaborate.A", "fail", "duplicate declaration 'A'"),
+                ],
+            ),
+        ],
+        ids=["product-codomain", "sum-codomain", "nat-exponent", "let-after-ambiguous-fold", "duplicate"],
+    )
+    def test_defective_declaration_fails_under_its_name(self, tmp_path, src, expected):
+        p = tmp_path / "defect.qk"
+        p.write_text(src)
+        report, code = run(["elaborate", str(p)])
+        assert code == 1
+        checks = [(c["name"], c["status"], c["detail"]) for c in report["checks"]]
+        assert checks == expected
+        assert len(checks) == len(parse(src))
+        report, code = run(["check", str(p), "--suite", "initial", "--obs-depth", "1"])
+        assert code == 1
+        assert [c["name"] for c in report["checks"]] == ["check.elaborate"]
+
+
+def _free_decl(name: str, rec: str, args: list[str]) -> str:
+    alts = [f"{name.lower()}0"]
+    alts += [f"{name.lower()}{i + 1}({a.replace('@', rec)})" for i, a in enumerate(args)]
+    return f"free type {name} ::= {' | '.join(alts)}"
+
+
+def _cotype_decl(name: str, codomains: list[str]) -> str:
+    sels = [f"{name.lower()}{i}: {t.replace('@', name)}" for i, t in enumerate(codomains)]
+    return f"cotype {name} ::= ({'; '.join(sels)})"
+
+
+# '@' stands for the declared type; the last entries of each list are defective
+_FREE_ARGS = ["Nat", "Bool; @", "@; @", "Nat * Bool; @", "Nat -> @", "@ -> Nat"]
+_CO_CODOMAINS = ["Bool", "Nat", "@", "Bool -> @", "Unit + Bool -> @", "Nat -> @", "@ * Nat", "(Bool -> @) + Nat"]
+_LETS = ["suc 0", "fold 0", "plus 1 2", "nowhere", r"(\x. x) true"]
+
+_decl_lines = st.one_of(
+    st.builds(
+        _free_decl,
+        st.sampled_from(["A", "B"]),
+        st.sampled_from(["A", "B", "C"]),
+        st.lists(st.sampled_from(_FREE_ARGS), max_size=2),
+    ),
+    st.builds(
+        _cotype_decl,
+        st.sampled_from(["B", "P", "Q"]),
+        st.lists(st.sampled_from(_CO_CODOMAINS), min_size=1, max_size=2),
+    ),
+    st.builds("let {} = {}".format, st.sampled_from(["x", "y"]), st.sampled_from(_LETS)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_decl_lines, max_size=4))
+def test_elaborate_passes_exactly_when_check_can_elaborate(tmp_path, lines):
+    # free types, cotypes and lets, some defective; run must report, not raise
+    p = tmp_path / "generated.qk"
+    p.write_text("\n".join(lines) + "\n")
+    elab, elab_code = run(["elaborate", str(p)])
+    assert elab["command"] == "elaborate"
+    assert len(elab["checks"]) == len(lines)
+    assert "elaborate.install" not in {c["name"] for c in elab["checks"]}
+    checked, _ = run(["check", str(p), "--suite", "initial", "--obs-depth", "1"])
+    assert checked["command"] == "check"
+    elaborated = "check.elaborate" not in {c["name"] for c in checked["checks"]}
+    assert (elab_code == 0) == elaborated
 
 
 class TestEval:

@@ -527,6 +527,20 @@ class TestPathTries:
         assert EMPTY_TRIE == finmap({}) and hash(EMPTY_TRIE) == hash(finmap({}))
         assert EMPTY_TRIE.child(3) is EMPTY_TRIE
 
+    @given(path_tables)
+    def test_path_keyed_tables_are_interned_tries(self, table):
+        t = trie_of_paths(table.items())
+        assert flat_table(table) is t
+        assert finmap(list(reversed(t.entries))) is t
+        flat = FinMapV(t.entries)
+        assert flat != t and t != flat
+        assert flat.entries == t.entries
+
+    def test_other_tables_stay_flat(self):
+        assert type(finmap({nat(0): TRUE})) is FinMapV
+        assert type(finmap({TRUE: nat(1), FALSE: nat(2)})) is FinMapV
+        assert type(finmap({TRUE: nat(1), FALSE: UNDEF})) is PathTrie
+
     def test_undefined_values_are_dropped(self):
         assert trie_of_paths([((1,), UNDEF)]) is EMPTY_TRIE
 

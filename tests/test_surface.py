@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from quasikernel.final import NonEnumerableExponent
 from quasikernel.functors import (
     Const,
     ExpConst,
@@ -36,6 +37,8 @@ from quasikernel.surface import (
     AmbiguousName,
     Alt,
     Decl,
+    DuplicateDeclaration,
+    ElabEnv,
     LetDef,
     NegativeOccurrence,
     ParseError,
@@ -305,6 +308,16 @@ class TestElaborateFreeTypes:
         assert info.case([lambda x: x], b) == nat(9)
 
 
+    def test_second_declaration_of_a_name_is_rejected(self):
+        env = ElabEnv()
+        assert env.declare(parse("free type A ::= a | s(A)")[0]) == "Unit + Unit * X"
+        for again in ("free type A ::= b", "cotype A ::= (x: Bool)", "free type A t ::= c(t)"):
+            with pytest.raises(DuplicateDeclaration, match="duplicate declaration 'A'"):
+                env.declare(parse(again)[0])
+        assert [c.name for c in env.freetypes["A"].ctors] == ["a", "s"]
+        assert "b" not in env.terms and env.cotypes == {} and env.templates == {}
+
+
 class TestElaborateCotypes:
     def setup_proc(self):
         env = elaborate(parse(PROC_SRC))
@@ -369,6 +382,12 @@ class TestElaborateCotypes:
         t = info.handle.unfold(lambda n: (0, nat(n), lambda _y: n + 1), 5)
         assert info.select("head", t) == nat(5)
         assert info.select("head", info.select("tail", t)) == nat(6)
+
+    def test_infinite_exponent_names_type_and_selector(self):
+        env = elaborate(parse("cotype R a ::= (out: Bool; next: a -> R a)"))
+        assert env.instantiate("R", [Named("Bool")]).nf == ExtPolyNF(((Bool(), Bool()),))
+        with pytest.raises(NonEnumerableExponent, match="R: selector next .* not finite: Nat"):
+            env.instantiate("R", [Named("Nat")])
 
 
 def nat_to_bool(n):
