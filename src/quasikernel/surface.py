@@ -400,11 +400,11 @@ def _parse_expr(c: _Cursor) -> kernel.Term:
             c.expect(close)
             if t.kind == "(":  # () is unit, (e) is e, and tuples nest to the right
                 parts.append(fold_right(kernel.PairE, kernel.Lit(UNIT), items))
-                continue
-            term: kernel.Term = kernel.Var("nil")
-            for item in reversed(items):
-                term = kernel.App(kernel.App(kernel.Var("cons"), item), term)
-            parts.append(term)
+            else:  # [a, b] is cons a (cons b nil)
+                term: kernel.Term = kernel.Var("nil")
+                for item in reversed(items):
+                    term = kernel.App(kernel.App(kernel.Var("cons"), item), term)
+                parts.append(term)
         else:
             raise ParseError("expected an expression", t.line, t.col)
     term = parts[0]

@@ -18,14 +18,18 @@ from quasikernel.kernel import (
     TRUE,
     UNDEF,
     UNIT,
+    App,
     Bool,
     Fuel,
+    Lit,
     Named,
     Nat,
+    PairE,
     Prod,
     Sum,
     Total,
     Unit,
+    Var,
     apply_pval,
     eval_term,
     is_true,
@@ -121,6 +125,21 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         decls = parse("# a comment\n\n" + MONO_LIST_SRC + "\n")
         assert len(decls) == 1
+
+    def test_expression_brackets(self):
+        one, two = Lit(nat(1)), Lit(nat(2))
+        assert parse_expr("()") == Lit(UNIT)
+        assert parse_expr("(1)") == one
+        assert parse_expr("(1, 2, ())") == PairE(one, PairE(two, Lit(UNIT)))
+        assert parse_expr("[]") == Var("nil")
+        assert parse_expr("[1]") == App(App(Var("cons"), one), Var("nil"))
+        # a bracket nests two Python frames per level, so 400 levels fit
+        # under the default recursion limit
+        term = parse_expr("suc (" * 400 + "0" + ")" * 400)
+        for _ in range(400):
+            assert term.fn == Var("suc")
+            term = term.arg
+        assert term == Lit(nat(0))
 
     def test_letdef(self):
         (d,) = parse("let three = suc (suc (suc 0))")
