@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 
 from . import cpo as cpo_mod
 from . import lab
-from .final import mtype_vs_extpoly_compare
 from .functors import PolyNF, ext_unvalue, inject, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
 from .kernel import (
@@ -135,7 +134,6 @@ def fold_uniqueness_solutions(
     algebra,
     trees: Sequence[PVal],
     carrier: Sequence[PVal],
-    must_match_fold: bool = True,
 ) -> int:
     """Count all functions on the tree set satisfying the fold equation.
 
@@ -144,8 +142,8 @@ def fold_uniqueness_solutions(
     only mentions already-assigned subtrees.  Each tree's value is then
     forced up to equality, so the count is the product over trees of how
     many carrier values equal the required one.  Exactly one solution means
-    the fold is unique on the bounded set; by default the search also
-    insists that any solution found agrees with the implemented fold.
+    the fold is unique on the bounded set; the search also insists that
+    any solution found agrees with the implemented fold.
     """
     assignment: dict = {}
     total = 1
@@ -155,10 +153,9 @@ def fold_uniqueness_solutions(
         matches = [b for b in carrier if b == required]
         if not matches:
             return 0
-        if must_match_fold:
-            fold_value = handle.fold(algebra, t)
-            if any(b != fold_value for b in matches):
-                raise AssertionError("a fold-equation solution disagrees with fold itself")
+        fold_value = handle.fold(algebra, t)
+        if any(b != fold_value for b in matches):
+            raise AssertionError("a fold-equation solution disagrees with fold itself")
         assignment[_shape_key(t)] = matches[0]
         total *= len(matches)
     return total
@@ -170,7 +167,6 @@ def fold_uniqueness_solutions(
 
 @dataclass
 class CheckConfig:
-    fuel: int = 10000
     obs_depth: int = 4
     chain_bound: int = 32
     seed: int = 0
@@ -372,7 +368,7 @@ def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
     if which == "mtypes":
         one = lab.terminal(lab.SPAP)
         one_empty = lab.spap_obj((0,), [])
-        report = mtype_vs_extpoly_compare(one, one_empty, one_empty)
+        report = lab.mtype_vs_extpoly_compare(one, one_empty, one_empty)
         out.append(
             check(
                 "lab.mtypes.counterexample",
@@ -380,6 +376,6 @@ def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
                 f"|F(1_0)|={report.ext_card}, |P_q(1_0)|={report.general_card}",
             )
         )
-        agree = mtype_vs_extpoly_compare(one, one, one_empty)
+        agree = lab.mtype_vs_extpoly_compare(one, one, one_empty)
         out.append(check("lab.mtypes.disjoint-fibers-agree", agree.isomorphic))
     return out

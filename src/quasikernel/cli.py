@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> CheckConfig:
     return CheckConfig(
-        fuel=args.fuel,
         obs_depth=args.obs_depth,
         chain_bound=args.chain_bound,
         seed=args.seed,

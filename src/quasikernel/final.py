@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import lab
 from .functors import ExtPolyNF, ext_value, inject, project
 from .kernel import (
     UNDEF,
@@ -308,34 +307,7 @@ class MType:
 
 
 # ---------------------------------------------------------------------------
-# Comparing extended polynomial functors with general polynomial ones
-
-
-@dataclass
-class FunctorComparison:
-    ext_card: int
-    general_card: int
-
-    @property
-    def isomorphic(self) -> bool:
-        return self.ext_card == self.general_card
-
-
-def mtype_vs_extpoly_compare(b_left, b_right, x) -> FunctorComparison:
-    """Evaluate ``(B_l -> X) + (B_r -> X)`` against ``P_q(X)`` on laboratory
-    objects, counting elements of both; a mismatch certifies that general
-    polynomial functors do not subsume extended polynomial ones here.
-    """
-    f_card = len(lab.hom_set(b_left, x)) + len(lab.hom_set(b_right, x))
-    b = lab.coproduct(b_left, b_right).obj
-    pq_card = 0
-    for side in (0, 1):
-        size = len((b_left if side == 0 else b_right).carrier)
-        offset = 0 if side == 0 else len(b_left.carrier)
-        fiber = frozenset(range(offset, offset + size))
-        dom = lab.full_subobject(b, fiber)
-        pq_card += len(lab.hom_set(dom, x))
-    return FunctorComparison(f_card, pq_card)
+# Extended polynomial functors against general polynomial ones, in the ambient model
 
 
 def ambient_general_poly_values(

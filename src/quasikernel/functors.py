@@ -92,28 +92,6 @@ class ExpConst(SigFunctor):
     body: SigFunctor
 
 
-def is_polynomial(f: SigFunctor) -> bool:
-    match f:
-        case Id() | Const(_):
-            return True
-        case SumF(l, r) | ProdF(l, r):
-            return is_polynomial(l) and is_polynomial(r)
-        case ExpConst(_, _):
-            return False
-    return False
-
-
-def is_extended_polynomial(f: SigFunctor) -> bool:
-    match f:
-        case Id() | Const(_):
-            return True
-        case SumF(l, r) | ProdF(l, r):
-            return is_extended_polynomial(l) and is_extended_polynomial(r)
-        case ExpConst(_, body):
-            return body == Id()
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Normal forms
 
@@ -172,8 +150,6 @@ def _monomials(f: SigFunctor) -> list[tuple[list[Ty], int]]:
 
 def to_poly_nf(f: SigFunctor) -> PolyNF:
     """Normalize a polynomial functor, collecting all constants into one summand."""
-    if not is_polynomial(f):
-        raise NotPolynomial(f"{f!r} contains an exponential")
     monos = [(fold_right(_prod_ty, Unit(), cs), k) for cs, k in _monomials(f)]
     constants = [a for a, k in monos if k == 0]
     rest = [(a, k) for a, k in monos if k > 0]
@@ -203,8 +179,6 @@ def _ext_summands(f: SigFunctor) -> list[tuple[Ty, Ty]]:
 
 def to_extpoly_nf(f: SigFunctor) -> ExtPolyNF:
     """Normalize an extended polynomial functor to summed exponents."""
-    if not is_extended_polynomial(f):
-        raise NotExtendedPolynomial(f"{f!r}")
     return ExtPolyNF(tuple(_ext_summands(f)))
 
 

@@ -115,25 +115,14 @@ def enc_invariant_ok(l: PVal) -> bool:
 
 
 def enc_fold(c: PVal, f: Callable[[PVal, PVal], PVal], l: PVal) -> PVal:
-    """Fold for the ``1 + A x __`` signature via recursion on the length index."""
+    """Fold for the ``1 + A x __`` signature by recursion on the length index,
+    run as a loop from the last element down to the head."""
     if not enc_invariant_ok(l):
         raise InvariantViolation("list definedness pattern broken")
-    match l:
-        case InlV(_):
-            return c
-        case InrV(PairV(table, NatV(n))):
-            return _enc_h(table, n, c, f)
-    raise TypeMismatch("not an encoded list")
-
-
-def _enc_h(table: FinMapV, n: int, c, f) -> PVal:
-    head = table.lookup(nat(0))
-    if n == 0:
-        return f(head, c)
-    shifted = finmap(
-        {nat(k.n - 1): v for k, v in table.entries if k.n >= 1}
-    )
-    return f(head, _enc_h(shifted, n - 1, c, f))
+    out = c
+    for x in reversed(enc_to_list(l)):
+        out = f(x, out)
+    return out
 
 
 def enc_from_list(values: Sequence[PVal]) -> PVal:
@@ -148,7 +137,8 @@ def enc_to_list(l: PVal) -> list[PVal]:
         case InlV(_):
             return []
         case InrV(PairV(table, NatV(n))):
-            return [table.lookup(nat(i)) for i in range(n + 1)]
+            values = dict(table.entries)
+            return [values.get(nat(i), UNDEF) for i in range(n + 1)]
     raise TypeMismatch("not an encoded list")
 
 
@@ -189,13 +179,6 @@ def tree_anchor(t: PVal) -> PVal:
 def tree_tables(t: PVal) -> tuple[dict[Path, PVal], dict[Path, int]]:
     l, d, _ = tree_parts(t)
     return dict(l.paths()), {p: v.n for p, v in d.paths()}
-
-
-def same_shape(t1: PVal, t2: PVal) -> bool:
-    """Equality of the two path maps, ignoring the anchor."""
-    l1, d1, _ = tree_parts(t1)
-    l2, d2, _ = tree_parts(t2)
-    return l1 == l2 and d1 == d2
 
 
 # ---------------------------------------------------------------------------
@@ -391,42 +374,22 @@ class InitialAlgebra:
 
     # ---- membership and enumeration ----------------------------------------
 
-    def is_in_T(self, t: PVal, max_depth: Optional[int] = None) -> bool:
-        """Bounded membership in the smallest subtype closed under the constructors.
+    def is_in_T(self, t: PVal) -> bool:
+        """Membership in the smallest subtype closed under the constructors:
+        folding the tree with the constructors gives it back.
 
-        Selectors keep the parent's anchor, so subtrees are validated up to
-        their path maps; the anchor is tied to the leftmost constant once,
-        at the top.
+        ``construct`` shares each rebuilt subtree's tables as they are, so the
+        root tables match only if every level does, and the rebuilt anchor is
+        the leftmost constant's parameter.
         """
         dep = tree_depth(t)
         if dep is None:
             return False
-        budget = dep if max_depth is None else min(dep, max_depth)
+        rebuild = [lambda w, cs, i=i: self.construct(i, w, cs) for i in range(self.n)]
         try:
-            if not self._member_shape(t, budget):
-                return False
-            return tree_anchor(t) == self._leftmost_param(t, budget)
+            return self._f(dep, t, rebuild) == t
         except QuasiError:
             return False
-
-    def _member_shape(self, t: PVal, budget: int) -> bool:
-        if budget <= 0:
-            return False
-        try:
-            i, w, children = self.destruct(t)
-        except NotInCarrier:
-            return False
-        if any(not self._member_shape(c, budget - 1) for c in children):
-            return False
-        return same_shape(self.construct(i, w, children), t)
-
-    def _leftmost_param(self, t: PVal, budget: int) -> PVal:
-        i, w, children = self.destruct(t)
-        if not children:
-            return w
-        if budget <= 0:
-            raise NotInCarrier("no constant below the leftmost spine")
-        return self._leftmost_param(children[0], budget - 1)
 
     def enumerate_trees(self, max_depth: int, nat_bound: int = 2) -> list[PVal]:
         """All carrier elements of depth at most ``max_depth``."""

@@ -590,7 +590,7 @@ def apply_pval(f: PVal, x: PVal) -> PVal:
             return f.lookup(x)
         case PFunV(fn, _):
             return fn(x)
-    raise TypeMismatch(f"cannot apply non-function {f!r}")
+    raise TypeMismatch(f"cannot apply non-function {show_pval(f)}")
 
 
 def enumerate_ty(ty: Ty, nat_bound: int = 4, env=None) -> list[PVal]:

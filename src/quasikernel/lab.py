@@ -424,3 +424,34 @@ def nno_fragment_check(size: int = 6) -> NnoFragmentReport:
             _algebra_morphism_count(n_ind, b, z, s) for b, z, s in algebras
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# Comparing extended polynomial functors with general polynomial ones
+
+
+@dataclass
+class FunctorComparison:
+    ext_card: int
+    general_card: int
+
+    @property
+    def isomorphic(self) -> bool:
+        return self.ext_card == self.general_card
+
+
+def mtype_vs_extpoly_compare(b_left, b_right, x) -> FunctorComparison:
+    """Evaluate ``(B_l -> X) + (B_r -> X)`` against ``P_q(X)`` on laboratory
+    objects, counting elements of both; a mismatch certifies that general
+    polynomial functors do not subsume extended polynomial ones here.
+    """
+    f_card = len(hom_set(b_left, x)) + len(hom_set(b_right, x))
+    b = coproduct(b_left, b_right).obj
+    pq_card = 0
+    for side in (0, 1):
+        size = len((b_left if side == 0 else b_right).carrier)
+        offset = 0 if side == 0 else len(b_left.carrier)
+        fiber = frozenset(range(offset, offset + size))
+        dom = full_subobject(b, fiber)
+        pq_card += len(hom_set(dom, x))
+    return FunctorComparison(f_card, pq_card)

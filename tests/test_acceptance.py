@@ -17,11 +17,7 @@ from quasikernel.checks import (
     fold_uniqueness_solutions,
     sample_algebras,
 )
-from quasikernel.final import (
-    FinalCoalgebra,
-    MSignature,
-    mtype_vs_extpoly_compare,
-)
+from quasikernel.final import FinalCoalgebra, MSignature
 from quasikernel.functors import (
     ExtPolyNF,
     PolyNF,
@@ -404,7 +400,7 @@ def test_criterion_11_lab_certifications():
         ok = False
 
     one_empty = lab.spap_obj((0,), [])
-    cmp = mtype_vs_extpoly_compare(one, one_empty, one_empty)
+    cmp = lab.mtype_vs_extpoly_compare(one, one_empty, one_empty)
     if not (cmp.ext_card >= 1 and cmp.general_card == 0):
         ok = False
 

@@ -209,6 +209,15 @@ class TestEval:
         assert report["checks"][0]["status"] == "fail"
         assert report["checks"][0]["detail"] == "unbound name: 'missing_name'"
 
+    def test_failed_application_prints_the_value(self, tmp_path):
+        p = tmp_path / "rebound.qk"
+        p.write_text("free type A ::= a | s(A)\nlet s = 3\n")
+        report, code = run(["eval", str(p), "-e", "s a"])
+        assert code == 1
+        assert report["checks"] == [
+            {"name": "eval", "status": "fail", "detail": "cannot apply non-function 3"}
+        ]
+
     def test_schemes_are_qualified_with_two_free_types(self):
         expr = r"fold 1 1 (\a. \b. plus a b) (glue circle square)"
         mixed = str(CORPUS / "mixed.qk")

@@ -1,5 +1,6 @@
 import pytest
 
+from quasikernel import lab
 from quasikernel.final import (
     DomainMismatch,
     FinalCoalgebra,
@@ -10,7 +11,6 @@ from quasikernel.final import (
     ambient_ext_values,
     ambient_general_poly_values,
     ambient_iso,
-    mtype_vs_extpoly_compare,
     ptree_witness,
 )
 from quasikernel.functors import ExtPolyNF, ext_unvalue, inject
@@ -308,24 +308,22 @@ class TestNonEnumerable:
 
 class TestFunctorComparison:
     def spap_objects(self):
-        from quasikernel import lab
-
         one = lab.terminal(lab.SPAP)
         one_empty = lab.spap_obj((0,), [])
         return one, one_empty
 
     def test_remark_counterexample(self):
         one, one_empty = self.spap_objects()
-        report = mtype_vs_extpoly_compare(one, one_empty, one_empty)
+        report = lab.mtype_vs_extpoly_compare(one, one_empty, one_empty)
         assert report.ext_card >= 1
         assert report.general_card == 0
         assert not report.isomorphic
 
     def test_disjoint_inhabited_fibers_agree(self):
         one, one_empty = self.spap_objects()
-        report = mtype_vs_extpoly_compare(one, one, one_empty)
+        report = lab.mtype_vs_extpoly_compare(one, one, one_empty)
         assert report.isomorphic
-        sane = mtype_vs_extpoly_compare(one, one, one)
+        sane = lab.mtype_vs_extpoly_compare(one, one, one)
         assert sane.isomorphic and sane.ext_card == 2
 
     def test_ambient_model_has_the_isomorphism(self):

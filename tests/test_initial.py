@@ -29,11 +29,11 @@ from quasikernel.initial import (
     make_tree,
     nat_algebra,
     param_map,
-    same_shape,
     subtype_fold,
     tree_anchor,
     tree_depth,
     tree_label_at,
+    tree_parts,
     tree_tables,
     unchurch,
 )
@@ -49,6 +49,7 @@ from quasikernel.kernel import (
     NatV,
     PairV,
     PathTrie,
+    QuasiError,
     Unit,
     decode_path,
     encode_path,
@@ -57,6 +58,7 @@ from quasikernel.kernel import (
     finmap,
     is_true,
     nat,
+    trie_of_paths,
 )
 
 LIST_NF = PolyNF(((Unit(), 0), (Bool(), 1)))
@@ -123,6 +125,19 @@ class TestEncList:
         with pytest.raises(InvariantViolation):
             enc_fold(nat(0), lambda x, a: a, broken)
 
+    def test_fold_calls_from_the_last_element(self):
+        seen = []
+        enc_fold(nat(0), lambda x, a: seen.append(x.n) or a, enc_from_list([nat(1), nat(2), nat(3)]))
+        assert seen == [3, 2, 1]
+
+    def test_fold_of_a_long_list(self):
+        # the fold recursed once per element before it became a loop; the
+        # table is written out, as 2000 conses would shift it 2000 times
+        l = InrV(PairV(finmap({nat(i): nat(i % 10) for i in range(2000)}), nat(1999)))
+        assert enc_invariant_ok(l)
+        plus = lambda x, acc: nat(x.n + acc.n)
+        assert enc_fold(nat(0), plus, l) == nat(9000)
+
 
 class TestConstructors:
     def test_zero_tree_depth_one(self):
@@ -157,8 +172,8 @@ class TestConstructors:
         h = InitialAlgebra(MIXED_NF)
         inner = tree_list_mixed(h)
         t = h.construct(2, UNIT, [inner, inner])
-        assert same_shape(h.sel(1, t), inner)
-        assert same_shape(h.sel(2, t), inner)
+        assert tree_parts(h.sel(1, t))[:2] == tree_parts(inner)[:2]
+        assert tree_parts(h.sel(2, t))[:2] == tree_parts(inner)[:2]
 
     def test_empty_constants_flagged(self):
         from quasikernel.kernel import Zero
@@ -530,7 +545,85 @@ class TestParamMap:
         )
 
 
+def reference_is_in_T(h, t):
+    """Membership by two recursive walks: every level, rebuilt from its own
+    subtrees, has the tree's label and depth tables, and the anchor is the
+    parameter of the constant at the end of the leftmost spine."""
+
+    def shape(t, budget):
+        if budget <= 0:
+            return False
+        try:
+            i, w, children = h.destruct(t)
+        except NotInCarrier:
+            return False
+        if any(not shape(c, budget - 1) for c in children):
+            return False
+        return tree_parts(h.construct(i, w, children))[:2] == tree_parts(t)[:2]
+
+    def leftmost_param(t, budget):
+        i, w, children = h.destruct(t)
+        if not children:
+            return w
+        if budget <= 0:
+            raise NotInCarrier("no constant below the leftmost spine")
+        return leftmost_param(children[0], budget - 1)
+
+    dep = tree_depth(t)
+    if dep is None:
+        return False
+    try:
+        return shape(t, dep) and tree_anchor(t) == leftmost_param(t, dep)
+    except QuasiError:
+        return False
+
+
+def single_entry_mutations(t, anchors):
+    """Each label deleted or replaced by another label of the tree, each
+    depth bumped or deleted, and the anchor swapped for each other anchor."""
+    lt, dt, anchor = tree_parts(t)
+    label, depth_map = tree_tables(t)
+    values = set(label.values())
+    for p, v in label.items():
+        for u in [None, *(values - {v})]:
+            changed = [(q, x) for q, x in label.items() if q != p]
+            if u is not None:
+                changed.append((p, u))
+            yield PairV(trie_of_paths(changed), PairV(dt, anchor))
+    for p, k in depth_map.items():
+        for u in (k + 1, None):
+            changed = [(q, nat(x)) for q, x in depth_map.items() if q != p]
+            if u is not None:
+                changed.append((p, nat(u)))
+            yield PairV(lt, PairV(trie_of_paths(changed), anchor))
+    for a in anchors:
+        if a != anchor:
+            yield PairV(lt, PairV(dt, a))
+
+
 class TestMembership:
+    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
+    def test_agrees_with_the_recursive_reference(self, name):
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
+        trees = h.enumerate_trees(3)
+        anchors = {tree_anchor(t) for t in trees}
+        members = checked = 0
+        for t in trees:
+            for u in (t, *single_entry_mutations(t, anchors)):
+                expected = reference_is_in_T(h, u)
+                assert h.is_in_T(u) == expected
+                members += expected
+                checked += 1
+        assert members >= len(trees) and checked > 2 * len(trees)
+
+    def test_long_list_is_a_member(self):
+        # the recursive walks ran out of Python stack on a list this long
+        h = InitialAlgebra(LIST_NAT_NF)
+        t = tree_list(h, [nat(i % 3) for i in range(5000)])
+        assert h.is_in_T(t)
+
     def test_accepts_generated_trees(self):
         for nf in (LIST_NF, MIXED_NF):
             h = InitialAlgebra(nf)
