@@ -307,7 +307,7 @@ class MType:
 
 
 # ---------------------------------------------------------------------------
-# Extended polynomial functors against general polynomial ones, in the ambient model
+# Comparing extended polynomial functors with general polynomial ones
 
 
 def ambient_general_poly_values(

@@ -131,8 +131,8 @@ class TestEncList:
         assert seen == [3, 2, 1]
 
     def test_fold_of_a_long_list(self):
-        # the fold recursed once per element before it became a loop; the
-        # table is written out, as 2000 conses would shift it 2000 times
+        # longer than the recursion limit; the table is written out, as 2000
+        # conses would shift it 2000 times
         l = InrV(PairV(finmap({nat(i): nat(i % 10) for i in range(2000)}), nat(1999)))
         assert enc_invariant_ok(l)
         plus = lambda x, acc: nat(x.n + acc.n)
@@ -619,7 +619,7 @@ class TestMembership:
         assert members >= len(trees) and checked > 2 * len(trees)
 
     def test_long_list_is_a_member(self):
-        # the recursive walks ran out of Python stack on a list this long
+        # deeper than the recursion limit, so membership must not recurse per level
         h = InitialAlgebra(LIST_NAT_NF)
         t = tree_list(h, [nat(i % 3) for i in range(5000)])
         assert h.is_in_T(t)
