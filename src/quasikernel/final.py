@@ -96,15 +96,13 @@ def subtree(handle, tree: PVal, label: PVal) -> PVal:
 class FinalCoalgebra:
     """Process type constructed for an extended polynomial signature."""
 
-    def __init__(self, nf: ExtPolyNF, nat_bound: int = 4):
+    def __init__(self, nf: ExtPolyNF):
         self.nf = nf
         self.n = len(nf.summands)
         try:
             for _, b in nf.summands:
                 ty_card(b)  # exponents must be genuinely finite
-            self.exponent_values = [
-                enumerate_ty(b, nat_bound) for _, b in nf.summands
-            ]
+            self.exponent_values = [enumerate_ty(b) for _, b in nf.summands]
         except NonEnumerableType as e:
             raise NonEnumerableExponent(str(e))
         # labels of B = sum of the exponent types

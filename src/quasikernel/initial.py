@@ -126,10 +126,11 @@ def enc_fold(c: PVal, f: Callable[[PVal, PVal], PVal], l: PVal) -> PVal:
 
 
 def enc_from_list(values: Sequence[PVal]) -> PVal:
-    out = enc_nil()
-    for v in reversed(values):
-        out = enc_cons(v, out)
-    return out
+    """The encoded list of the values, as one table (not one cons each)."""
+    if not values:
+        return enc_nil()
+    table = finmap({nat(i): v for i, v in enumerate(values)})
+    return InrV(PairV(table, nat(len(values) - 1)))
 
 
 def enc_to_list(l: PVal) -> list[PVal]:
@@ -391,11 +392,10 @@ class InitialAlgebra:
         except QuasiError:
             return False
 
-    def enumerate_trees(self, max_depth: int, nat_bound: int = 2) -> list[PVal]:
-        """All carrier elements of depth at most ``max_depth``."""
-        params = [
-            enumerate_ty(a, nat_bound=nat_bound) for a, _ in self.nf.summands
-        ]
+    def enumerate_trees(self, max_depth: int) -> list[PVal]:
+        """All carrier elements of depth at most ``max_depth``, with the
+        parameters' naturals below 2."""
+        params = [enumerate_ty(a, nat_bound=2) for a, _ in self.nf.summands]
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
         seen = {t for t in layers}
         for _ in range(max_depth - 1):

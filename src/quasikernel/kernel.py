@@ -374,14 +374,13 @@ class PathTrie(FinMapV):
         return EMPTY_TRIE
 
     def lookup(self, key: PVal) -> PVal:
+        steps = _path_steps(key)
+        if steps is None:
+            return UNDEF
         node = self
-        while type(key) is InrV:
-            step = key.value
-            if type(step) is not PairV or type(step.fst) is not NatV:
-                return UNDEF
-            node = node.child(step.fst.n)
-            key = step.snd
-        return node.root if key == TRUE else UNDEF
+        for j in steps:
+            node = node.child(j)
+        return node.root
 
     def __hash__(self) -> int:
         return self._hash
@@ -694,13 +693,14 @@ def eq_existential(a: PVal, b: PVal, depth: int = 4) -> PVal:
 
 def _eq_funlike(a: PVal, b: PVal, depth: int) -> PVal:
     if isinstance(a, FinMapV) and isinstance(b, FinMapV):
-        # finite tables compare exactly: same keys, strongly equal values
-        if [_sort_key(k) for k in a.keys()] != [_sort_key(k) for k in b.keys()]:
+        # finite tables compare exactly: same keys in the same canonical
+        # order, strongly equal values (which may be procedural maps)
+        if a.keys() != b.keys():
             return FALSE
         return from_bool(
             all(
-                is_true(eq_strong(v, b.lookup(k), depth))
-                for k, v in a.entries
+                is_true(eq_strong(u, v, depth))
+                for (_, u), (_, v) in zip(a.entries, b.entries)
             )
         )
     if depth <= 0:
@@ -711,16 +711,10 @@ def _eq_funlike(a: PVal, b: PVal, depth: int) -> PVal:
             samples.extend(f.keys())
         else:
             samples.extend(_canonical_args(f.dom, depth))
-    seen, args = set(), []
-    for s in samples:
-        k = _sort_key(s)
-        if k not in seen:
-            seen.add(k)
-            args.append(s)
     return from_bool(
         all(
             is_true(eq_strong(apply_pval(a, x), apply_pval(b, x), depth - 1))
-            for x in args
+            for x in dict.fromkeys(samples)
         )
     )
 

@@ -138,6 +138,14 @@ class TestEncList:
         plus = lambda x, acc: nat(x.n + acc.n)
         assert enc_fold(nat(0), plus, l) == nat(9000)
 
+    def test_from_list_of_a_long_list(self):
+        # one table, not one shifted copy per cons
+        values = [nat(i % 10) for i in range(2000)]
+        l = enc_from_list(values)
+        assert l == InrV(PairV(finmap({nat(i): nat(i % 10) for i in range(2000)}), nat(1999)))
+        plus = lambda x, acc: nat(x.n + acc.n)
+        assert enc_fold(nat(0), plus, l) == nat(9000)
+
 
 class TestConstructors:
     def test_zero_tree_depth_one(self):
@@ -340,6 +348,20 @@ class TestFold:
         rng = random.Random(0)
         for algebra in sample_algebras(h.nf, carrier, 25, rng):
             assert fold_equation_failures(h, algebra, trees) == []
+
+    def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
+        # the carrier is first-order, so a fold result of another shape is
+        # an unequal side like any other, not an incomparable pair
+        h = list_handle()
+        trees = h.enumerate_trees(3)
+        odd = max(trees, key=tree_depth)  # no tree of the set has it as a child
+        real = h.fold
+        monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
+        algebra = next(enumerate_algebras(h.nf, [nat(i) for i in range(3)]))
+        failures = fold_equation_failures(h, algebra, trees)
+        i = h.destruct(odd)[0]
+        assert len(failures) == 1
+        assert failures[0].startswith(f"summand {i}: UnitV()")
 
     def test_fold_uniqueness(self):
         carrier = [nat(i) for i in range(3)]

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -26,11 +27,13 @@ from quasikernel.kernel import (
     Lit,
     Nat,
     PairV,
+    Partial,
     PathTrie,
     Prod,
     RestrictE,
     Snd,
     Sum,
+    Total,
     TypeMismatch,
     Undef,
     Unit,
@@ -108,6 +111,20 @@ pval_strategy = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+# first-order types, tables among them; ``==`` is exact on their values
+FIRST_ORDER_TYPES = [
+    Unit(),
+    Bool(),
+    Nat(),
+    Sum(Unit(), Nat()),
+    Prod(Bool(), Nat()),
+    Total(Bool(), Bool()),
+    Partial(Bool(), Nat()),
+    Sum(Total(Bool(), Bool()), Partial(Bool(), Unit())),
+    Prod(Partial(Bool(), Bool()), Total(Unit(), Bool())),
+]
 
 
 def typed_value_strategy():
@@ -188,6 +205,42 @@ class TestEquality:
         c = finmap({nat(0): nat(5)})
         assert eq_strong(a, b) == TRUE
         assert eq_strong(a, c) == FALSE
+
+    def test_strong_equality_is_eq_on_first_order_values(self):
+        # values compare by constructor and payload and tables are canonical,
+        # so at every depth strong equality is ``==``; b is built apart from a
+        for ty in FIRST_ORDER_TYPES:
+            for a in enumerate_ty(ty, nat_bound=3) + [UNDEF]:
+                for b in enumerate_ty(ty, nat_bound=3) + [UNDEF]:
+                    for depth in (0, 1, 4):
+                        assert is_true(eq_strong(a, b, depth)) == (a == b)
+
+    @given(pval_strategy, pval_strategy, st.sampled_from([0, 1, 4]))
+    def test_strong_equality_is_eq_on_drawn_values(self, a, b, depth):
+        try:
+            strong = is_true(eq_strong(a, b, depth))
+        except IncomparableTypes:  # different shapes, never ==
+            strong = False
+        assert (a == b) == strong
+        assert is_true(eq_strong(a, copy.deepcopy(a), depth))
+
+    def test_equal_tables_compare_without_lookups(self, monkeypatch):
+        # entries are zipped in their canonical order: one pass, no lookup
+        a = finmap({nat(i): nat(i % 7) for i in range(2000)})
+        b = finmap([(nat(i), nat(i % 7)) for i in reversed(range(2000))])
+        assert a is not b
+        lookups = []
+        real = FinMapV.lookup
+
+        def counting(self, key):
+            lookups.append(key)
+            return real(self, key)
+
+        monkeypatch.setattr(FinMapV, "lookup", counting)
+        assert eq_strong(a, b) == TRUE
+        assert lookups == []
+        changed = finmap({**dict(b.entries), nat(1000): nat(7)})
+        assert eq_strong(a, changed) == FALSE
 
     def test_finmap_vs_pfun(self):
         table = finmap({nat(0): nat(1), nat(1): nat(2), nat(2): nat(3)})
