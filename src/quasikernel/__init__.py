@@ -3,17 +3,21 @@
 Modules:
   kernel    partial values, strict evaluation, restriction, two equalities
   functors  signature functors, the two normal forms, fmap and sums
-  surface   declaration language, positivity, extraction, elaboration
   initial   list objects and finite-tree initial algebras with fold
   final     path-map final coalgebras with unfold, and finite M-types
+  surface   declaration language, positivity, extraction, elaboration
   cpo       partial-chain domains, fixed points, datatypes as cpos
   lab       finite reflexive-relation and subset-space categories
+  report    check results, the unit of every command's report
+  checks    bounded check suites over the constructions
   cli       command-line front end
+
+Each module imports only the layers below it, in the order above.  The
+package itself imports none: ``quasikernel.cpo`` loads ``cpo`` (and what
+it imports) on first access, so a command loads only the modules it runs.
 """
 
-# cli is not imported here, so that ``python -m quasikernel.cli`` runs it
-# fresh; ``from quasikernel import cli`` still loads it on demand.
-from . import checks, cpo, final, functors, initial, kernel, lab, surface
+import sys
 
 __all__ = [
     "checks",
@@ -24,5 +28,17 @@ __all__ = [
     "initial",
     "kernel",
     "lab",
+    "report",
     "surface",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,18 +3,16 @@
 These quantify universal properties over finite enumerations: algebras
 over small carriers, trees up to a depth bound, paths up to a length
 bound.  The CLI assembles their outcomes into reports; the test suite
-calls them directly.
+calls them directly.  The cpo and lab suites import their modules when
+they run, so ``check --suite initial`` loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import cpo as cpo_mod
-from . import lab
 from .functors import PolyNF, ext_unvalue, inject, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
 from .kernel import (
@@ -32,21 +30,7 @@ from .kernel import (
     finmap,
     nat,
 )
-
-
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | skip
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-
-def check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", detail)
+from .report import CheckResult, check
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +143,13 @@ def fold_uniqueness_solutions(
 # Suites behind the command-line checker
 
 
-@dataclass
 class CheckConfig:
-    obs_depth: int
-    chain_bound: int
-    seed: int
+    __slots__ = ("obs_depth", "chain_bound", "seed")
+
+    def __init__(self, obs_depth: int, chain_bound: int, seed: int):
+        self.obs_depth = obs_depth
+        self.chain_bound = chain_bound
+        self.seed = seed
 
 
 def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
@@ -275,6 +261,8 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
 
 
 def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
+    from . import cpo as cpo_mod
+
     out = []
     bound = max(4, min(cfg.chain_bound, 16))
     lemma_ok = True
@@ -331,6 +319,8 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
 
 
 def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
+    from . import lab
+
     out = []
     if which == "rere":
         zero, one = lab.initial(lab.RERE), lab.terminal(lab.RERE)

@@ -1,4 +1,9 @@
-"""Command-line front end: elaborate, evaluate, check, and run the lab."""
+"""Command-line front end: elaborate, evaluate, check, and run the lab.
+
+Each command imports what it runs: the file commands import ``surface``,
+``check`` imports the suites (and with ``--suite cpo``/``all`` the cpo
+module), and ``lab`` imports the lab, but not ``surface``.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,8 @@ import sys
 import time
 
 from . import kernel
-from .checks import CheckConfig, CheckResult, check, suite_cpo, suite_final, suite_initial, suite_lab
 from .kernel import Fuel, QuasiError, show_pval
-from .surface import ElabEnv, LetDef, elaborate, parse, parse_expr
+from .report import CheckResult, check
 
 
 def _obs_depth(text: str) -> int:
@@ -65,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(args) -> CheckConfig:
+def _config(args):
+    from .checks import CheckConfig
+
     return CheckConfig(
         obs_depth=args.obs_depth,
         chain_bound=args.chain_bound,
@@ -76,6 +82,8 @@ def _config(args) -> CheckConfig:
 def cmd_elaborate(args) -> list[CheckResult]:
     """One check per declaration, each declared as ``check`` and ``eval`` do;
     a failed declaration is left out and the rest are still declared."""
+    from .surface import ElabEnv, LetDef, parse
+
     with open(args.file, encoding="utf-8") as fh:
         source = fh.read()
     try:
@@ -94,6 +102,8 @@ def cmd_elaborate(args) -> list[CheckResult]:
 
 
 def cmd_eval(args) -> list[CheckResult]:
+    from .surface import elaborate, parse, parse_expr
+
     with open(args.file, encoding="utf-8") as fh:
         source = fh.read()
     try:
@@ -106,6 +116,9 @@ def cmd_eval(args) -> list[CheckResult]:
 
 
 def cmd_check(args) -> list[CheckResult]:
+    from .checks import suite_cpo, suite_final, suite_initial
+    from .surface import elaborate, parse
+
     with open(args.file, encoding="utf-8") as fh:
         source = fh.read()
     cfg = _config(args)
@@ -126,6 +139,8 @@ def cmd_check(args) -> list[CheckResult]:
 
 
 def cmd_lab(args) -> list[CheckResult]:
+    from .checks import suite_lab
+
     return suite_lab(args.which, _config(args))
 
 

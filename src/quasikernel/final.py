@@ -11,7 +11,6 @@ one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .functors import ExtPolyNF, ext_value, inject, project
@@ -25,6 +24,7 @@ from .kernel import (
     PairV,
     PVal,
     QuasiError,
+    Record,
     apply_pval,
     decode_path,
     encode_path,
@@ -34,6 +34,7 @@ from .kernel import (
     is_true,
     pfun,
     product_choices,
+    set_field,
     ty_card,
 )
 
@@ -230,19 +231,19 @@ class FinalCoalgebra:
 # M-types over finite signatures
 
 
-@dataclass(frozen=True)
-class MSignature:
+class MSignature(Record):
     """A finite fiber map q : B -> A, given as disjoint fibers over the index."""
 
-    fibers: tuple[tuple[PVal, tuple[PVal, ...]], ...]
+    __slots__ = __match_args__ = ("fibers",)
 
-    def __post_init__(self):
+    def __init__(self, fibers: tuple[tuple[PVal, tuple[PVal, ...]], ...]):
         seen = set()
-        for _, bs in self.fibers:
+        for _, bs in fibers:
             for b in bs:
                 if b in seen:
                     raise NonDisjointFibers(f"fiber element {b!r} repeated")
                 seen.add(b)
+        set_field(self, "fibers", fibers)
 
     @property
     def index(self) -> list[PVal]:

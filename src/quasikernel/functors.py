@@ -9,7 +9,6 @@ with a canonical left-to-right summand order fixed by normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .kernel import (
@@ -23,6 +22,7 @@ from .kernel import (
     PVal,
     Prod,
     QuasiError,
+    Record,
     Sum,
     Ty,
     TypeMismatch,
@@ -36,6 +36,7 @@ from .kernel import (
     pair,
     pfun,
     product_choices,
+    set_field,
     tuple_of,
     ty_card,
     untuple,
@@ -58,61 +59,70 @@ class TagOutOfRange(QuasiError):
 # Functor syntax
 
 
-class SigFunctor:
+class SigFunctor(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Id(SigFunctor):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(SigFunctor):
-    ty: Ty
+    __slots__ = __match_args__ = ("ty",)
+
+    def __init__(self, ty: Ty):
+        set_field(self, "ty", ty)
 
 
-@dataclass(frozen=True)
 class SumF(SigFunctor):
-    left: SigFunctor
-    right: SigFunctor
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: SigFunctor, right: SigFunctor):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class ProdF(SigFunctor):
-    left: SigFunctor
-    right: SigFunctor
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: SigFunctor, right: SigFunctor):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class ExpConst(SigFunctor):
     """Exponential with constant exponent; the body may only be the identity."""
 
-    exponent: Ty
-    body: SigFunctor
+    __slots__ = __match_args__ = ("exponent", "body")
+
+    def __init__(self, exponent: Ty, body: SigFunctor):
+        set_field(self, "exponent", exponent)
+        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
 # Normal forms
 
 
-@dataclass(frozen=True)
-class PolyNF:
+class PolyNF(Record):
     """Sum of ``A_i x X^k_i``; the single k=0 summand comes first."""
 
-    summands: tuple[tuple[Ty, int], ...]
+    __slots__ = __match_args__ = ("summands",)
 
-    def __post_init__(self):
-        ks = [k for _, k in self.summands]
+    def __init__(self, summands: tuple[tuple[Ty, int], ...]):
+        ks = [k for _, k in summands]
         if ks.count(0) != 1 or ks[0] != 0:
             raise NotPolynomial("collected-constants convention violated")
+        set_field(self, "summands", summands)
 
 
-@dataclass(frozen=True)
-class ExtPolyNF:
+class ExtPolyNF(Record):
     """Sum of ``A_i x (B_i -> X)``."""
 
-    summands: tuple[tuple[Ty, Ty], ...]
+    __slots__ = __match_args__ = ("summands",)
+
+    def __init__(self, summands: tuple[tuple[Ty, Ty], ...]):
+        set_field(self, "summands", summands)
 
 
 def _prod_ty(a: Ty, b: Ty) -> Ty:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -43,71 +42,128 @@ class NonEnumerableType(QuasiError):
     pass
 
 
+class AmbiguousName(QuasiError):
+    """A bare name that several installed types bind; it must be qualified."""
+
+
+# ---------------------------------------------------------------------------
+# Immutable records
+
+set_field = object.__setattr__  # how a record's ``__init__`` sets its fields
+
+
+class Record:
+    """An immutable record, equal, hashed and printed by its fields.
+
+    A subclass names its fields once, ``__slots__ = __match_args__ =
+    ("left", "right")``, and sets them in its own ``__init__`` with
+    ``set_field``, since assignment raises.  Records of two classes are
+    never equal, even with the same fields (``Sum``/``Prod``).  ``repr``
+    reads ``Named(name='x', args=())``, as check names carry it.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in self.__match_args__:  # as tuples compare: identity first
+            a, b = getattr(self, f), getattr(other, f)
+            if a is not b and not a == b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):  # copy and pickle through ``__init__``
+        return type(self), self._fields()
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-class Ty:
+class Ty(Record):
     """Semantic types: a closed grammar, normalized before use."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Unit(Ty):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nat(Ty):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bool(Ty):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Logical(Ty):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(Ty):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Sum(Ty):
-    left: Ty
-    right: Ty
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Ty, right: Ty):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Prod(Ty):
-    left: Ty
-    right: Ty
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Ty, right: Ty):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Total(Ty):
-    dom: Ty
-    cod: Ty
+    __slots__ = __match_args__ = ("dom", "cod")
+
+    def __init__(self, dom: Ty, cod: Ty):
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
 
 
-@dataclass(frozen=True)
 class Partial(Ty):
-    dom: Ty
-    cod: Ty
+    __slots__ = __match_args__ = ("dom", "cod")
+
+    def __init__(self, dom: Ty, cod: Ty):
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
 
 
-@dataclass(frozen=True)
 class Named(Ty):
     """A type name, applied to ``args`` when it names a type constructor."""
 
-    name: str
-    args: tuple[Ty, ...] = ()
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Ty, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
 
 
 def normalize_ty(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> Ty:
@@ -162,8 +218,15 @@ def ty_card(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> int:
 # Partial values
 
 
-class PVal:
-    """A partial value; ``UNDEF`` is the only undefined one."""
+class PVal(Record):
+    """A partial value; ``UNDEF`` is the only undefined one.
+
+    The value classes write out ``__init__`` and ``__eq__`` by hand and
+    share one hash, ``_value_hash``, so that building and comparing values
+    costs no more than generated methods would.  Pairs and injections
+    compare by a loop down the right spine (``_spine_eq``), so a list or a
+    path key of any length compares without running out of stack.
+    """
 
     __slots__ = ()
 
@@ -202,65 +265,117 @@ def _value_hash(v: PVal) -> int:
             return hash((0,))
         else:
             raise TypeMismatch(f"unknown value {v!r}")
-        object.__setattr__(v, "_hash", h)
+        set_field(v, "_hash", h)
     return h
 
 
-@dataclass(frozen=True)
+def _same_class(a: PVal, b) -> bool:
+    """``==`` of two fieldless values."""
+    return True if b.__class__ is a.__class__ else NotImplemented
+
+
+def _spine_eq(a: PVal, b) -> bool:
+    """``==`` of pairs and injections, by a loop down the right spine.
+
+    Each pair compares its first components by ``==`` and goes on with the
+    second; each injection goes on with its payload.
+    """
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    while a is not b:
+        cls = a.__class__
+        if b.__class__ is not cls:
+            return False
+        if cls is PairV:
+            if a.fst is not b.fst and not a.fst == b.fst:
+                return False
+            a, b = a.snd, b.snd
+        elif cls is InlV or cls is InrV:
+            a, b = a.value, b.value
+        else:
+            return a == b
+    return True
+
+
 class Undef(PVal):
+    __slots__ = ()
+    __eq__ = _same_class
     __hash__ = _value_hash
 
 
-@dataclass(frozen=True)
 class UnitV(PVal):
+    __slots__ = ()
+    __eq__ = _same_class
     __hash__ = _value_hash
 
 
-@dataclass(frozen=True)
 class NatV(PVal):
-    n: int
-
+    __slots__ = __match_args__ = ("n",)
     __hash__ = _value_hash
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise TypeMismatch("naturals are nonnegative")
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is NatV:
+            return self.n == other.n
+        return NotImplemented
 
 
-@dataclass(frozen=True)
 class PairV(PVal):
-    fst: PVal
-    snd: PVal
-
+    __slots__ = ("fst", "snd", "_hash")
+    __match_args__ = ("fst", "snd")
+    __eq__ = _spine_eq
     __hash__ = _value_hash
 
+    def __init__(self, fst: PVal, snd: PVal):
+        set_field(self, "fst", fst)
+        set_field(self, "snd", snd)
+        set_field(self, "_hash", None)
 
-@dataclass(frozen=True)
+
 class InlV(PVal):
-    value: PVal
-
+    __slots__ = ("value", "_hash")
+    __match_args__ = ("value",)
+    __eq__ = _spine_eq
     __hash__ = _value_hash
 
+    def __init__(self, value: PVal):
+        set_field(self, "value", value)
+        set_field(self, "_hash", None)
 
-@dataclass(frozen=True)
+
 class InrV(PVal):
-    value: PVal
-
+    __slots__ = ("value", "_hash")
+    __match_args__ = ("value",)
+    __eq__ = _spine_eq
     __hash__ = _value_hash
 
+    def __init__(self, value: PVal):
+        set_field(self, "value", value)
+        set_field(self, "_hash", None)
 
-@dataclass(frozen=True, eq=False)
+
 class PFunV(PVal):
-    """Procedural partial map.  Must be pure: equal arguments, equal results."""
+    """Procedural partial map.  Must be pure: equal arguments, equal results.
 
-    fn: Callable[[PVal], PVal]
-    dom: Optional[Ty] = None
+    Equal and hashed by identity; extensional comparison goes through
+    ``eq_*``.  ``final`` keeps the observer of a process tree in the map's
+    ``__dict__``.
+    """
 
-    # identity-based equality/hash; extensional comparison goes through eq_*
+    __slots__ = ("fn", "dom", "__dict__")
+    __match_args__ = ("fn", "dom")
+    __hash__ = _value_hash
+
+    def __init__(self, fn: Callable[[PVal], PVal], dom: Optional[Ty] = None):
+        set_field(self, "fn", fn)
+        set_field(self, "dom", dom)
+
     def __eq__(self, other):
         return self is other
-
-    __hash__ = _value_hash
 
 
 def _sort_key(v: PVal):
@@ -285,13 +400,21 @@ def _sort_key(v: PVal):
     raise TypeMismatch(f"unknown value {v!r}")
 
 
-@dataclass(frozen=True)
 class FinMapV(PVal):
     """Finite-table partial map; keys sorted canonically so equality is exact."""
 
-    entries: tuple[tuple[PVal, PVal], ...]
-
+    __slots__ = ("entries", "_hash")
+    __match_args__ = ("entries",)
     __hash__ = _value_hash
+
+    def __init__(self, entries: tuple[tuple[PVal, PVal], ...]):
+        set_field(self, "entries", entries)
+        set_field(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
 
     @staticmethod
     def of(table: Mapping[PVal, PVal] | Iterable[tuple[PVal, PVal]]) -> "FinMapV":
@@ -341,17 +464,18 @@ class PathTrie(FinMapV):
     It is a ``FinMapV``: ``entries`` is derived on first use, in the
     canonical key order (the root first, then each child j's block by j
     as a number).  ``FinMapV.of`` returns a trie for every table keyed by
-    tree paths, so a trie is compared only with tries.
+    tree paths, so a trie is compared only with tries.  ``initial`` keeps
+    the destructed root of a tree on its label trie, in ``__dict__``.
     """
 
-    __slots__ = ("root", "children", "_hash", "_flat")
+    __slots__ = ("root", "children", "_flat", "__dict__", "__weakref__")  # _hash is FinMapV's
 
     @property
     def entries(self) -> tuple[tuple[PVal, PVal], ...]:
         if self._flat is None:
             keys = {(): TRUE}
             flat = tuple((_path_key(p, keys), v) for p, v in self.paths())
-            object.__setattr__(self, "_flat", flat)
+            set_field(self, "_flat", flat)
         return self._flat
 
     def paths(self) -> list[tuple[tuple[int, ...], PVal]]:
@@ -408,6 +532,9 @@ class PathTrie(FinMapV):
     def __repr__(self) -> str:
         return f"FinMapV(entries={self.entries!r})"
 
+    def __reduce__(self):
+        return trie, (self.root, self.children)
+
 
 # Interned nodes by (root, children), each held through a weak reference
 # whose callback drops the entry once the node is gone.  A lost race only
@@ -433,10 +560,10 @@ def trie(root: PVal, children: tuple[tuple[int, PathTrie], ...] = ()) -> PathTri
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(PathTrie)
-        object.__setattr__(node, "root", root)
-        object.__setattr__(node, "children", children)
-        object.__setattr__(node, "_hash", hash((6, root, children)))
-        object.__setattr__(node, "_flat", None)
+        set_field(node, "root", root)
+        set_field(node, "children", children)
+        set_field(node, "_hash", hash((6, root, children)))
+        set_field(node, "_flat", None)
         _interned[key] = weakref.ref(node, _forget(key))
     return node
 
@@ -732,86 +859,122 @@ def eq_strong(a: PVal, b: PVal, depth: int = 4) -> PVal:
 # Kernel expressions
 
 
-class Term:
+class Term(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Lit(Term):
-    value: PVal
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: PVal):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    param: str
-    body: Term
+    __slots__ = __match_args__ = ("param", "body")
+
+    def __init__(self, param: str, body: Term):
+        set_field(self, "param", param)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class PairE(Term):
-    fst: Term
-    snd: Term
+    __slots__ = __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: Term, snd: Term):
+        set_field(self, "fst", fst)
+        set_field(self, "snd", snd)
 
 
-@dataclass(frozen=True)
 class Fst(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Snd(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class InlE(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class InrE(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class CaseE(Term):
-    scrutinee: Term
-    left_var: str
-    left: Term
-    right_var: str
-    right: Term
+    __slots__ = __match_args__ = ("scrutinee", "left_var", "left", "right_var", "right")
+
+    def __init__(self, scrutinee: Term, left_var: str, left: Term, right_var: str, right: Term):
+        set_field(self, "scrutinee", scrutinee)
+        set_field(self, "left_var", left_var)
+        set_field(self, "left", left)
+        set_field(self, "right_var", right_var)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class RestrictE(Term):
-    arg: Term
-    cond: Term
+    __slots__ = __match_args__ = ("arg", "cond")
+
+    def __init__(self, arg: Term, cond: Term):
+        set_field(self, "arg", arg)
+        set_field(self, "cond", cond)
 
 
-@dataclass(frozen=True)
 class EqE(Term):
-    lhs: Term
-    rhs: Term
-    strong: bool = False
-    depth: int = 4
+    __slots__ = __match_args__ = ("lhs", "rhs", "strong", "depth")
+
+    def __init__(self, lhs: Term, rhs: Term, strong: bool = False, depth: int = 4):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "strong", strong)
+        set_field(self, "depth", depth)
 
 
-@dataclass
+class Ambiguous(Record):
+    """What a bare name binds while several installed types bind it:
+    evaluating the name raises ``AmbiguousName`` with ``message``."""
+
+    __slots__ = __match_args__ = ("message",)
+
+    def __init__(self, message: str):
+        set_field(self, "message", message)
+
+
 class Fuel:
     """Evaluation budget; strictly decreasing, exhaustion is a hard error."""
 
-    steps: int
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: int):
+        self.steps = steps
 
     def tick(self):
         if self.steps <= 0:
@@ -833,7 +996,10 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
         case Var(name):
             if name not in env:
                 raise UnboundName(f"unbound name: {name!r}")
-            return env[name]
+            v = env[name]
+            if v.__class__ is Ambiguous:
+                raise AmbiguousName(v.message)
+            return v
         case Lit(v):
             return v
         case Lam(param, body):

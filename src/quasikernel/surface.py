@@ -12,7 +12,6 @@ under any arrow are unsupported rather than guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import initial as initial_mod
@@ -35,6 +34,7 @@ from .functors import (
 from .kernel import (
     UNDEF,
     UNIT,
+    AmbiguousName,  # noqa: F401  re-exported
     Bool,
     Named,
     Nat,
@@ -42,6 +42,7 @@ from .kernel import (
     PairV,
     PVal,
     QuasiError,
+    Record,
     Ty,
     TypeMismatch,
     Unit,
@@ -49,6 +50,7 @@ from .kernel import (
     apply_pval,
     fold_right,
     pfun,
+    set_field,
     ty_card,
     tuple_of,
     untuple,
@@ -78,41 +80,51 @@ class DuplicateDeclaration(QuasiError):
     """A second declaration of a type name already declared."""
 
 
-class AmbiguousName(QuasiError):
-    """An unqualified recursion scheme with several free types (or, for
-    ``unfold``, several cotypes) installed."""
-
-
 # ---------------------------------------------------------------------------
 # Declarations: types are kernel ``Ty``, with every name a ``Named``
 
 
-@dataclass(frozen=True)
-class Alt:
-    name: str
-    args: tuple[Ty, ...] = ()
+class Alt(Record):
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Ty, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class SelGroup:
-    names: tuple[str, ...]
-    partial: bool
-    codomain: Ty
+class SelGroup(Record):
+    __slots__ = __match_args__ = ("names", "partial", "codomain")
+
+    def __init__(self, names: tuple[str, ...], partial: bool, codomain: Ty):
+        set_field(self, "names", names)
+        set_field(self, "partial", partial)
+        set_field(self, "codomain", codomain)
 
 
-@dataclass(frozen=True)
-class Decl:
-    kind: str  # "free" | "cotype"
-    name: str
-    params: tuple[str, ...] = ()
-    alts: tuple[Alt, ...] = ()
-    coalts: tuple[tuple[SelGroup, ...], ...] = ()
+class Decl(Record):
+    __slots__ = __match_args__ = ("kind", "name", "params", "alts", "coalts")
+
+    def __init__(
+        self,
+        kind: str,  # "free" | "cotype"
+        name: str,
+        params: tuple[str, ...] = (),
+        alts: tuple[Alt, ...] = (),
+        coalts: tuple[tuple[SelGroup, ...], ...] = (),
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "alts", alts)
+        set_field(self, "coalts", coalts)
 
 
-@dataclass(frozen=True)
-class LetDef:
-    name: str
-    body: "kernel.Term"
+class LetDef(Record):
+    __slots__ = __match_args__ = ("name", "body")
+
+    def __init__(self, name: str, body: kernel.Term):
+        set_field(self, "name", name)
+        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +150,14 @@ _TOKEN_RE = re.compile(
 KEYWORDS = {"free", "type", "cotype", "let"}
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _lex(source: str) -> list[Token]:
@@ -606,34 +620,64 @@ def _functor_of(t: Ty, pattern: Named, kind: str) -> SigFunctor:
 # Elaboration
 
 
-@dataclass
 class CtorInfo:
-    name: str
-    summand: int
-    const_index: int  # injection into the collected-constants sum, if nullary
-    arg_kinds: tuple[str, ...]  # "const" | "rec", in declaration order
-    const_tys: tuple[Ty, ...]  # resolved types of the constant arguments
+    __slots__ = ("name", "summand", "const_index", "arg_kinds", "const_tys")
+
+    def __init__(
+        self,
+        name: str,
+        summand: int,
+        const_index: int,  # injection into the collected-constants sum, if nullary
+        arg_kinds: tuple[str, ...],  # "const" | "rec", in declaration order
+        const_tys: tuple[Ty, ...],  # resolved types of the constant arguments
+    ):
+        self.name = name
+        self.summand = summand
+        self.const_index = const_index
+        self.arg_kinds = arg_kinds
+        self.const_tys = const_tys
 
 
-@dataclass
 class SelInfo:
-    name: str
-    alt: int
-    kind: str  # "const" | "rec" | "fn"
-    const_pos: int = -1  # position among this alternative's constant selectors
-    rec_pos: int = -1  # position among this alternative's recursive selectors
-    exponent: Optional[Ty] = None
+    __slots__ = ("name", "alt", "kind", "const_pos", "rec_pos", "exponent")
+
+    def __init__(
+        self,
+        name: str,
+        alt: int,
+        kind: str,  # "const" | "rec" | "fn"
+        const_pos: int = -1,  # position among this alternative's constant selectors
+        rec_pos: int = -1,  # position among this alternative's recursive selectors
+        exponent: Optional[Ty] = None,
+    ):
+        self.name = name
+        self.alt = alt
+        self.kind = kind
+        self.const_pos = const_pos
+        self.rec_pos = rec_pos
+        self.exponent = exponent
 
 
-@dataclass
 class FreeTypeInfo:
-    decl: Decl
-    display: str
-    functor: SigFunctor
-    nf: PolyNF
-    handle: initial_mod.InitialAlgebra
-    ctors: list[CtorInfo]
-    n_consts: int
+    __slots__ = ("decl", "display", "functor", "nf", "handle", "ctors", "n_consts")
+
+    def __init__(
+        self,
+        decl: Decl,
+        display: str,
+        functor: SigFunctor,
+        nf: PolyNF,
+        handle: initial_mod.InitialAlgebra,
+        ctors: list[CtorInfo],
+        n_consts: int,
+    ):
+        self.decl = decl
+        self.display = display
+        self.functor = functor
+        self.nf = nf
+        self.handle = handle
+        self.ctors = ctors
+        self.n_consts = n_consts
 
     def ctor(self, name: str) -> CtorInfo:
         for c in self.ctors:
@@ -717,16 +761,30 @@ class FreeTypeInfo:
         return self.handle.primrec(body)(t)
 
 
-@dataclass
 class CotypeInfo:
-    decl: Decl
-    display: str
-    functor: SigFunctor
-    nf: ExtPolyNF
-    handle: final_mod.FinalCoalgebra
-    sels: list[SelInfo]
-    alt_const_tys: list[tuple[Ty, ...]]
-    alt_rec_count: list[int]
+    __slots__ = (
+        "decl", "display", "functor", "nf", "handle", "sels", "alt_const_tys", "alt_rec_count"
+    )
+
+    def __init__(
+        self,
+        decl: Decl,
+        display: str,
+        functor: SigFunctor,
+        nf: ExtPolyNF,
+        handle: final_mod.FinalCoalgebra,
+        sels: list[SelInfo],
+        alt_const_tys: list[tuple[Ty, ...]],
+        alt_rec_count: list[int],
+    ):
+        self.decl = decl
+        self.display = display
+        self.functor = functor
+        self.nf = nf
+        self.handle = handle
+        self.sels = sels
+        self.alt_const_tys = alt_const_tys
+        self.alt_rec_count = alt_rec_count
 
     def sel(self, name: str) -> SelInfo:
         for s in self.sels:
@@ -833,16 +891,17 @@ class ElabEnv:
         return info
 
     def _bind_freetype_terms(self, info: FreeTypeInfo):
-        """Bind each constructor ``c`` as ``c`` and as ``T.c``: a constructor
-        named by digits (``Nat2.0``) is reachable only qualified."""
+        """Bind each constructor ``c`` as ``T.c``, and as ``c`` while one free
+        type declares it: a constructor named by digits (``Nat2.0``) is
+        reachable only qualified."""
         for c in info.ctors:
-            self.terms[c.name] = self.terms[f"{info.display}.{c.name}"] = _curried(
-                lambda args, _i=info, _n=c.name: _i.make(_n, args), len(c.arg_kinds)
-            )
+            make = _curried(lambda args, _i=info, _n=c.name: _i.make(_n, args), len(c.arg_kinds))
+            owners = [d for d, t in self.freetypes.items() if any(x.name == c.name for x in t.ctors)]
+            self._bind_shared(c.name, info.display, make, owners, "free types declaring it")
         n = len(info.ctors)
         for op, run in (("fold", info.fold), ("case", info.case), ("primrec", info.primrec)):
             scheme = _curried(lambda args, _run=run: _run(args[:-1], args[-1]), n + 1)
-            self._bind_scheme(op, info.display, scheme, list(self.freetypes), "free types")
+            self._bind_shared(op, info.display, scheme, list(self.freetypes), "free types installed")
 
     def _bind_cotype_terms(self, info: CotypeInfo):
         for s in info.sels:
@@ -860,25 +919,19 @@ class ElabEnv:
             return _i.handle.unfold(d, seed)
 
         unfold = _curried(run_unfold, 2)
-        self._bind_scheme("unfold", info.display, unfold, list(self.cotypes), "cotypes")
+        self._bind_shared("unfold", info.display, unfold, list(self.cotypes), "cotypes installed")
 
-    def _bind_scheme(self, op: str, display: str, scheme: PVal, installed: list[str], kinds: str):
-        """Bind ``display.op``, and the bare ``op`` while it names one type."""
-        self.terms[f"{display}.{op}"] = scheme
-        if len(installed) == 1:
-            self.terms[op] = scheme
+    def _bind_shared(self, name: str, display: str, value: PVal, owners: list[str], kinds: str):
+        """Bind ``display.name``, and the bare ``name`` while one of ``owners``
+        binds it; with more, evaluating the bare name fails naming each."""
+        self.terms[f"{display}.{name}"] = value
+        if len(owners) == 1:
+            self.terms[name] = value
         else:
-            forms = " or ".join(f"{d}.{op}" for d in installed)
-            self.terms[op] = _ambiguous(
-                f"{op!r} is ambiguous with {len(installed)} {kinds} installed: write {forms}"
+            forms = " or ".join(f"{d}.{name}" for d in owners)
+            self.terms[name] = kernel.Ambiguous(
+                f"{name!r} is ambiguous with {len(owners)} {kinds}: write {forms}"
             )
-
-
-def _ambiguous(message: str) -> PVal:
-    def fail(_x: PVal) -> PVal:
-        raise AmbiguousName(message)
-
-    return pfun(fail)
 
 
 def _curried(fn: Callable[[list[PVal]], PVal], arity: int) -> PVal:

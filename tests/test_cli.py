@@ -234,6 +234,21 @@ class TestEval:
         report, code = run(["eval", mixed, "-e", "Shape." + expr])
         assert code == 0 and report["checks"][0]["detail"] == "2"
 
+    def test_shared_constructor_is_qualified(self, tmp_path):
+        p = tmp_path / "shared.qk"
+        p.write_text("free type A ::= a | s(A)\nfree type B ::= a | t(B)\n")
+        report, code = run(["eval", str(p), "-e", "s a"])
+        assert code == 1
+        assert report["checks"] == [
+            {
+                "name": "eval",
+                "status": "fail",
+                "detail": "'a' is ambiguous with 2 free types declaring it: write A.a or B.a",
+            }
+        ]
+        report, code = run(["eval", str(p), "-e", "A.s A.a"])
+        assert code == 0 and report["checks"][0]["status"] == "pass"
+
     def test_unfold_is_qualified_with_two_cotypes(self, tmp_path):
         p = tmp_path / "two.qk"
         p.write_text(TWO_COTYPES_SRC)
@@ -386,3 +401,69 @@ class TestParser:
         report, code = run(["lab", "mtypes"])
         assert code == 0
         assert report["config"]["seed"] == 0
+
+
+# Runs one command in a fresh interpreter and prints the modules it loaded.
+FOOTPRINT_SCRIPT = """
+import json, sys
+from quasikernel import cli
+cli.run(json.loads(sys.argv[1]))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+PACKAGE_SCRIPT = """
+import sys
+import quasikernel
+assert "quasikernel.cpo" not in sys.modules
+assert quasikernel.cpo.flat_cpo
+assert {"cpo", "kernel", "surface"} <= set(dir(quasikernel))
+ns = {}
+exec("from quasikernel import *", ns)
+assert all(ns[name] is sys.modules["quasikernel." + name] for name in quasikernel.__all__)
+assert not hasattr(quasikernel, "nope")
+print("ok")
+"""
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Standard output of ``script`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env={"PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportFootprint:
+    """Each command loads only the modules it runs."""
+
+    SUITES = {"quasikernel.checks", "quasikernel.cpo", "quasikernel.lab"}
+
+    def loaded(self, *argv: str) -> set[str]:
+        return set(json.loads(run_fresh(FOOTPRINT_SCRIPT, json.dumps(argv))))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", str(CORPUS / "lists.qk"), "-e", "fold 0 plus [2,3]"], ["elaborate", str(CORPUS / "mixed.qk")]],
+        ids=["eval", "elaborate"],
+    )
+    def test_file_commands_load_no_suites_and_no_dataclasses(self, argv):
+        loaded = self.loaded(*argv)
+        assert "quasikernel.surface" in loaded
+        assert not loaded & self.SUITES
+        assert "dataclasses" not in loaded and "inspect" not in loaded
+
+    def test_lab_does_not_load_surface(self):
+        loaded = self.loaded("lab", "rere")
+        assert {"quasikernel.checks", "quasikernel.lab"} <= loaded
+        assert "quasikernel.surface" not in loaded
+
+    def test_check_loads_the_suites_it_runs(self):
+        loaded = self.loaded("check", str(CORPUS / "naturals.qk"), "--suite", "all")
+        assert {"quasikernel.surface", "quasikernel.checks", "quasikernel.cpo"} <= loaded
+        loaded = self.loaded("check", str(CORPUS / "naturals.qk"), "--suite", "initial")
+        assert "quasikernel.checks" in loaded and "quasikernel.cpo" not in loaded
+
+    def test_package_loads_modules_on_first_access(self):
+        assert run_fresh(PACKAGE_SCRIPT) == "ok\n"

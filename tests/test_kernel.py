@@ -16,16 +16,21 @@ from quasikernel.kernel import (
     Bool,
     CaseE,
     EMPTY_TRIE,
+    EqE,
     FinMapV,
     Fst,
     Fuel,
     FuelExhausted,
     IncomparableTypes,
+    InlE,
     InlV,
+    InrE,
     InrV,
     Lam,
     Lit,
+    Named,
     Nat,
+    PairE,
     PairV,
     Partial,
     PathTrie,
@@ -68,6 +73,14 @@ from quasikernel.kernel import (
     ty_card,
     untuple,
 )
+
+
+def fold_pairs(n, last):
+    """``(0, (1, ... (n-1, last)))`` built by a loop."""
+    v = last
+    for i in reversed(range(n)):
+        v = PairV(nat(i), v)
+    return v
 
 
 # independent oracle for existential equality on first-order values:
@@ -242,6 +255,22 @@ class TestEquality:
         changed = finmap({**dict(b.entries), nat(1000): nat(7)})
         assert eq_strong(a, changed) == FALSE
 
+    def test_deep_values_compare_without_recursion(self):
+        # pairs and injections compare by a loop down the right spine
+        def spine(n, last):
+            v = last
+            for i in range(n):
+                v = InrV(PairV(NatV(i % 3), v))
+            return v
+
+        n = 100_000
+        a, b = spine(n, nat(0)), spine(n, nat(0))
+        assert a is not b
+        assert a == b and not a != b
+        assert a != spine(n, nat(1))
+        assert a != spine(n, InlV(nat(0)))
+        assert fold_pairs(n, UNIT) == fold_pairs(n, UNIT) != fold_pairs(n, TRUE)
+
     def test_finmap_vs_pfun(self):
         table = finmap({nat(0): nat(1), nat(1): nat(2), nat(2): nat(3)})
         proc = pfun(lambda x: nat(x.n + 1) if x.n < 3 else UNDEF, dom=Nat())
@@ -345,6 +374,84 @@ class TestEval:
             self.run(CaseE(Lit(nat(1)), "a", Lit(UNIT), "b", Lit(UNIT)))
         with pytest.raises(TypeMismatch):
             apply_pval(nat(1), nat(2))
+
+
+class TestRecords:
+    """Types, terms and values are immutable records, compared by field."""
+
+    def test_repr_prints_the_fields(self):
+        assert repr(Bool()) == "Bool()"
+        assert repr(Named("x")) == "Named(name='x', args=())"
+        assert repr(Sum(Unit(), Nat())) == "Sum(left=Unit(), right=Nat())"
+        assert repr(EqE(Var("x"), Lit(UNIT))) == (
+            "EqE(lhs=Var(name='x'), rhs=Lit(value=UnitV()), strong=False, depth=4)"
+        )
+        assert repr(PairV(nat(1), TRUE)) == "PairV(fst=NatV(n=1), snd=InlV(value=UnitV()))"
+        assert repr(UNDEF) == "Undef()"
+        assert repr(finmap({UNIT: nat(2)})) == "FinMapV(entries=((UnitV(), NatV(n=2)),))"
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            (Sum(Unit(), Nat()), Prod(Unit(), Nat())),
+            (Total(Unit(), Nat()), Partial(Unit(), Nat())),
+            (InlE(Var("x")), InrE(Var("x"))),
+            (InlV(UNIT), InrV(UNIT)),
+            (Unit(), Nat()),
+            (UNIT, UNDEF),
+        ],
+    )
+    def test_same_fields_of_two_classes_stay_unequal(self, one, other):
+        assert one != other and not one == other
+        assert len({one, other}) == 2
+        twin = copy.deepcopy(one)
+        assert twin is not one and twin == one and hash(twin) == hash(one)
+
+    def test_equal_fields_are_equal_and_hash_equal(self):
+        built = [Named("L", (Nat(),)), Named("L", (Nat(),))]
+        assert built[0] == built[1] and hash(built[0]) == hash(built[1])
+        assert Named("L", (Nat(),)) != Named("L", (Bool(),))
+        assert {App(Var("f"), Lit(nat(1))): 1}[App(Var("f"), Lit(nat(1)))] == 1
+
+    def test_match_class_patterns(self):
+        match Named("L", (Nat(),)):
+            case Named(name, (arg,)):
+                assert (name, arg) == ("L", Nat())
+            case _:
+                pytest.fail("Named did not match")
+        match EqE(Var("a"), Var("b"), True):
+            case EqE(Var(l), Var(r), strong, depth):
+                assert (l, r, strong, depth) == ("a", "b", True, 4)
+            case _:
+                pytest.fail("EqE did not match")
+        match PairV(nat(2), InrV(UNIT)):
+            case PairV(NatV(n), InrV(UnitV())):
+                assert n == 2
+            case _:
+                pytest.fail("PairV did not match")
+
+    def test_keyword_construction_and_defaults(self):
+        assert Named(name="x") == Named("x", ()) == Named("x", args=())
+        e = EqE(lhs=Var("a"), rhs=Var("b"))
+        assert (e.strong, e.depth) == (False, 4)
+        assert EqE(Var("a"), Var("b"), depth=2, strong=True) == EqE(Var("a"), Var("b"), True, 2)
+        assert PairE(snd=Var("b"), fst=Var("a")) == PairE(Var("a"), Var("b"))
+        with pytest.raises(TypeError):
+            Sum(Unit())
+        with pytest.raises(TypeError):
+            Unit(1)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(Sum(Unit(), Nat()), "left"), (Var("x"), "name"), (nat(1), "n"), (InlV(UNIT), "value")],
+    )
+    def test_assigning_a_field_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, Unit())
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 class TestTypes:

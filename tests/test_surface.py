@@ -518,6 +518,17 @@ class TestQualifiedSchemes:
         with pytest.raises(AmbiguousName, match="with 2 cotypes installed: write A.unfold or B.unfold"):
             self.run(env, r"unfold (\z. (true, \u. z)) 0")
 
+    def test_shared_constructor_name_must_be_qualified(self):
+        # like an unqualified scheme, the bare name fails naming both forms
+        env = elaborate(parse("free type A ::= a | s(A)\nfree type B ::= a | t(B)"))
+        for expr in ("s a", "a", "t (s a)"):
+            with pytest.raises(AmbiguousName, match="write A.a or B.a"):
+                self.run(env, expr)
+        a_tree = self.run(env, "A.s A.a")
+        assert self.run(env, "s A.a") == a_tree
+        assert self.run(env, r"A.case 0 (\x. 1) (A.s A.a)") == nat(1)
+        assert self.run(env, "t B.a") == self.run(env, "B.t B.a")
+
     def test_single_cotype_keeps_unqualified_unfold(self):
         env = elaborate(parse(PROC_SRC))
         coalg = r"(\z. inl (true, \u. z))"
