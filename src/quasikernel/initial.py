@@ -217,11 +217,14 @@ class InitialAlgebra:
     def construct(self, i: int, param: PVal, children: Sequence[PVal]) -> PVal:
         """A root above the subtrees, whose tables are shared as they are.
 
-        The slot label is defined for any parameter, as inl is not strict here.
+        Strict in the parameter, as ``functors.poly_value`` is: an undefined
+        parameter gives ``UNDEF``, not a tree with an improper slot label.
         """
         a_i, k = self.nf.summands[i]
         if len(children) != k:
             raise TagOutOfRange(f"constructor {i} expects {k} subtrees")
+        if not param.defined():
+            return UNDEF
         labels = [(0, trie(self.leaf_label(i, param)))]
         depths = [(0, _SLOT_DEPTH)]
         height = 0
@@ -249,21 +252,19 @@ class InitialAlgebra:
         """Read off constructor index, parameter, and immediate subtrees.
 
         The result is kept on the (interned) label table, with the handle
-        and, when there are subtrees, the depth table and anchor they were
-        read with: destructing the same tree again, as each further fold of
-        it does, returns the same values.  A leaf's result depends on
-        neither, so every tree holding that leaf shares it.
+        and, when there are subtrees, the interned (depth table, anchor) pair
+        it was read with: destructing the same tree again, as each further
+        fold of it does, returns the same values.  A leaf's result depends
+        on neither, so every tree holding that leaf shares it.
         """
-        lt, dt, anchor = tree_parts(t)
+        lt, _, _ = tree_parts(t)
         kept = getattr(lt, "_destructed", None)
-        if kept is not None and kept[0] is self:
-            read_with, out = kept[1], kept[2]
-            if read_with is None or (read_with[0] is dt and read_with[1] is anchor):
-                return out
+        if kept is not None and kept[0] is self and (kept[1] is None or kept[1] is t.snd):
+            return kept[2]
         i, w = self._decode_root(lt)
         k = self.nf.summands[i][1]
         out = (i, w, [self.sel(j, t) for j in range(1, k + 1)])
-        object.__setattr__(lt, "_destructed", (self, (dt, anchor) if k else None, out))
+        object.__setattr__(lt, "_destructed", (self, t.snd if k else None, out))
         return out
 
     def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:

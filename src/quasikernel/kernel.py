@@ -3,17 +3,22 @@
 Values are immutable and undefinedness is a first-class result (the
 ``UNDEF`` singleton), never nontermination; running out of evaluation
 budget raises ``FuelExhausted`` instead, so the two can never be
-confused.  Function values come in two flavours: procedural partial
-maps (``PFunV``) and finite tables (``FinMapV``); a table on tree paths
-is an interned trie (``PathTrie``).  Equality on finite tables is exact;
-equality on procedural maps is bounded-extensional over a canonical
-sample set and is therefore an approximation.
+confused.  Pairs, injections and tables on tree paths (``PathTrie``)
+are hash-consed: equal ones are one object, so they compare by identity
+and hash in constant time however deep they are.  Function values come
+in two flavours: procedural partial maps (``PFunV``) and finite tables
+(``FinMapV``).  Equality on finite tables is exact; equality on
+procedural maps is bounded-extensional over a canonical sample set and
+is therefore an approximation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from contextvars import ContextVar
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -81,8 +86,26 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        # an explicit stack of text and of records and tuples to expand, as
+        # in show_pval, so a deep value prints without recursion
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            cls = type(item)
+            if cls is str:
+                out.append(item)
+                continue
+            names = [""] * len(item) if cls is tuple else [f"{f}=" for f in cls.__match_args__]
+            parts = item if cls is tuple else [getattr(item, f) for f in cls.__match_args__]
+            out.append("(" if cls is tuple else f"{cls.__qualname__}(")
+            stack.append(",)" if cls is tuple and len(item) == 1 else ")")
+            for i in reversed(range(len(parts))):
+                part = parts[i]  # pushed as its text unless it prints by this method
+                if type(part) is not tuple and type(part).__repr__ is not Record.__repr__:
+                    part = repr(part)
+                stack += (part, names[i] if i == 0 else ", " + names[i])
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -221,11 +244,11 @@ def ty_card(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> int:
 class PVal(Record):
     """A partial value; ``UNDEF`` is the only undefined one.
 
-    The value classes write out ``__init__`` and ``__eq__`` by hand and
-    share one hash, ``_value_hash``, so that building and comparing values
-    costs no more than generated methods would.  Pairs and injections
-    compare by a loop down the right spine (``_spine_eq``), so a list or a
-    path key of any length compares without running out of stack.
+    Pairs and injections are interned (``_Interned``): building one returns
+    the live value with the same class and parts if there is one, so equal
+    ones are one object, and ``==`` is identity.  The other value classes
+    write out ``__init__`` and ``__eq__`` by hand and share one hash,
+    ``_value_hash``.
     """
 
     __slots__ = ()
@@ -235,66 +258,35 @@ class PVal(Record):
 
 
 def _value_hash(v: PVal) -> int:
-    """The hash of every value: its ``_sort_key`` order tag with its payload.
+    """The hash of a value that is not interned: its ``_sort_key`` order tag
+    with its payload.
 
     The tag keeps payload-equal values of different constructors apart
-    (``inl x``/``inr x``, ``TRUE``/``FALSE``, ``UNIT``/``UNDEF``), and
-    being a plain integer it hashes the same in every process.  Values are
-    immutable, so the constructors whose payload is a value cache the hash:
-    trees are hashed on every table lookup.  Procedural maps hash by
-    identity, as they compare.
+    (``UNIT``/``UNDEF``, ``inl x``/``inr x``), and being a plain integer it
+    hashes the same in every process.  A flat table caches its hash on
+    first use; procedural maps hash by identity, as they compare.  An
+    interned value is hashed the same way once, by ``_intern``, from its
+    tag and its parts' hashes: no call recurses.
     """
     cls = type(v)  # dispatch by class test: a class pattern costs several times more
     if cls is NatV:
         return hash((2, v.n))
-    h = getattr(v, "_hash", None)
-    if h is None:
-        if cls is PairV:
-            h = hash((5, v.fst, v.snd))
-        elif cls is InrV:
-            h = hash((4, v.value))
-        elif cls is InlV:
-            h = hash((3, v.value))
-        elif cls is FinMapV:
-            h = hash((6, v.entries))
-        elif cls is PFunV:
-            return hash((7, id(v.fn)))
-        elif cls is UnitV:
-            return hash((1,))
-        elif cls is Undef:
-            return hash((0,))
-        else:
-            raise TypeMismatch(f"unknown value {v!r}")
-        set_field(v, "_hash", h)
-    return h
+    if cls is UnitV:
+        return hash((1,))
+    if cls is FinMapV:
+        if v._hash is None:
+            set_field(v, "_hash", hash((6, v.entries)))
+        return v._hash
+    if cls is Undef:
+        return hash((0,))
+    if cls is PFunV:
+        return hash((7, id(v.fn)))
+    raise TypeMismatch(f"unknown value {v!r}")
 
 
 def _same_class(a: PVal, b) -> bool:
     """``==`` of two fieldless values."""
     return True if b.__class__ is a.__class__ else NotImplemented
-
-
-def _spine_eq(a: PVal, b) -> bool:
-    """``==`` of pairs and injections, by a loop down the right spine.
-
-    Each pair compares its first components by ``==`` and goes on with the
-    second; each injection goes on with its payload.
-    """
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    while a is not b:
-        cls = a.__class__
-        if b.__class__ is not cls:
-            return False
-        if cls is PairV:
-            if a.fst is not b.fst and not a.fst == b.fst:
-                return False
-            a, b = a.snd, b.snd
-        elif cls is InlV or cls is InrV:
-            a, b = a.value, b.value
-        else:
-            return a == b
-    return True
 
 
 class Undef(PVal):
@@ -324,38 +316,79 @@ class NatV(PVal):
         return NotImplemented
 
 
-class PairV(PVal):
-    __slots__ = ("fst", "snd", "_hash")
-    __match_args__ = ("fst", "snd")
-    __eq__ = _spine_eq
-    __hash__ = _value_hash
+# ---------------------------------------------------------------------------
+# Hash-consing (Goto, "Monocopy and associative algorithms in an extended
+# Lisp", 1974; Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 
-    def __init__(self, fst: PVal, snd: PVal):
-        set_field(self, "fst", fst)
-        set_field(self, "snd", snd)
-        set_field(self, "_hash", None)
-
-
-class InlV(PVal):
-    __slots__ = ("value", "_hash")
-    __match_args__ = ("value",)
-    __eq__ = _spine_eq
-    __hash__ = _value_hash
-
-    def __init__(self, value: PVal):
-        set_field(self, "value", value)
-        set_field(self, "_hash", None)
+# Every live interned node by its key, (tag, *parts), through a weak
+# reference that carries the key.  Its callback, _Ref.drop, removes the
+# entry of a dead node in one step and only while it holds a dead
+# reference, so that a node entered again under the key stays.
+_interned: dict[tuple, "_Ref"] = {}
+_intern_lock = threading.Lock()
 
 
-class InrV(PVal):
-    __slots__ = ("value", "_hash")
-    __match_args__ = ("value",)
-    __eq__ = _spine_eq
-    __hash__ = _value_hash
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
-    def __init__(self, value: PVal):
-        set_field(self, "value", value)
-        set_field(self, "_hash", None)
+    def drop(self) -> None:
+        _remove_dead_weakref(_interned, self.key)
+
+
+def _intern(cls: type, key: tuple):
+    """The live ``cls`` node with the parts ``key[1:]``, in the fields named
+    by ``cls._parts`` (one or two), hashed as ``key``.  A hit is one dict
+    probe and one weak-reference call; a miss enters its node under a lock
+    unless an equal one got there first, so equal nodes are one object."""
+    ref = _interned.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    set_field(node, cls._parts[0], key[1])
+    if len(key) == 3:
+        set_field(node, cls._parts[1], key[2])
+    set_field(node, "_hash", hash(key))
+    ref = _Ref(node, _Ref.drop)
+    ref.key = key
+    with _intern_lock:
+        live = _interned.setdefault(key, ref)()  # node, or one entered since the probe
+        if live is None:  # the entry of a dead node
+            _interned[key] = ref
+            live = node
+    return live
+
+
+class _Interned(PVal):
+    """A hash-consed value: made only by ``_intern``, so equal is identical."""
+
+    __slots__ = ("_hash", "__weakref__")
+    __eq__ = object.__eq__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class PairV(_Interned):
+    __slots__ = __match_args__ = _parts = ("fst", "snd")
+
+    def __new__(cls, fst: PVal, snd: PVal):
+        return _intern(cls, (5, fst, snd))
+
+
+class InlV(_Interned):
+    __slots__ = __match_args__ = _parts = ("value",)
+
+    def __new__(cls, value: PVal):
+        return _intern(cls, (3, value))
+
+
+class InrV(_Interned):
+    __slots__ = __match_args__ = _parts = ("value",)
+
+    def __new__(cls, value: PVal):
+        return _intern(cls, (4, value))
 
 
 class PFunV(PVal):
@@ -457,9 +490,9 @@ class PathTrie(FinMapV):
     A node holds ``root``, the value at the empty path (``UNDEF`` when
     there is none), and ``children``, the non-empty subtables under each
     first step as ``(j, trie)`` pairs with j ascending.  Nodes are made by
-    ``trie``, which interns them, so equal tables are usually one object
-    and a constructor shares its children's tables as they are.  The hash
-    is fixed at construction from the root and the children's hashes.
+    ``trie``, which interns them as pairs and injections are interned, so
+    equal tables are one object, compared by identity, and a constructor
+    shares its children's tables as they are.
 
     It is a ``FinMapV``: ``entries`` is derived on first use, in the
     canonical key order (the root first, then each child j's block by j
@@ -468,15 +501,15 @@ class PathTrie(FinMapV):
     the destructed root of a tree on its label trie, in ``__dict__``.
     """
 
-    __slots__ = ("root", "children", "_flat", "__dict__", "__weakref__")  # _hash is FinMapV's
+    __slots__ = ("root", "children", "__dict__", "__weakref__")  # _hash is FinMapV's
+    _parts = ("root", "children")
+    __eq__ = object.__eq__
+    __hash__ = _Interned.__hash__
 
-    @property
+    @functools.cached_property
     def entries(self) -> tuple[tuple[PVal, PVal], ...]:
-        if self._flat is None:
-            keys = {(): TRUE}
-            flat = tuple((_path_key(p, keys), v) for p, v in self.paths())
-            set_field(self, "_flat", flat)
-        return self._flat
+        keys = {(): TRUE}
+        return tuple((_path_key(p, keys), v) for p, v in self.paths())
 
     def paths(self) -> list[tuple[tuple[int, ...], PVal]]:
         """(integer path, value) pairs in canonical order, by a pre-order walk."""
@@ -506,29 +539,6 @@ class PathTrie(FinMapV):
             node = node.child(j)
         return node.root
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not PathTrie:
-            return NotImplemented
-        # equal tables are one node unless two were interned concurrently:
-        # compare structurally, by a loop
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash or a.root != b.root or len(a.children) != len(b.children):
-                return False
-            for (j, ca), (k, cb) in zip(a.children, b.children):
-                if j != k:
-                    return False
-                stack.append((ca, cb))
-        return True
-
     def __repr__(self) -> str:
         return f"FinMapV(entries={self.entries!r})"
 
@@ -536,36 +546,12 @@ class PathTrie(FinMapV):
         return trie, (self.root, self.children)
 
 
-# Interned nodes by (root, children), each held through a weak reference
-# whose callback drops the entry once the node is gone.  A lost race only
-# leaves two equal nodes, which compare by structure.
-_interned: dict[tuple, weakref.ref] = {}
-
-
-def _forget(key: tuple) -> Callable[[weakref.ref], None]:
-    def forget(ref: weakref.ref) -> None:
-        if _interned.get(key) is ref:
-            _interned.pop(key, None)
-
-    return forget
-
-
 def trie(root: PVal, children: tuple[tuple[int, PathTrie], ...] = ()) -> PathTrie:
     """The interned node with this root (``UNDEF``: none) and these children.
 
     ``children`` must be non-empty tries under ascending steps.
     """
-    key = (root, children)
-    ref = _interned.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = object.__new__(PathTrie)
-        set_field(node, "root", root)
-        set_field(node, "children", children)
-        set_field(node, "_hash", hash((6, root, children)))
-        set_field(node, "_flat", None)
-        _interned[key] = weakref.ref(node, _forget(key))
-    return node
+    return _intern(PathTrie, (6, root, children))
 
 
 EMPTY_TRIE = trie(UNDEF)
@@ -619,8 +605,7 @@ def _path_key(path: tuple[int, ...], keys: dict) -> PVal:
     return key
 
 
-def nat(n: int) -> NatV:
-    return NatV(n)
+nat = NatV
 
 
 def pair(a: PVal, b: PVal) -> PVal:
@@ -695,8 +680,7 @@ def decode_path(v: PVal) -> tuple[PVal, ...]:
     return tuple(out)
 
 
-def pfun(fn: Callable[[PVal], PVal], dom: Optional[Ty] = None) -> PFunV:
-    return PFunV(fn, dom)
+pfun = PFunV
 
 
 def from_bool(b: bool) -> PVal:
@@ -775,9 +759,7 @@ def product_choices(options, n):
 
 def restrict(v: PVal, cond: PVal) -> PVal:
     """Restriction: defined and equal to ``v`` iff ``v`` defined and ``cond`` true."""
-    if cond == TRUE:
-        return v
-    return UNDEF
+    return v if cond is TRUE else UNDEF
 
 
 def _canonical_args(dom: Optional[Ty], depth: int) -> list[PVal]:
@@ -807,9 +789,7 @@ def eq_existential(a: PVal, b: PVal, depth: int = 4) -> PVal:
                 is_true(eq_existential(x, u, depth))
                 and is_true(eq_existential(y, v, depth))
             )
-        case (InlV(x), InlV(y)):
-            return eq_existential(x, y, depth)
-        case (InrV(x), InrV(y)):
+        case (InlV(x), InlV(y)) | (InrV(x), InrV(y)):
             return eq_existential(x, y, depth)
         case (InlV(_), InrV(_)) | (InrV(_), InlV(_)):
             return FALSE

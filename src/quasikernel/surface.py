@@ -1029,16 +1029,21 @@ def elaborate(decls: Sequence[Decl | LetDef], fuel_steps: int = 100000) -> ElabE
 def base_builtins() -> dict[str, PVal]:
     from .functors import bot
 
-    def nat_op(f):
-        return pfun(lambda a: pfun(lambda b, _a=a: kernel.nat(f(_a.n, b.n))))
+    def nat_of(name: str, v: PVal) -> int:
+        if type(v) is not kernel.NatV:
+            raise TypeMismatch(f"{name} expects a natural, got {kernel.show_pval(v)}")
+        return v.n
+
+    def nat_op(name, f):
+        return pfun(lambda a: pfun(lambda b, m=nat_of(name, a): kernel.nat(f(m, nat_of(name, b)))))
 
     return {
         "true": kernel.TRUE,
         "false": kernel.FALSE,
-        "suc": pfun(lambda v: kernel.nat(v.n + 1)),
-        "pred": pfun(lambda v: kernel.nat(max(v.n - 1, 0))),
-        "plus": nat_op(lambda a, b: a + b),
-        "times": nat_op(lambda a, b: a * b),
+        "suc": pfun(lambda v: kernel.nat(nat_of("suc", v) + 1)),
+        "pred": pfun(lambda v: kernel.nat(max(nat_of("pred", v) - 1, 0))),
+        "plus": nat_op("plus", lambda a, b: a + b),
+        "times": nat_op("times", lambda a, b: a * b),
         "inl": pfun(kernel.inl),
         "inr": pfun(kernel.inr),
         "fst": pfun(lambda v: v.fst if isinstance(v, PairV) else UNDEF),

@@ -218,6 +218,24 @@ class TestEval:
             {"name": "eval", "status": "fail", "detail": "cannot apply non-function 3"}
         ]
 
+    @pytest.mark.parametrize(
+        "expr, detail",
+        [
+            ("suc true", "suc expects a natural, got true"),
+            ("pred (1, 2)", "pred expects a natural, got (1, 2)"),
+            (
+                "plus nil 1",
+                "plus expects a natural, got "
+                "({true -> inl false, inr (0, true) -> inl true}, ({true -> 1, inr (0, true) -> 0}, ()))",
+            ),
+            ("times 2 false", "times expects a natural, got false"),
+        ],
+    )
+    def test_nat_builtins_reject_non_naturals(self, list_file, expr, detail):
+        report, code = run(["eval", list_file, "-e", expr])
+        assert code == 1
+        assert report["checks"] == [{"name": "eval", "status": "fail", "detail": detail}]
+
     def test_schemes_are_qualified_with_two_free_types(self):
         expr = r"fold 1 1 (\a. \b. plus a b) (glue circle square)"
         mixed = str(CORPUS / "mixed.qk")
@@ -272,6 +290,29 @@ class TestEval:
         assert code == 0
         detail = report["checks"][0]["detail"]
         assert detail.startswith("({true -> inr false, inr (0, true) -> inr inl 0, ")
+
+
+class TestUnreadableSource:
+    """A file command whose file cannot be read fails as ``<command>.read``."""
+
+    @pytest.mark.parametrize("command", ["elaborate", "eval", "check"])
+    def test_missing_file(self, tmp_path, command):
+        path = str(tmp_path / "missing.qk")
+        report, code = run([command, path] + (["-e", "0"] if command == "eval" else []))
+        assert code == 1
+        (entry,) = report["checks"]
+        assert entry["name"] == f"{command}.read" and entry["status"] == "fail"
+        assert entry["detail"] == f"cannot read {path}: No such file or directory"
+
+    @pytest.mark.parametrize("command", ["elaborate", "eval", "check"])
+    def test_file_that_is_not_utf8(self, tmp_path, command):
+        p = tmp_path / "latin1.qk"
+        p.write_bytes("let caf\u00e9 = 0\n".encode("latin-1"))
+        report, code = run([command, str(p)] + (["-e", "0"] if command == "eval" else []))
+        assert code == 1
+        (entry,) = report["checks"]
+        assert entry["name"] == f"{command}.read" and entry["status"] == "fail"
+        assert entry["detail"].startswith(f"cannot read {p}: 'utf-8' codec can't decode")
 
 
 class TestCheck:

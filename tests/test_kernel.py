@@ -2,6 +2,7 @@ import copy
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -256,7 +257,8 @@ class TestEquality:
         assert eq_strong(a, changed) == FALSE
 
     def test_deep_values_compare_without_recursion(self):
-        # pairs and injections compare by a loop down the right spine
+        # pairs and injections are interned: equal values built apart are one
+        # object, and compare and hash without walking them
         def spine(n, last):
             v = last
             for i in range(n):
@@ -265,8 +267,8 @@ class TestEquality:
 
         n = 100_000
         a, b = spine(n, nat(0)), spine(n, nat(0))
-        assert a is not b
-        assert a == b and not a != b
+        assert a is b
+        assert a == b and not a != b and hash(a) == hash(b)
         assert a != spine(n, nat(1))
         assert a != spine(n, InlV(nat(0)))
         assert fold_pairs(n, UNIT) == fold_pairs(n, UNIT) != fold_pairs(n, TRUE)
@@ -390,6 +392,16 @@ class TestRecords:
         assert repr(UNDEF) == "Undef()"
         assert repr(finmap({UNIT: nat(2)})) == "FinMapV(entries=((UnitV(), NatV(n=2)),))"
 
+    def test_deep_value_prints_its_repr_without_recursion(self):
+        v = nat(0)
+        for i in range(5000):
+            v = InrV(PairV(NatV(i), v))
+        text = repr(v)
+        assert text.startswith(
+            "InrV(value=PairV(fst=NatV(n=4999), snd=InrV(value=PairV(fst=NatV(n=4998), snd="
+        )
+        assert text.endswith("(fst=NatV(n=0), snd=NatV(n=0))" + "))" * 4999 + ")")
+
     @pytest.mark.parametrize(
         "one, other",
         [
@@ -405,7 +417,9 @@ class TestRecords:
         assert one != other and not one == other
         assert len({one, other}) == 2
         twin = copy.deepcopy(one)
-        assert twin is not one and twin == one and hash(twin) == hash(one)
+        assert twin == one and hash(twin) == hash(one)
+        # an injection is interned, so its copy is the value itself
+        assert (twin is one) == isinstance(one, (InlV, InrV))
 
     def test_equal_fields_are_equal_and_hash_equal(self):
         built = [Named("L", (Nat(),)), Named("L", (Nat(),))]
@@ -596,9 +610,45 @@ class TestHashing:
             return PairV(InlV(inner), PairV(finmap({inner: PairV(UNIT, nat(3))}), UNDEF))
 
         a, b = build(), build()
-        assert a is not b and a == b
-        assert hash(a) == hash(b)
-        assert hash(b) == hash(b)  # the cached value is the computed one
+        assert a is b  # interned
+        assert hash(a) == hash(b) == hash((5, a.fst, a.snd))  # fixed from the parts
+
+    def test_concurrent_interning_keeps_one_object(self):
+        # threads build the same values at once while those of earlier rounds
+        # die, so interning races with the callbacks that drop dead entries:
+        # equal values alive together must still be one object
+        n_threads, rounds = 4, 40
+        barrier = threading.Barrier(n_threads, timeout=60)
+        built = [None] * n_threads
+        mismatches, errors = [], []
+
+        def work(k):
+            try:
+                for r in range(rounds):
+                    v = nat(r % 3)
+                    for i in range(300):
+                        v = InrV(PairV(NatV(i % 5), v)) if i % 2 else InlV(PairV(v, UNIT))
+                    built[k] = v
+                    barrier.wait()
+                    if any(b is not v for b in built):
+                        mismatches.append((r, k))
+                    barrier.wait()
+                    built[k] = v = None
+                    barrier.wait()
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not mismatches and not any(t.is_alive() for t in threads)
 
     def test_tagged_trees_hash_apart(self):
         from quasikernel.surface import elaborate, parse
@@ -704,19 +754,10 @@ class TestPathTries:
     def test_undefined_values_are_dropped(self):
         assert trie_of_paths([((1,), UNDEF)]) is EMPTY_TRIE
 
-    def test_equal_tries_interned_apart_compare_by_structure(self, monkeypatch):
-        from quasikernel import kernel
-
-        a = chain(3000)
-        # a fresh intern table stands for a lost race between two threads
-        monkeypatch.setattr(kernel, "_interned", {})
-        b = chain(3000)
-        assert a is not b
-        assert a == b and b == a and hash(a) == hash(b)
-        assert a != chain(2999)
-        assert len(b.entries) == 6002 and b.lookup(b.entries[-1][0]) == TRUE
-
     def test_deep_trie_entries_are_keyed_and_ordered(self):
         keys = [k for k, _ in chain(3).entries]
         paths = [(), (0,), (1,), (1, 0), (1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 1, 0)]
         assert keys == [encode_path(tuple(map(nat, p))) for p in paths]
+        a = chain(3000)
+        assert a is chain(3000) and a != chain(2999)
+        assert len(a.entries) == 6002 and a.lookup(a.entries[-1][0]) == TRUE
