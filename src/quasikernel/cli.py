@@ -79,24 +79,13 @@ def _config(args):
     )
 
 
-class _Unreadable(Exception):
-    """A file command's source cannot be read: ``run`` reports a ``<command>.read`` fail."""
-
-
-def _read_source(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise _Unreadable(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
-
-
 def cmd_elaborate(args) -> list[CheckResult]:
     """One check per declaration, each declared as ``check`` and ``eval`` do;
     a failed declaration is left out and the rest are still declared."""
     from .surface import ElabEnv, LetDef, parse
 
-    source = _read_source(args.file)
+    with open(args.file, encoding="utf-8") as fh:
+        source = fh.read()
     try:
         decls = parse(source)
     except QuasiError as e:
@@ -115,7 +104,8 @@ def cmd_elaborate(args) -> list[CheckResult]:
 def cmd_eval(args) -> list[CheckResult]:
     from .surface import elaborate, parse, parse_expr
 
-    source = _read_source(args.file)
+    with open(args.file, encoding="utf-8") as fh:
+        source = fh.read()
     try:
         env = elaborate(parse(source), fuel_steps=args.fuel)
         term = parse_expr(args.expr, [*env.freetypes, *env.cotypes])
@@ -129,7 +119,8 @@ def cmd_check(args) -> list[CheckResult]:
     from .checks import suite_cpo, suite_final, suite_initial
     from .surface import elaborate, parse
 
-    source = _read_source(args.file)
+    with open(args.file, encoding="utf-8") as fh:
+        source = fh.read()
     cfg = _config(args)
     try:
         env = elaborate(parse(source), fuel_steps=args.fuel)
@@ -162,11 +153,7 @@ def run(argv=None) -> tuple[dict, int]:
         "check": cmd_check,
         "lab": cmd_lab,
     }[args.command]
-    try:
-        results = handler(args)
-    except _Unreadable as e:
-        results = [CheckResult(f"{args.command}.read", "fail", str(e))]
-    checks = sorted(results, key=lambda c: c.name)
+    checks = sorted(handler(args), key=lambda c: c.name)
     elapsed = int((time.monotonic() - started) * 1000)
     report = {
         "command": args.command,

@@ -217,8 +217,8 @@ class InitialAlgebra:
     def construct(self, i: int, param: PVal, children: Sequence[PVal]) -> PVal:
         """A root above the subtrees, whose tables are shared as they are.
 
-        Strict in the parameter, as ``functors.poly_value`` is: an undefined
-        parameter gives ``UNDEF``, not a tree with an improper slot label.
+        Strict, as ``functors.poly_value`` is: an undefined parameter or
+        subtree gives ``UNDEF``, not a tree with an improper slot label.
         """
         a_i, k = self.nf.summands[i]
         if len(children) != k:
@@ -229,6 +229,8 @@ class InitialAlgebra:
         depths = [(0, _SLOT_DEPTH)]
         height = 0
         for j, t in enumerate(children, start=1):
+            if t is UNDEF:
+                return UNDEF
             lt, dt, _ = tree_parts(t)
             if not isinstance(dt.root, NatV):
                 raise InvariantViolation("subtree lacks a root depth")

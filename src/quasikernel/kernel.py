@@ -605,7 +605,8 @@ def _path_key(path: tuple[int, ...], keys: dict) -> PVal:
     return key
 
 
-nat = NatV
+def nat(n: int) -> NatV:
+    return NatV(n)
 
 
 def pair(a: PVal, b: PVal) -> PVal:
@@ -680,7 +681,8 @@ def decode_path(v: PVal) -> tuple[PVal, ...]:
     return tuple(out)
 
 
-pfun = PFunV
+def pfun(fn: Callable[[PVal], PVal], dom: Optional[Ty] = None) -> PFunV:
+    return PFunV(fn, dom)
 
 
 def from_bool(b: bool) -> PVal:
@@ -759,7 +761,9 @@ def product_choices(options, n):
 
 def restrict(v: PVal, cond: PVal) -> PVal:
     """Restriction: defined and equal to ``v`` iff ``v`` defined and ``cond`` true."""
-    return v if cond is TRUE else UNDEF
+    if cond == TRUE:
+        return v
+    return UNDEF
 
 
 def _canonical_args(dom: Optional[Ty], depth: int) -> list[PVal]:
@@ -789,7 +793,9 @@ def eq_existential(a: PVal, b: PVal, depth: int = 4) -> PVal:
                 is_true(eq_existential(x, u, depth))
                 and is_true(eq_existential(y, v, depth))
             )
-        case (InlV(x), InlV(y)) | (InrV(x), InrV(y)):
+        case (InlV(x), InlV(y)):
+            return eq_existential(x, y, depth)
+        case (InrV(x), InrV(y)):
             return eq_existential(x, y, depth)
         case (InlV(_), InrV(_)) | (InrV(_), InlV(_)):
             return FALSE

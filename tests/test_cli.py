@@ -292,29 +292,6 @@ class TestEval:
         assert detail.startswith("({true -> inr false, inr (0, true) -> inr inl 0, ")
 
 
-class TestUnreadableSource:
-    """A file command whose file cannot be read fails as ``<command>.read``."""
-
-    @pytest.mark.parametrize("command", ["elaborate", "eval", "check"])
-    def test_missing_file(self, tmp_path, command):
-        path = str(tmp_path / "missing.qk")
-        report, code = run([command, path] + (["-e", "0"] if command == "eval" else []))
-        assert code == 1
-        (entry,) = report["checks"]
-        assert entry["name"] == f"{command}.read" and entry["status"] == "fail"
-        assert entry["detail"] == f"cannot read {path}: No such file or directory"
-
-    @pytest.mark.parametrize("command", ["elaborate", "eval", "check"])
-    def test_file_that_is_not_utf8(self, tmp_path, command):
-        p = tmp_path / "latin1.qk"
-        p.write_bytes("let caf\u00e9 = 0\n".encode("latin-1"))
-        report, code = run([command, str(p)] + (["-e", "0"] if command == "eval" else []))
-        assert code == 1
-        (entry,) = report["checks"]
-        assert entry["name"] == f"{command}.read" and entry["status"] == "fail"
-        assert entry["detail"].startswith(f"cannot read {p}: 'utf-8' codec can't decode")
-
-
 class TestCheck:
     def test_all_suites_pass(self, both_file):
         report, code = run(["check", both_file])

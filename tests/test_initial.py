@@ -565,6 +565,14 @@ class TestParamMap:
             h, []
         )
 
+    def test_partial_map_is_undefined_wherever_it_fails(self):
+        # construct is strict in its subtrees too, so an element deep in the
+        # list that f is undefined on gives UNDEF, as one at the root does
+        h = self.handle()
+        for vals in ([nat(1), nat(2)], [nat(2), nat(1)], [nat(3), nat(4), nat(2)]):
+            t = tree_list(h, vals)
+            assert param_map(h, h, lambda v: UNDEF if v.n == 2 else v, t) is UNDEF
+
 
 def reference_is_in_T(h, t):
     """Membership by two recursive walks: every level, rebuilt from its own
