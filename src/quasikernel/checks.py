@@ -220,15 +220,18 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
         return [CheckResult(f"{prefix}.enumerable", "skip", str(e))]
     out = []
     seeds = list(range(4))
-    failures = []
-    for z in seeds:
-        failures.extend(handle.membership_failures(handle.unfold(d, z), cfg.obs_depth))
+    trees = [handle.unfold(d, z) for z in seeds]
+    failures, members = [], []
+    for t in trees:
+        found = handle.membership_failures(t, cfg.obs_depth)
+        failures.extend(found)
+        members.append(not found)
     out.append(check(f"{prefix}.membership", not failures, "; ".join(failures[:1])))
 
     eq_ok = True
-    for z in seeds:
+    for z, t in zip(seeds, trees):
         i, x, g = d(z)
-        li, lx, lfn = ext_unvalue(handle.nf, handle.structure_map(handle.unfold(d, z)))
+        li, lx, lfn = ext_unvalue(handle.nf, handle.structure_map(t))
         if li != i or lx != x:
             eq_ok = False
             continue
@@ -250,12 +253,13 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
         i, x, _g = d(seed)
         return inject(i, handle.n, x)
 
+    # a member is undefined off the summand offered at each node, and so is
+    # the reference, so below a member the walk follows the offered labels
     uniq_ok = True
-    for z in seeds[:2]:
-        u = handle.unfold(d, z)
-        for p in handle.paths_up_to(cfg.obs_depth):
-            if handle.observe(u, p) != reference(z, p):
-                uniq_ok = False
+    for z, u, member in zip(seeds[:2], trees, members):
+        walk = handle.walk(u, cfg.obs_depth, handle.offered if member else None)
+        if any(v != reference(z, p) for p, v in walk):
+            uniq_ok = False
     out.append(check(f"{prefix}.bounded-uniqueness", uniq_ok))
     return out
 

@@ -341,12 +341,11 @@ class DomainFinal:
         return i == j and self.param_cpos[i].le(xa, xb)
 
     def tree_le(self, t1: PVal, t2: PVal, depth: int = 4) -> bool:
-        for p in self.handle.paths_up_to(depth):
-            o1 = self.handle.observe(t1, p)
-            o2 = self.handle.observe(t2, p)
-            if o1.defined() and not (o2.defined() and self.label_le(o1, o2)):
-                return False
-        return True
+        walk = self.handle.walk
+        return all(
+            not o1.defined() or (o2.defined() and self.label_le(o1, o2))
+            for (_, o1), (_, o2) in zip(walk(t1, depth), walk(t2, depth))
+        )
 
     def chain_sup(self, trees: Sequence[PVal], depth: int = 4) -> PVal:
         """Pointwise supremum on observed paths: the last defined label."""

@@ -6,7 +6,9 @@ unfold) the generating coalgebra and seed as a witness.  Elements are
 genuinely infinite, so equality is bounded observational equivalence at
 a configurable depth; exponent types must be finitely enumerable for
 observation to be effective (an implementation bound, not a semantic
-one).
+one).  An unfolded tree keeps a trie of the coalgebra steps it has
+reached, so a step runs once; the bounded checks read trees through one
+breadth-first ``walk``.
 """
 
 from __future__ import annotations
@@ -54,25 +56,55 @@ class NonDisjointFibers(QuasiError):
 BPath = tuple[PVal, ...]
 
 
-def _as_ptree(value_at: Callable[[BPath], PVal], witness=None) -> PVal:
-    """A process tree observing ``value_at`` once per path.
+def _as_ptree(observe: Callable[[BPath], PVal], **fields) -> PVal:
+    """A process tree observed through ``observe``, with ``fields`` kept as
+    ``_name`` attributes.
 
     ``FinalCoalgebra.observe`` calls the tuple-path observer kept on the
     tree; applying the tree to an ``encode_path`` value decodes it first.
     """
-    memo: dict[BPath, PVal] = {}
-
-    def observe(path: BPath) -> PVal:
-        v = memo.get(path)
-        if v is None:
-            v = memo[path] = value_at(path)
-        return v
-
     tree = pfun(lambda path_pval: observe(decode_path(path_pval)))
-    object.__setattr__(tree, "_observe", observe)
-    if witness is not None:
-        object.__setattr__(tree, "_witness", witness)
+    for name, value in {"observe": observe, **fields}.items():
+        object.__setattr__(tree, "_" + name, value)
     return tree
+
+
+class _Node:
+    """A node of an unfolded tree's trie: the observation at its path, the
+    map from a label to the seed below it (``_OFF`` off the offered ones),
+    the coalgebra step, and the children made so far, by label.  A child
+    costs one step, and a step that raises leaves no child behind."""
+
+    __slots__ = ("value", "succ", "step", "kids")
+
+    def __init__(self, value: PVal, succ: Callable, step: Callable):
+        self.value, self.succ, self.step, self.kids = value, succ, step, {}
+
+    def child(self, label: PVal) -> "_Node":
+        if self is _OFF:
+            return _OFF
+        kid = self.kids.get(label)
+        if kid is None:
+            seed = self.succ(label)
+            kid = self.kids[label] = _OFF if seed is _OFF else _Node(*self.step(seed), self.step)
+        return kid
+
+
+_OFF = _Node(UNDEF, None, None)  # the node at every undefined path
+
+
+def _unfolded(step: Callable, z, witness) -> PVal:
+    """The tree whose trie grows from seed ``z`` by ``step``; its root step
+    runs on first observation."""
+    top = _Node(UNDEF, lambda _root: z, step)  # above the root, under label None
+
+    def at(path: BPath) -> PVal:
+        node = top.child(None)
+        for label in path:
+            node = node.child(label)
+        return node.value
+
+    return _as_ptree(at, trie=top, witness=witness)
 
 
 def ptree_witness(tree: PVal):
@@ -106,12 +138,11 @@ class FinalCoalgebra:
             self.exponent_values = [enumerate_ty(b) for _, b in nf.summands]
         except NonEnumerableType as e:
             raise NonEnumerableExponent(str(e))
-        # labels of B = sum of the exponent types
-        self.b_labels = [
-            inject(i, self.n, y)
-            for i, ys in enumerate(self.exponent_values)
-            for y in ys
+        # labels of B = sum of the exponent types, by summand
+        self.summand_labels = [
+            [inject(i, self.n, y) for y in ys] for i, ys in enumerate(self.exponent_values)
         ]
+        self.b_labels = [b for bs in self.summand_labels for b in bs]
 
     # ---- observation ------------------------------------------------------
 
@@ -129,11 +160,37 @@ class FinalCoalgebra:
             out.extend(frontier)
         return out
 
+    def walk(self, tree: PVal, depth: int, labels: Optional[Callable] = None):
+        """``(path, observation)`` up to ``depth`` in ``paths_up_to`` order,
+        below each node through ``labels(observation)`` (default: all of B).
+        An unfolded tree expands each child from its parent's trie node, so
+        no path is hashed; any other tree is observed per path."""
+        top = getattr(tree, "_trie", None)
+        level = [((), top, None)]  # path, parent node, last label
+        for k in range(depth + 1):
+            below = []
+            for path, parent, label in level:
+                if top is None:
+                    node = value = self.observe(tree, path)
+                else:
+                    node = parent.child(label)
+                    value = node.value
+                yield path, value
+                if k < depth:
+                    for b in self.b_labels if labels is None else labels(value):
+                        below.append((path + (b,), node, b))
+            level = below
+
+    def offered(self, value: PVal) -> list[PVal]:
+        """The labels a member defines below a node observed as ``value``:
+        those of the summand offered there, none where it is undefined."""
+        return self.summand_labels[project(value, self.n)[0]] if value.defined() else []
+
     def tree_eq(self, t1: PVal, t2: PVal, depth: int = 4) -> bool:
         """Bounded observational equivalence on all paths up to the depth."""
         return all(
-            is_true(eq_strong(self.observe(t1, p), self.observe(t2, p), depth))
-            for p in self.paths_up_to(depth)
+            is_true(eq_strong(v1, v2, depth))
+            for (_, v1), (_, v2) in zip(self.walk(t1, depth), self.walk(t2, depth))
         )
 
     # ---- the coalgebra structure -------------------------------------------
@@ -156,42 +213,45 @@ class FinalCoalgebra:
         paths whose label disagrees with the summand offered at that point
         are undefined.
         """
+        n = self.n
 
-        def value_at(path: BPath) -> PVal:
-            seed = z
-            for label in path:
-                i, _, g = d(seed)
-                j, y = project(label, self.n)
-                if j != i:
-                    return UNDEF
-                seed = g(y)
-            i, x, _ = d(seed)
-            return inject(i, self.n, x)
+        def step(seed):
+            i, x, g = d(seed)
 
-        return _as_ptree(value_at, witness=(d, z))
+            def succ(label: PVal):
+                j, y = project(label, n)
+                return g(y) if j == i else _OFF
+
+            return inject(i, n, x), succ
+
+        return _unfolded(step, z, (d, z))
 
     # ---- carrier membership -------------------------------------------------
 
     def membership_failures(self, tree: PVal, depth: int = 4) -> list[str]:
-        """Check the two defining conditions on all paths up to the depth."""
+        """Check the two defining conditions on all paths up to the depth:
+        the root is defined, and a longer path exactly where its last label
+        is offered at the path above it."""
         failures = []
-        if not self.observe(tree, ()).defined():
-            failures.append("root observation undefined")
-        for p in self.paths_up_to(depth - 1):
-            at_p = self.observe(tree, p)
-            tag = None
-            if at_p.defined():
-                tag, _ = project(at_p, self.n)
-            for i in range(self.n):
-                for y in self.exponent_values[i]:
-                    ext = self.observe(tree, p + (inject(i, self.n, y),))
-                    should = tag == i
-                    if ext.defined() != should:
-                        failures.append(
-                            f"path {p!r} extended by summand {i}: "
-                            f"defined={ext.defined()} expected={should}"
-                        )
+        offered = []  # the labels offered at each path above the last level
+        # the walk is breadth-first over all of B, so its path c > 0 extends
+        # its path (c - 1) // |B|
+        for c, (path, ext) in enumerate(self.walk(tree, depth)):
+            if len(path) < depth:
+                offered.append(self.offered(ext))
+            if c == 0:
+                if not ext.defined():
+                    failures.append("root observation undefined")
+            elif ext.defined() != (path[-1] in offered[(c - 1) // len(self.b_labels)]):
+                failures.append(self._misplaced(path, ext))
         return failures
+
+    def _misplaced(self, path: BPath, ext: PVal) -> str:
+        i = project(path[-1], self.n)[0]
+        return (
+            f"path {path[:-1]!r} extended by summand {i}: "
+            f"defined={ext.defined()} expected={not ext.defined()}"
+        )
 
     # ---- cotype partial case -------------------------------------------------
 
@@ -271,6 +331,8 @@ class MType:
 
     observe = FinalCoalgebra.observe
     paths_up_to = FinalCoalgebra.paths_up_to
+    walk = FinalCoalgebra.walk
+    membership_failures = FinalCoalgebra.membership_failures
 
     def structure_map(self, tree: PVal) -> tuple[PVal, Callable[[PVal], PVal]]:
         """c f = (f nil, fun b . fun p . f (cons b p))."""
@@ -279,30 +341,17 @@ class MType:
     def unfold(self, d: Callable, z) -> PVal:
         """d maps a seed to (index, successor map defined exactly on its fiber)."""
 
-        def value_at(path: BPath) -> PVal:
-            seed = z
-            for b in path:
-                a, g = d(seed)
-                if self.sig.q(b) != a:
-                    return UNDEF
-                seed = g(b)
-            a, _ = d(seed)
-            return a
+        def step(seed):
+            a, g = d(seed)
+            return a, lambda b: g(b) if self.sig.q(b) == a else _OFF
 
-        return _as_ptree(value_at, witness=(d, z))
+        return _unfolded(step, z, (d, z))
 
-    def membership_failures(self, tree: PVal, depth: int = 4) -> list[str]:
-        failures = []
-        if not self.observe(tree, ()).defined():
-            failures.append("root observation undefined")
-        for p in self.paths_up_to(depth - 1):
-            at_p = self.observe(tree, p)
-            for b in self.b_labels:
-                ext = self.observe(tree, p + (b,))
-                should = at_p.defined() and self.sig.q(b) == at_p
-                if ext.defined() != should:
-                    failures.append(f"path {p!r} + {b!r}")
-        return failures
+    def offered(self, a: PVal) -> list[PVal]:
+        return [b for b in self.b_labels if a.defined() and self.sig.q(b) == a]
+
+    def _misplaced(self, path: BPath, ext: PVal) -> str:
+        return f"path {path[:-1]!r} + {path[-1]!r}"
 
 
 # ---------------------------------------------------------------------------

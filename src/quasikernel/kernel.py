@@ -411,26 +411,45 @@ class PFunV(PVal):
         return self is other
 
 
-def _sort_key(v: PVal):
-    # deterministic total order on values, used to canonicalize tables
-    match v:
-        case Undef():
-            return (0,)
-        case UnitV():
-            return (1,)
-        case NatV(n):
-            return (2, n)
-        case InlV(x):
-            return (3, _sort_key(x))
-        case InrV(x):
-            return (4, _sort_key(x))
-        case PairV(a, b):
-            return (5, _sort_key(a), _sort_key(b))
-        case FinMapV(entries):
-            return (6, tuple((_sort_key(k), _sort_key(x)) for k, x in entries))
-        case PFunV():
-            return (7, id(v))
-    raise TypeMismatch(f"unknown value {v!r}")
+def _sort_key(v: PVal) -> tuple:
+    """A deterministic total order on values, used to canonicalize tables:
+    the tags and payloads in pre-order, listed by a loop.  A tag fixes the
+    parts after it and -1, below every tag, ends a table, so flat keys
+    order as nested ``(tag, *parts)`` keys would."""
+    if type(v) is NatV:
+        return (2, v.n)
+    if type(v) is UnitV:
+        return (1,)
+    out, todo = [], [v]
+    while todo:
+        match todo.pop():
+            case None:
+                out.append(-1)
+            case Undef():
+                out.append(0)
+            case UnitV():
+                out.append(1)
+            case NatV(n):
+                out += (2, n)
+            case InlV(x):
+                out.append(3)
+                todo.append(x)
+            case InrV(x):
+                out.append(4)
+                todo.append(x)
+            case PairV(a, b):
+                out.append(5)
+                todo += (b, a)
+            case FinMapV(entries):
+                out.append(6)
+                todo.append(None)
+                for k, x in reversed(entries):
+                    todo += (x, k)
+            case PFunV() as f:
+                out += (7, id(f))
+            case w:
+                raise TypeMismatch(f"unknown value {w!r}")
+    return tuple(out)
 
 
 class FinMapV(PVal):
@@ -780,28 +799,33 @@ def _is_funlike(v: PVal) -> bool:
 
 
 def eq_existential(a: PVal, b: PVal, depth: int = 4) -> PVal:
-    """Existential equality: both sides defined and (observably) equal."""
-    if not a.defined() or not b.defined():
-        return FALSE
-    match (a, b):
-        case (UnitV(), UnitV()):
-            return TRUE
-        case (NatV(n), NatV(m)):
-            return from_bool(n == m)
-        case (PairV(x, y), PairV(u, v)):
-            return from_bool(
-                is_true(eq_existential(x, u, depth))
-                and is_true(eq_existential(y, v, depth))
-            )
-        case (InlV(x), InlV(y)):
-            return eq_existential(x, y, depth)
-        case (InrV(x), InrV(y)):
-            return eq_existential(x, y, depth)
-        case (InlV(_), InrV(_)) | (InrV(_), InlV(_)):
+    """Existential equality: both sides defined and (observably) equal.
+    Pairs and injections are compared by a loop, left parts first."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if not a.defined() or not b.defined():
             return FALSE
-    if _is_funlike(a) and _is_funlike(b):
-        return _eq_funlike(a, b, depth)
-    raise IncomparableTypes(f"cannot compare {type(a).__name__} with {type(b).__name__}")
+        match (a, b):
+            case (UnitV(), UnitV()):
+                pass
+            case (NatV(n), NatV(m)):
+                if n != m:
+                    return FALSE
+            case (PairV(x, y), PairV(u, v)):
+                todo += ((y, v), (x, u))
+            case (InlV(x), InlV(y)) | (InrV(x), InrV(y)):
+                todo.append((x, y))
+            case (InlV(_), InrV(_)) | (InrV(_), InlV(_)):
+                return FALSE
+            case _ if _is_funlike(a) and _is_funlike(b):
+                if not is_true(_eq_funlike(a, b, depth)):
+                    return FALSE
+            case _:
+                raise IncomparableTypes(
+                    f"cannot compare {type(a).__name__} with {type(b).__name__}"
+                )
+    return TRUE
 
 
 def _eq_funlike(a: PVal, b: PVal, depth: int) -> PVal:

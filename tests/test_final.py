@@ -1,6 +1,9 @@
-import pytest
+from pathlib import Path
 
-from quasikernel import lab
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasikernel import checks, lab
 from quasikernel.final import (
     DomainMismatch,
     FinalCoalgebra,
@@ -8,12 +11,13 @@ from quasikernel.final import (
     MType,
     NonDisjointFibers,
     NonEnumerableExponent,
+    _as_ptree,
     ambient_ext_values,
     ambient_general_poly_values,
     ambient_iso,
     ptree_witness,
 )
-from quasikernel.functors import ExtPolyNF, ext_unvalue, inject
+from quasikernel.functors import ExtPolyNF, ext_unvalue, inject, project
 from quasikernel.initial import make_tree, tree_label_at, tree_parts, tree_tables
 from quasikernel.kernel import (
     FALSE,
@@ -23,16 +27,20 @@ from quasikernel.kernel import (
     Bool,
     Nat,
     PairV,
+    QuasiError,
     Sum,
     Unit,
     Zero,
     apply_pval,
     decode_path,
     encode_path,
+    enumerate_ty,
     eq_strong,
     is_true,
     nat,
+    pfun,
 )
+from quasikernel.surface import elaborate, parse
 
 STREAM_NF = ExtPolyNF(((Nat(), Unit()),))
 PROC_NF = ExtPolyNF(((Bool(), Unit()), (Unit(), Sum(Unit(), Unit()))))
@@ -196,9 +204,6 @@ class TestUnfoldLaws:
         # back-extension definedness (the snoc-side membership reading) is
         # consistent with front-peeling into subtrees (the cons-side
         # recursion used by unfold)
-        from quasikernel.final import _as_ptree
-        from quasikernel.functors import project
-
         h, _d, t = make()
         for p in h.paths_up_to(2):
             at_p = h.observe(t, p)
@@ -211,6 +216,201 @@ class TestUnfoldLaws:
                     assert is_true(
                         eq_strong(via_snoc, h.observe(sub, p[1:] + (b,)), 3)
                     )
+
+
+def _coalgebra_table(draw, h: FinalCoalgebra, states: int):
+    """A coalgebra on the seeds ``range(states)``, drawn as a table."""
+    rows = []
+    for _ in range(states):
+        i = draw(st.integers(0, h.n - 1))
+        x = draw(st.sampled_from(enumerate_ty(h.nf.summands[i][0], 2)))
+        rows.append((i, x, [draw(st.integers(0, states - 1)) for _ in h.exponent_values[i]]))
+
+    def d(z):
+        i, x, succ = rows[z]
+        return i, x, lambda y: succ[h.exponent_values[i].index(y)]
+
+    return d
+
+
+@st.composite
+def finite_coalgebras(draw):
+    """A random signature (summands, exponent sizes), a coalgebra on a few
+    seeds, a seed, and a second coalgebra over the same signature."""
+    params = st.sampled_from([Unit(), Bool(), Nat()])
+    exponents = st.sampled_from([Zero(), Unit(), Bool(), Sum(Unit(), Bool())])
+    h = FinalCoalgebra(ExtPolyNF(tuple(
+        (draw(params), draw(exponents)) for _ in range(draw(st.integers(1, 3)))
+    )))
+    states = draw(st.integers(1, 5))
+    d = _coalgebra_table(draw, h, states)
+    other = d if draw(st.booleans()) else _coalgebra_table(draw, h, states)
+    return h, d, draw(st.integers(0, states - 1)), other
+
+
+def proc_info():
+    source = (Path(__file__).parent.parent / "corpus" / "processes.qk").read_text()
+    return elaborate(parse(source)).cotypes["Proc"]
+
+
+def statuses(results):
+    return {r.name.rsplit(".", 1)[1]: r.status for r in results}
+
+
+def trie_nodes(tree) -> int:
+    """The nodes an unfolded tree's trie has expanded, each one step."""
+    from quasikernel.final import _OFF
+
+    count, todo = 0, list(tree._trie.kids.values())
+    while todo:
+        node = todo.pop()
+        if node is not _OFF:
+            count += 1
+            todo.extend(node.kids.values())
+    return count
+
+
+class TestLevelWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(finite_coalgebras(), st.integers(0, 4))
+    def test_walk_equals_per_path_observation(self, coalgebra, depth):
+        h, d, z, _other = coalgebra
+        expected = [(p, reference_unfold_at(h, d, z, p)) for p in h.paths_up_to(depth)]
+        fresh = h.unfold(d, z)
+        assert [(p, h.observe(fresh, p)) for p in h.paths_up_to(depth)] == expected
+        assert list(h.walk(h.unfold(d, z), depth)) == expected
+        # a tree with no trie is observed per path
+        view = _as_ptree(lambda p: reference_unfold_at(h, d, z, p))
+        assert list(h.walk(view, depth)) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(finite_coalgebras(), st.integers(0, 4))
+    def test_pruned_uniqueness_agrees_with_the_full_walk(self, coalgebra, depth):
+        h, d, z, other = coalgebra
+        u = h.unfold(d, z)
+        assert h.membership_failures(u, depth) == []
+
+        def agrees(labels):
+            return all(
+                v == reference_unfold_at(h, other, z, p) for p, v in h.walk(u, depth, labels)
+            )
+
+        assert agrees(h.offered) == agrees(None)
+        if other is d:
+            assert agrees(h.offered)
+
+    def test_defined_below_an_undefined_path_fails_membership(self):
+        h, d, _t = proc_coalgebra()
+        off = inject(1, 2, inject(0, 2, UNIT))  # seed 0 offers summand 0
+        below = inject(0, 2, UNIT)
+
+        def value_at(path):
+            if path == (off, below):
+                return inject(0, 2, TRUE)
+            return reference_unfold_at(h, d, 0, path)
+
+        broken = pfun(lambda path_pval: value_at(decode_path(path_pval)))
+        assert h.membership_failures(broken, depth=2) == [
+            f"path {(off,)!r} extended by summand 0: defined=True expected=False"
+        ]
+
+    def test_a_raising_step_raises_on_each_observation(self):
+        h = FinalCoalgebra(STREAM_NF)
+
+        def d(n):
+            if n == 2:
+                raise QuasiError("no step from 2")
+            return 0, nat(n), lambda _y: n + 1
+
+        h.unfold(lambda _n: 1 // 0, 0)  # the root step waits for an observation
+        t = h.unfold(d, 0)
+        step = inject(0, 1, UNIT)
+        assert h.observe(t, (step,)) == nat(1)
+        for _ in range(2):
+            with pytest.raises(QuasiError, match="no step from 2"):
+                h.observe(t, (step, step))
+        with pytest.raises(QuasiError, match="no step from 2"):
+            list(h.walk(t, 3))
+        assert [v for _p, v in h.walk(t, 1)] == [nat(0), nat(1)]
+
+
+class TestSuiteFinal:
+    def spy_walks(self, monkeypatch, h):
+        """The ``labels`` argument of every walk the suite takes."""
+        seen, walk = [], h.walk
+        monkeypatch.setattr(h, "walk", lambda t, depth, labels=None: seen.append(labels) or walk(t, depth, labels))
+        return seen
+
+    def test_wrong_below_an_offered_label_fails_uniqueness(self, monkeypatch):
+        info = proc_info()
+        h, unfold = info.handle, info.handle.unfold
+
+        def tampered(d, z):
+            # right at the root, every Bool parameter below it negated
+            def step(state):
+                seed, below = state
+                i, x, g = d(seed)
+                if below and i == 0:
+                    x = FALSE if x == TRUE else TRUE
+                return i, x, lambda y: (g(y), True)
+
+            return unfold(step, (z, False))
+
+        monkeypatch.setattr(h, "unfold", tampered)
+        walks = self.spy_walks(monkeypatch, h)
+        got = statuses(checks.suite_final(info, checks.CheckConfig(4, 16, 0)))
+        assert got["membership"] == "pass"
+        assert got["bounded-uniqueness"] == "fail"
+        assert walks.count(h.offered) == 2
+
+    def test_defined_off_the_offered_summand_fails_both(self, monkeypatch):
+        info = proc_info()
+        h, unfold = info.handle, info.handle.unfold
+
+        def tampered(d, z):
+            t = unfold(d, z)
+            tag = project(h.observe(t, ()), h.n)[0]
+            off = h.summand_labels[1 - tag][0]
+            return _as_ptree(lambda p: inject(0, 2, TRUE) if p == (off,) else h.observe(t, p))
+
+        monkeypatch.setattr(h, "unfold", tampered)
+        walks = self.spy_walks(monkeypatch, h)
+        got = statuses(checks.suite_final(info, checks.CheckConfig(4, 16, 0)))
+        assert got["membership"] == "fail"
+        # the pruned walk would never ask the off-summand path
+        assert got["bounded-uniqueness"] == "fail"
+        assert h.offered not in walks
+
+    def test_each_trie_node_steps_the_coalgebra_once(self, monkeypatch):
+        info = proc_info()
+        h, unfold = info.handle, info.handle.unfold
+        calls = {"all": 0, "trie": 0}
+        canonical = checks._canonical_coalgebra
+
+        def counted(key, d):
+            def step(z):
+                calls[key] += 1
+                return d(z)
+
+            return step
+
+        trees = []
+
+        def recorded(d, z):
+            trees.append(unfold(counted("trie", d), z))
+            return trees[-1]
+
+        monkeypatch.setattr(checks, "_canonical_coalgebra", lambda *a: counted("all", canonical(*a)))
+        monkeypatch.setattr(h, "unfold", recorded)
+        depth = 7
+        got = statuses(checks.suite_final(info, checks.CheckConfig(depth, 16, 0)))
+        assert set(got.values()) == {"pass"}
+        nodes = sum(trie_nodes(t) for t in trees)
+        assert calls["trie"] == nodes
+        # the reference runs the coalgebra from the seed at each path of the
+        # two pruned walks, which visit the trie nodes of the first two trees
+        visited = trie_nodes(trees[0]) + trie_nodes(trees[1])
+        assert calls["all"] <= nodes + (depth + 1) * visited + 5
 
 
 class TestCotypeCase:

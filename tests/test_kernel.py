@@ -273,6 +273,19 @@ class TestEquality:
         assert a != spine(n, InlV(nat(0)))
         assert fold_pairs(n, UNIT) == fold_pairs(n, UNIT) != fold_pairs(n, TRUE)
 
+    def test_deep_key_orders_and_compares_without_recursion(self):
+        # _sort_key and eq_existential loop, as hashing and == do
+        deep = nat(0)
+        for _ in range(5000):
+            deep = InlV(deep)
+        table = finmap({deep: TRUE, nat(3): FALSE, InrV(UNIT): UNIT})
+        assert table.keys() == [nat(3), deep, InrV(UNIT)]
+        assert apply_pval(table, deep) == TRUE
+        assert eq_existential(deep, deep) == TRUE
+        with pytest.raises(IncomparableTypes):  # the innermost 0 meets an inl
+            eq_existential(deep, InlV(deep))
+        assert eq_existential(InlV(deep), InlV(InrV(UNIT))) == FALSE
+
     def test_finmap_vs_pfun(self):
         table = finmap({nat(0): nat(1), nat(1): nat(2), nat(2): nat(3)})
         proc = pfun(lambda x: nat(x.n + 1) if x.n < 3 else UNDEF, dom=Nat())
