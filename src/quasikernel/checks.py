@@ -221,11 +221,8 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
     out = []
     seeds = list(range(4))
     trees = [handle.unfold(d, z) for z in seeds]
-    failures, members = [], []
-    for t in trees:
-        found = handle.membership_failures(t, cfg.obs_depth)
-        failures.extend(found)
-        members.append(not found)
+    found = [handle.membership_failures(t, cfg.obs_depth) for t in trees]
+    failures = [f for fs in found for f in fs]
     out.append(check(f"{prefix}.membership", not failures, "; ".join(failures[:1])))
 
     eq_ok = True
@@ -256,8 +253,8 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
     # a member is undefined off the summand offered at each node, and so is
     # the reference, so below a member the walk follows the offered labels
     uniq_ok = True
-    for z, u, member in zip(seeds[:2], trees, members):
-        walk = handle.walk(u, cfg.obs_depth, handle.offered if member else None)
+    for z, u, failed in zip(seeds[:2], trees, found):
+        walk = handle.walk(u, cfg.obs_depth, None if failed else handle.offered)
         if any(v != reference(z, p) for p, v in walk):
             uniq_ok = False
     out.append(check(f"{prefix}.bounded-uniqueness", uniq_ok))

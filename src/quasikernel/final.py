@@ -121,9 +121,7 @@ def subtree(handle, tree: PVal, label: PVal) -> PVal:
     if owner is not handle:
         root, prefix = tree, ()
     prefix += (label,)
-    out = _as_ptree(lambda p: handle.observe(root, prefix + p))
-    object.__setattr__(out, "_under", (handle, root, prefix))
-    return out
+    return _as_ptree(lambda p: handle.observe(root, prefix + p), under=(handle, root, prefix))
 
 
 class FinalCoalgebra:
