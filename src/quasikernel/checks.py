@@ -80,26 +80,42 @@ def sample_algebras(
 # Fold equation and uniqueness
 
 
+def product_algebra(n: int, algebras: Sequence) -> list:
+    """Summand i maps ``(w, rows)`` to the tuple of ``algebras[k][i]`` on
+    column k of the rows, so a fold into it is the tuple of the folds into
+    the algebras, made in one walk of the tree ("banana split")."""
+
+    def summand(fs):
+        empty = [()] * len(fs)
+        return lambda w, rows: tuple([f(w, c) for f, c in zip(fs, zip(*rows) if rows else empty)])
+
+    return [summand([a[i] for a in algebras]) for i in range(n)]
+
+
 def fold_equation_failures(
-    handle: InitialAlgebra, algebra, trees: Sequence[PVal]
+    handle: InitialAlgebra, algebras: Sequence, trees: Sequence[PVal]
 ) -> list[str]:
-    """Instances of the fold equation whose two sides differ.
+    """Instances of the fold equation whose two sides differ: every one of
+    algebra 0, then of algebra 1, and so on.
 
     The algebras' carriers are first-order values, which compare exactly
     by ``==``; a side of another shape is a failure like any other.  Trees
     are processed shallowest first so each side of the equation is
-    computed by the real fold exactly once per tree.
+    computed by the real fold, into the product of the algebras, exactly
+    once per tree.
     """
-    failures = []
+    product = product_algebra(handle.n, algebras)
+    failures: list[list[str]] = [[] for _ in algebras]
     results: dict = {}
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
-        lhs = handle.fold(algebra, t)
+        lhs = handle.fold(product, t)
         results[_shape_key(t)] = lhs
-        rhs = algebra[i](w, [results[_shape_key(c)] for c in children])
-        if lhs != rhs:
-            failures.append(f"summand {i}: {lhs!r} != {rhs!r}")
-    return failures
+        rhs = product[i](w, [results[_shape_key(c)] for c in children])
+        for found, l, r in zip(failures, lhs, rhs):
+            if l != r:
+                found.append(f"summand {i}: {l!r} != {r!r}")
+    return [f for found in failures for f in found]
 
 
 def _shape_key(t: PVal):
@@ -109,11 +125,12 @@ def _shape_key(t: PVal):
 
 def fold_uniqueness_solutions(
     handle: InitialAlgebra,
-    algebra,
+    algebras: Sequence,
     trees: Sequence[PVal],
     carrier: Sequence[PVal],
-) -> int:
-    """Count all functions on the tree set satisfying the fold equation.
+) -> list[int]:
+    """Count, for each algebra, all functions on the tree set satisfying
+    its fold equation.
 
     Trees are identified by their path maps (anchors are derived data on
     carrier members), processed in depth order so each equation instance
@@ -121,22 +138,29 @@ def fold_uniqueness_solutions(
     forced up to equality, so the count is the product over trees of how
     many carrier values equal the required one.  Exactly one solution means
     the fold is unique on the bounded set; the search also insists that
-    any solution found agrees with the implemented fold.
+    any solution found agrees with the implemented fold, into the product
+    of the algebras that still have solutions.
     """
+    totals = [1] * len(algebras)
+    live = list(range(len(algebras)))
     assignment: dict = {}
-    total = 1
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
-        required = algebra[i](w, [assignment[_shape_key(c)] for c in children])
-        matches = [b for b in carrier if b == required]
-        if not matches:
-            return 0
-        fold_value = handle.fold(algebra, t)
-        if any(b != fold_value for b in matches):
-            raise AssertionError("a fold-equation solution disagrees with fold itself")
-        assignment[_shape_key(t)] = matches[0]
-        total *= len(matches)
-    return total
+        rows = [assignment[_shape_key(c)] for c in children]
+        matches = {}
+        for k in live:
+            required = algebras[k][i](w, [row[k] for row in rows])
+            matches[k] = [b for b in carrier if b == required]
+            totals[k] *= len(matches[k])
+        live = [k for k in live if totals[k]]
+        if not live:
+            break
+        folded = handle.fold(product_algebra(handle.n, [algebras[k] for k in live]), t)
+        for k, fold_value in zip(live, folded):
+            if any(b != fold_value for b in matches[k]):
+                raise AssertionError("a fold-equation solution disagrees with fold itself")
+        assignment[_shape_key(t)] = {k: matches[k][0] for k in live}
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +187,13 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     out = []
     carrier = [nat(i) for i in range(3)]
     rng = random.Random(cfg.seed)
-    failures: list[str] = []
-    for algebra in sample_algebras(handle.nf, carrier, 20, rng):
-        failures.extend(fold_equation_failures(handle, algebra, trees))
+    algebras = list(sample_algebras(handle.nf, carrier, 20, rng))
+    failures = fold_equation_failures(handle, algebras, trees)
     out.append(check(f"{prefix}.fold-equation", not failures, "; ".join(failures[:1])))
 
-    solutions_ok = True
-    for algebra in sample_algebras(handle.nf, carrier, 3, rng):
-        if fold_uniqueness_solutions(handle, algebra, trees, carrier) != 1:
-            solutions_ok = False
-    out.append(check(f"{prefix}.fold-uniqueness", solutions_ok))
+    algebras = list(sample_algebras(handle.nf, carrier, 3, rng))
+    counts = fold_uniqueness_solutions(handle, algebras, trees, carrier)
+    out.append(check(f"{prefix}.fold-uniqueness", all(c == 1 for c in counts)))
 
     inv = handle.lambek_inverse()
     lambek_ok = all(handle.structure_map(inv(t)) == t for t in trees)

@@ -71,9 +71,10 @@ def _as_ptree(observe: Callable[[BPath], PVal], **fields) -> PVal:
 
 class _Node:
     """A node of an unfolded tree's trie: the observation at its path, the
-    map from a label to the seed below it (``_OFF`` off the offered ones),
-    the coalgebra step, and the children made so far, by label.  A child
-    costs one step, and a step that raises leaves no child behind."""
+    map from a label to the seed below it (or to a node made already:
+    ``_OFF`` off the offered ones), the coalgebra step, and the children
+    made so far, by label.  A child costs one step, and a step that raises
+    leaves no child behind."""
 
     __slots__ = ("value", "succ", "step", "kids")
 
@@ -86,17 +87,17 @@ class _Node:
         kid = self.kids.get(label)
         if kid is None:
             seed = self.succ(label)
-            kid = self.kids[label] = _OFF if seed is _OFF else _Node(*self.step(seed), self.step)
+            kid = seed if type(seed) is _Node else _Node(*self.step(seed), self.step)
+            self.kids[label] = kid
         return kid
 
 
 _OFF = _Node(UNDEF, None, None)  # the node at every undefined path
 
 
-def _unfolded(step: Callable, z, witness) -> PVal:
-    """The tree whose trie grows from seed ``z`` by ``step``; its root step
-    runs on first observation."""
-    top = _Node(UNDEF, lambda _root: z, step)  # above the root, under label None
+def _trie_tree(top: _Node, **fields) -> PVal:
+    """The tree whose root is ``top``'s child under label None; an unfolded
+    tree's root step runs on first observation."""
 
     def at(path: BPath) -> PVal:
         node = top.child(None)
@@ -104,7 +105,7 @@ def _unfolded(step: Callable, z, witness) -> PVal:
             node = node.child(label)
         return node.value
 
-    return _as_ptree(at, trie=top, witness=witness)
+    return _as_ptree(at, trie=top, **fields)
 
 
 def ptree_witness(tree: PVal):
@@ -114,9 +115,14 @@ def ptree_witness(tree: PVal):
 def subtree(handle, tree: PVal, label: PVal) -> PVal:
     """The subtree of ``tree`` under one more label, observed through ``handle``.
 
-    A subtree of a subtree observes the outermost tree under the whole
-    label prefix, so a nest of k subtrees costs O(k) per observation.
+    A view of a tree with a trie shares that trie from the node under the
+    label, so ``walk`` expands it from there.  Otherwise a subtree of a
+    subtree observes the outermost tree under the whole label prefix, so a
+    nest of k subtrees costs O(k) per observation.
     """
+    above = getattr(tree, "_trie", None)
+    if above is not None:
+        return _trie_tree(_Node(UNDEF, lambda _root: above.child(None).child(label), None))
     owner, root, prefix = getattr(tree, "_under", (None, tree, ()))
     if owner is not handle:
         root, prefix = tree, ()
@@ -222,7 +228,7 @@ class FinalCoalgebra:
 
             return inject(i, n, x), succ
 
-        return _unfolded(step, z, (d, z))
+        return _trie_tree(_Node(UNDEF, lambda _root: z, step), witness=(d, z))
 
     # ---- carrier membership -------------------------------------------------
 
@@ -343,7 +349,7 @@ class MType:
             a, g = d(seed)
             return a, lambda b: g(b) if self.sig.q(b) == a else _OFF
 
-        return _unfolded(step, z, (d, z))
+        return _trie_tree(_Node(UNDEF, lambda _root: z, step), witness=(d, z))
 
     def offered(self, a: PVal) -> list[PVal]:
         return [b for b in self.b_labels if a.defined() and self.sig.q(b) == a]

@@ -16,6 +16,7 @@ from quasikernel.final import (
     ambient_general_poly_values,
     ambient_iso,
     ptree_witness,
+    subtree,
 )
 from quasikernel.functors import ExtPolyNF, ext_unvalue, inject, project
 from quasikernel.initial import make_tree, tree_label_at, tree_parts, tree_tables
@@ -284,6 +285,26 @@ class TestLevelWalk:
         assert list(h.walk(view, depth)) == expected
 
     @settings(max_examples=80, deadline=None)
+    @given(finite_coalgebras(), st.integers(0, 3), st.data())
+    def test_a_view_walks_as_it_is_observed(self, coalgebra, depth, data):
+        h, d, z, _other = coalgebra
+        labels = st.lists(st.sampled_from(h.b_labels), max_size=3) if h.b_labels else st.just([])
+        prefix = tuple(data.draw(labels))
+        observed_first = data.draw(st.booleans())
+        views = []
+        for _ in range(2):  # one view per tree, so no walk shares a trie
+            view = h.unfold(d, z)
+            for label in prefix:
+                view = subtree(h, view, label)
+            views.append(view)
+        paths = h.paths_up_to(depth)
+        expected = [(p, reference_unfold_at(h, d, z, prefix + p)) for p in paths]
+        if observed_first:
+            views.reverse()
+        assert [(p, h.observe(views[0], p)) for p in paths] == expected
+        assert list(h.walk(views[1], depth)) == expected
+
+    @settings(max_examples=80, deadline=None)
     @given(finite_coalgebras(), st.integers(0, 4))
     def test_pruned_uniqueness_agrees_with_the_full_walk(self, coalgebra, depth):
         h, d, z, other = coalgebra
@@ -411,6 +432,33 @@ class TestSuiteFinal:
         # two pruned walks, which visit the trie nodes of the first two trees
         visited = trie_nodes(trees[0]) + trie_nodes(trees[1])
         assert calls["all"] <= nodes + (depth + 1) * visited + 5
+
+
+    def test_a_view_walks_its_roots_trie(self, monkeypatch):
+        # once the root's walk has run to depth + 1, a view one label down
+        # walks to depth through nodes that are there: no coalgebra step
+        # runs, and no path is observed from the root's top
+        info = proc_info()
+        h = info.handle
+        d = checks._canonical_coalgebra(info, checks.CheckConfig(4, 16, 0))
+        steps = []
+        u = h.unfold(lambda z: steps.append(z) or d(z), 0)
+        depth = 4
+        list(h.walk(u, depth + 1))
+        ran = len(steps)
+        i, _x, under = ext_unvalue(h.nf, h.structure_map(u))
+        paths = h.paths_up_to(depth)
+        for y in h.exponent_values[i]:
+            label = inject(i, h.n, y)
+            expected = [(p, h.observe(u, (label,) + p)) for p in paths]
+            view = apply_pval(under, y)
+            observed = []
+            monkeypatch.setattr(h, "observe", lambda t, p: observed.append(p))
+            walked = list(h.walk(view, depth))
+            monkeypatch.undo()
+            assert walked == expected
+            assert observed == []
+        assert len(steps) == ran
 
 
 class TestCotypeCase:

@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasikernel.checks import (
     enumerate_algebras,
@@ -337,38 +337,45 @@ class TestFold:
         h = nat_algebra() if nf is None else InitialAlgebra(nf)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
-        for algebra in enumerate_algebras(h.nf, carrier):
-            assert fold_equation_failures(h, algebra, trees) == []
+        algebras = list(enumerate_algebras(h.nf, carrier))
+        assert fold_equation_failures(h, algebras, trees) == []
 
     def test_fold_equation_sampled_mixed(self):
         h = InitialAlgebra(MIXED_NF)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
         rng = random.Random(0)
-        for algebra in sample_algebras(h.nf, carrier, 25, rng):
-            assert fold_equation_failures(h, algebra, trees) == []
+        algebras = list(sample_algebras(h.nf, carrier, 25, rng))
+        assert fold_equation_failures(h, algebras, trees) == []
 
     def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
         # the carrier is first-order, so a fold result of another shape is
-        # an unequal side like any other, not an incomparable pair
+        # an unequal side like any other, not an incomparable pair; only
+        # component k of the product fold is replaced, and the failure is
+        # algebra k's, whose fold is the constant nat(k)
         h = list_handle()
         trees = h.enumerate_trees(3)
         odd = max(trees, key=tree_depth)  # no tree of the set has it as a child
+        algebras = [[lambda w, rs, k=k: nat(k)] * h.n for k in range(3)]
+        k = 1
         real = h.fold
-        monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
-        algebra = next(enumerate_algebras(h.nf, [nat(i) for i in range(3)]))
-        failures = fold_equation_failures(h, algebra, trees)
+
+        def tampered(alg, t):
+            out = real(alg, t)
+            return out[:k] + (UNIT,) + out[k + 1:] if t == odd else out
+
+        monkeypatch.setattr(h, "fold", tampered)
+        failures = fold_equation_failures(h, algebras, trees)
         i = h.destruct(odd)[0]
-        assert len(failures) == 1
-        assert failures[0].startswith(f"summand {i}: UnitV()")
+        assert failures == [f"summand {i}: UnitV() != {nat(k)!r}"]
 
     def test_fold_uniqueness(self):
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
             trees = h.enumerate_trees(4)
             rng = random.Random(1)
-            for algebra in sample_algebras(h.nf, carrier, 10, rng):
-                assert fold_uniqueness_solutions(h, algebra, trees, carrier) == 1
+            algebras = list(sample_algebras(h.nf, carrier, 10, rng))
+            assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1] * 10
 
     def test_fold_uniqueness_on_many_trees(self):
         # more trees than the default recursion limit (1,000) allows frames
@@ -378,12 +385,141 @@ class TestFold:
         trees = h.enumerate_trees(4)
         assert len(trees) == 1446
         carrier = [nat(i) for i in range(3)]
-        for algebra in sample_algebras(h.nf, carrier, 3, random.Random(0)):
-            assert fold_uniqueness_solutions(h, algebra, trees, carrier) == 1
+        algebras = list(sample_algebras(h.nf, carrier, 3, random.Random(0)))
+        assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1, 1, 1]
         # a carrier listing the required value twice doubles the count per tree
         solo = [lambda w, rs: nat(0)] * h.n
-        assert fold_uniqueness_solutions(h, solo, trees[:3], [nat(0), nat(0)]) == 8
-        assert fold_uniqueness_solutions(h, solo, trees, [nat(1)]) == 0
+        assert fold_uniqueness_solutions(h, [solo], trees[:3], [nat(0), nat(0)]) == [8]
+        assert fold_uniqueness_solutions(h, [solo], trees, [nat(1)]) == [0]
+
+    def test_an_algebra_without_solutions_stops_being_folded(self, monkeypatch):
+        h = list_handle()
+        trees = h.enumerate_trees(4)
+        solo = [lambda w, rs: nat(0)] * h.n
+        folded = []
+        real = h.fold
+        monkeypatch.setattr(h, "fold", lambda alg, t: folded.append(t) or real(alg, t))
+        # the empty carrier has no value for any tree, so nothing is folded
+        assert fold_uniqueness_solutions(h, [solo, solo], trees, []) == [0, 0]
+        assert folded == []
+        assert fold_uniqueness_solutions(h, [solo], trees, [nat(0)]) == [1]
+        assert len(folded) == len(trees)
+
+
+def _equation_failures_one_by_one(handle, algebra, trees):
+    """The fold equation checked for one algebra, one fold per tree."""
+    failures = []
+    results = {}
+    for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
+        i, w, children = handle.destruct(t)
+        lhs = handle.fold(algebra, t)
+        results[tree_parts(t)[:2]] = lhs
+        rhs = algebra[i](w, [results[tree_parts(c)[:2]] for c in children])
+        if lhs != rhs:
+            failures.append(f"summand {i}: {lhs!r} != {rhs!r}")
+    return failures
+
+
+def _uniqueness_one_by_one(handle, algebra, trees, carrier):
+    """The fold-equation solutions counted for one algebra."""
+    assignment = {}
+    total = 1
+    for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
+        i, w, children = handle.destruct(t)
+        required = algebra[i](w, [assignment[tree_parts(c)[:2]] for c in children])
+        matches = [b for b in carrier if b == required]
+        if not matches:
+            return 0
+        fold_value = handle.fold(algebra, t)
+        assert all(b == fold_value for b in matches)
+        assignment[tree_parts(t)[:2]] = matches[0]
+        total *= len(matches)
+    return total
+
+
+class _Bumped(InitialAlgebra):
+    """A fold that is wrong on the trees in ``bad``: each result there, or
+    each component of a product's result, is moved to the next of 0, 1, 2."""
+
+    bad: frozenset = frozenset()
+
+    def fold(self, algebra, t):
+        out = super().fold(algebra, t)
+        if t not in self.bad:
+            return out
+        bump = lambda v: nat((v.n + 1) % 3)
+        return tuple(map(bump, out)) if type(out) is tuple else bump(out)
+
+
+_summand = st.tuples(st.sampled_from([Unit(), Bool()]), st.integers(1, 2))
+
+
+class TestProductFold:
+    """One fold into the product of the algebras gives what one fold into
+    each gives, in the same order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([Unit(), Bool()]),
+        st.lists(_summand, max_size=2),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+        st.integers(0, 4),
+        st.lists(st.integers(0, 2), max_size=4),
+    )
+    def test_agrees_with_one_fold_per_algebra(self, a0, rest, depth, rng, count, picks):
+        h = _Bumped(PolyNF(((a0, 0), *rest)))
+        enumerated = h.enumerate_trees(depth)
+        if len(enumerated) > 300:
+            enumerated = enumerated[:300]
+        # a random subtree-closed set, in a random order
+        todo = rng.sample(enumerated, min(len(enumerated), 8))
+        trees = []
+        while todo:
+            t = todo.pop()
+            if t not in trees:
+                trees.append(t)
+                todo.extend(h.destruct(t)[2])
+        rng.shuffle(trees)
+        h.bad = frozenset(t for t in trees if rng.random() < 0.3)
+        algebras = list(sample_algebras(h.nf, [nat(i) for i in range(3)], count, rng))
+
+        expected = [f for alg in algebras for f in _equation_failures_one_by_one(h, alg, trees)]
+        assert fold_equation_failures(h, algebras, trees) == expected
+
+        h.bad = frozenset()
+        carrier = [nat(i) for i in picks]  # repeats count twice, gaps give 0
+        expected = [_uniqueness_one_by_one(h, alg, trees, carrier) for alg in algebras]
+        assert fold_uniqueness_solutions(h, algebras, trees, carrier) == expected
+
+
+class TestFoldCount:
+    def test_check_folds_each_tree_at_most_three_times(self, monkeypatch):
+        # one product fold for the equation, at most one for uniqueness and
+        # one for Lambek's lemma; not one per sampled algebra.  The file's
+        # two ``let`` folds run while it is elaborated, before any tree is
+        # enumerated, and are not counted.
+        from quasikernel.cli import run
+
+        folds, trees = [], []
+        fold, enumerate_trees = InitialAlgebra.fold, InitialAlgebra.enumerate_trees
+
+        def counted(self, alg, t):
+            if trees:
+                folds.append(t)
+            return fold(self, alg, t)
+
+        monkeypatch.setattr(InitialAlgebra, "fold", counted)
+        monkeypatch.setattr(
+            InitialAlgebra,
+            "enumerate_trees",
+            lambda self, d: trees.extend(enumerate_trees(self, d)) or enumerate_trees(self, d),
+        )
+        corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "lists.qk")
+        report, code = run(["check", corpus, "--suite", "initial", "--obs-depth", "6"])
+        assert code == 0, report
+        assert trees
+        assert len(folds) <= 3 * len(trees)
 
 
 class TestLambek:
