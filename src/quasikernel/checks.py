@@ -99,10 +99,11 @@ def fold_equation_failures(
     algebra 0, then of algebra 1, and so on.
 
     The algebras' carriers are first-order values, which compare exactly
-    by ``==``; a side of another shape is a failure like any other.  Trees
-    are processed shallowest first so each side of the equation is
-    computed by the real fold, into the product of the algebras, exactly
-    once per tree.
+    by ``==``; a side of another shape is a failure like any other, and a
+    product fold that is not one value per algebra is that value for every
+    algebra.  Trees are processed shallowest first so each side of the
+    equation is computed by the real fold, into the product of the
+    algebras, exactly once per tree.
     """
     product = product_algebra(handle.n, algebras)
     failures: list[list[str]] = [[] for _ in algebras]
@@ -110,6 +111,8 @@ def fold_equation_failures(
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
         lhs = handle.fold(product, t)
+        if type(lhs) is not tuple or len(lhs) != len(algebras):
+            lhs = (lhs,) * len(algebras)
         results[_shape_key(t)] = lhs
         rhs = product[i](w, [results[_shape_key(c)] for c in children])
         for found, l, r in zip(failures, lhs, rhs):
@@ -141,25 +144,27 @@ def fold_uniqueness_solutions(
     any solution found agrees with the implemented fold, into the product
     of the algebras that still have solutions.
     """
-    totals = [1] * len(algebras)
     live = list(range(len(algebras)))
-    assignment: dict = {}
+    totals = [1] * len(algebras)
+    product = product_algebra(handle.n, algebras)
+    assignment: dict = {}  # tree -> the value forced for each live algebra
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
-        rows = [assignment[_shape_key(c)] for c in children]
-        matches = {}
-        for k in live:
-            required = algebras[k][i](w, [row[k] for row in rows])
-            matches[k] = [b for b in carrier if b == required]
-            totals[k] *= len(matches[k])
-        live = [k for k in live if totals[k]]
-        if not live:
-            break
-        folded = handle.fold(product_algebra(handle.n, [algebras[k] for k in live]), t)
-        for k, fold_value in zip(live, folded):
-            if any(b != fold_value for b in matches[k]):
-                raise AssertionError("a fold-equation solution disagrees with fold itself")
-        assignment[_shape_key(t)] = {k: matches[k][0] for k in live}
+        required = product[i](w, [assignment[_shape_key(c)] for c in children])
+        matches = [[b for b in carrier if b == r] for r in required]
+        for k, found in zip(live, matches):
+            totals[k] *= len(found)
+        if not all(matches):
+            kept = [j for j, found in enumerate(matches) if found]
+            if not kept:
+                break
+            live, matches = [live[j] for j in kept], [matches[j] for j in kept]
+            product = product_algebra(handle.n, [algebras[k] for k in live])
+            assignment = {s: tuple(v[j] for j in kept) for s, v in assignment.items()}
+        folded = handle.fold(product, t)
+        if any(b != v for found, v in zip(matches, folded) for b in found):
+            raise AssertionError("a fold-equation solution disagrees with fold itself")
+        assignment[_shape_key(t)] = tuple(found[0] for found in matches)
     return totals
 
 

@@ -453,19 +453,15 @@ def _sort_key(v: PVal) -> tuple:
 
 
 class FinMapV(PVal):
-    """Finite-table partial map; keys sorted canonically so equality is exact.
+    """Finite-table partial map; keys sorted canonically so equality is exact."""
 
-    A flat table reads its entries into a dict on its first ``lookup``.
-    """
-
-    __slots__ = ("entries", "_hash", "_index")
+    __slots__ = ("entries", "_hash")
     __match_args__ = ("entries",)
     __hash__ = _value_hash
 
     def __init__(self, entries: tuple[tuple[PVal, PVal], ...]):
         set_field(self, "entries", entries)
         set_field(self, "_hash", None)
-        set_field(self, "_index", None)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -488,9 +484,10 @@ class FinMapV(PVal):
         return FinMapV(tuple(kept))
 
     def lookup(self, key: PVal) -> PVal:
-        if self._index is None:
-            set_field(self, "_index", dict(self.entries))
-        return self._index.get(key, UNDEF)
+        for k, v in self.entries:
+            if k == key:
+                return v
+        return UNDEF
 
     def keys(self) -> list[PVal]:
         return [k for k, _ in self.entries]

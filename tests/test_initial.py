@@ -369,6 +369,12 @@ class TestFold:
         i = h.destruct(odd)[0]
         assert failures == [f"summand {i}: UnitV() != {nat(k)!r}"]
 
+        # a whole product fold of another shape fails once for every
+        # algebra, in algebra order, and raises no TypeError
+        monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
+        failures = fold_equation_failures(h, algebras, trees)
+        assert failures == [f"summand {i}: UnitV() != {nat(k)!r}" for k in range(3)]
+
     def test_fold_uniqueness(self):
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
