@@ -99,11 +99,10 @@ def fold_equation_failures(
     algebra 0, then of algebra 1, and so on.
 
     The algebras' carriers are first-order values, which compare exactly
-    by ``==``; a side of another shape is a failure like any other, and a
-    product fold that is not one value per algebra is that value for every
-    algebra.  Trees are processed shallowest first so each side of the
-    equation is computed by the real fold, into the product of the
-    algebras, exactly once per tree.
+    by ``==``; a side of another shape is a failure like any other (for
+    every algebra, if it is the whole product fold).  Trees are processed
+    shallowest first so each side is computed by the real fold, into the
+    product of the algebras, exactly once per tree.
     """
     product = product_algebra(handle.n, algebras)
     failures: list[list[str]] = [[] for _ in algebras]

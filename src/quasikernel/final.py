@@ -87,8 +87,7 @@ class _Node:
         kid = self.kids.get(label)
         if kid is None:
             seed = self.succ(label)
-            kid = seed if type(seed) is _Node else _Node(*self.step(seed), self.step)
-            self.kids[label] = kid
+            kid = self.kids[label] = seed if type(seed) is _Node else _Node(*self.step(seed), self.step)
         return kid
 
 

@@ -256,12 +256,6 @@ class TestEquality:
         changed = finmap({**dict(b.entries), nat(1000): nat(7)})
         assert eq_strong(a, changed) == FALSE
 
-    def test_flat_table_lookup_finds_every_key(self):
-        table = finmap({nat(i): nat(2 * i) for i in range(2000)})
-        assert not isinstance(table, PathTrie)
-        assert [table.lookup(nat(i)) for i in range(2000)] == [nat(2 * i) for i in range(2000)]
-        assert table.lookup(nat(2000)) is UNDEF
-
     def test_deep_values_compare_without_recursion(self):
         # pairs and injections are interned: equal values built apart are one
         # object, and compare and hash without walking them
