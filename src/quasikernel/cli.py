@@ -18,21 +18,22 @@ from .kernel import Fuel, QuasiError, show_pval
 from .report import CheckResult, check
 
 
-def _obs_depth(text: str) -> int:
-    """An ``--obs-depth`` value: below 1 no tree is enumerated, so no check would test anything."""
+def _at_least_1(text: str) -> int:
+    """An ``--obs-depth`` or ``--chain-bound`` value: below 1 no tree is
+    enumerated and no chain iterated, so no check would test anything."""
     try:
-        depth = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {depth}")
-    return depth
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--fuel", type=int, default=10000)
-    p.add_argument("--obs-depth", type=_obs_depth, default=4)
-    p.add_argument("--chain-bound", type=int, default=32)
+    p.add_argument("--obs-depth", type=_at_least_1, default=4)
+    p.add_argument("--chain-bound", type=_at_least_1, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
 

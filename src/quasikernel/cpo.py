@@ -12,12 +12,11 @@ are again cpos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .final import FinalCoalgebra, _as_ptree
+from .final import _as_ptree
 from .functors import project
-from .initial import InitialAlgebra, tree_anchor, tree_tables
+from .initial import tree_anchor, tree_tables
 from .kernel import (
     FALSE,
     TRUE,
@@ -29,6 +28,7 @@ from .kernel import (
     PairV,
     PVal,
     QuasiError,
+    Record,
     Ty,
     Unit,
     UnitV,
@@ -50,14 +50,11 @@ class NotPointed(QuasiError):
     pass
 
 
-@dataclass
-class CpoDescriptor:
-    """A partial order with sampling data; ``bottom`` witnesses pointedness."""
+class CpoDescriptor(Record):
+    """A partial order ``le`` with sampling data; ``bottom`` witnesses pointedness."""
 
-    name: str
-    le: Callable[[PVal, PVal], bool]
-    sample: tuple[PVal, ...] = ()
-    bottom: Optional[PVal] = None
+    __slots__ = __match_args__ = ("name", "le", "sample", "bottom")
+    _defaults = {"sample": (), "bottom": None}
 
     def equal(self, a: PVal, b: PVal) -> bool:
         return self.le(a, b) and self.le(b, a)
@@ -252,12 +249,11 @@ def minimality_failures(
 # Initial datatypes as cpos
 
 
-@dataclass
-class DomainInitial:
-    """Tree datatype with the order inherited from the universal tree type."""
+class DomainInitial(Record):
+    """Tree datatype with the order inherited from the universal tree type;
+    ``param_cpos`` orders each summand's A_i."""
 
-    handle: InitialAlgebra
-    param_cpos: list[CpoDescriptor]  # per summand, ordering A_i
+    __slots__ = __match_args__ = ("handle", "param_cpos")
 
     def label_le(self, a: PVal, b: PVal) -> bool:
         i, za = project(a, self.handle.n)
@@ -328,12 +324,11 @@ class DomainInitial:
 # Final process types as cpos
 
 
-@dataclass
-class DomainFinal:
-    """Process type over continuous path maps, ordered by observation."""
+class DomainFinal(Record):
+    """Process type over continuous path maps, ordered by observation;
+    ``param_cpos`` orders each summand's A_i."""
 
-    handle: FinalCoalgebra
-    param_cpos: list[CpoDescriptor]  # per summand, ordering A_i
+    __slots__ = __match_args__ = ("handle", "param_cpos")
 
     def label_le(self, a: PVal, b: PVal) -> bool:
         i, xa = project(a, self.handle.n)

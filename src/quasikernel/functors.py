@@ -70,34 +70,19 @@ class Id(SigFunctor):
 class Const(SigFunctor):
     __slots__ = __match_args__ = ("ty",)
 
-    def __init__(self, ty: Ty):
-        set_field(self, "ty", ty)
-
 
 class SumF(SigFunctor):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: SigFunctor, right: SigFunctor):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class ProdF(SigFunctor):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: SigFunctor, right: SigFunctor):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class ExpConst(SigFunctor):
     """Exponential with constant exponent; the body may only be the identity."""
 
     __slots__ = __match_args__ = ("exponent", "body")
-
-    def __init__(self, exponent: Ty, body: SigFunctor):
-        set_field(self, "exponent", exponent)
-        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +105,6 @@ class ExtPolyNF(Record):
     """Sum of ``A_i x (B_i -> X)``."""
 
     __slots__ = __match_args__ = ("summands",)
-
-    def __init__(self, summands: tuple[tuple[Ty, Ty], ...]):
-        set_field(self, "summands", summands)
 
 
 def _prod_ty(a: Ty, b: Ty) -> Ty:

@@ -61,14 +61,24 @@ class Record:
     """An immutable record, equal, hashed and printed by its fields.
 
     A subclass names its fields once, ``__slots__ = __match_args__ =
-    ("left", "right")``, and sets them in its own ``__init__`` with
-    ``set_field``, since assignment raises.  Records of two classes are
-    never equal, even with the same fields (``Sum``/``Prod``).  ``repr``
-    reads ``Named(name='x', args=())``, as check names carry it.
+    ("name", "args")``, and the defaults of trailing fields in
+    ``_defaults``; it is given an ``__init__`` with one parameter per
+    field, in order, that sets each with ``set_field``, since assignment
+    raises.  A class that writes its own ``__init__`` (to validate) or
+    ``__new__`` (to intern) keeps it.  Records of two classes are never
+    equal, even with the same fields (``Sum``/``Prod``).  ``repr`` reads
+    ``Named(name='x', args=())``, as check names carry it.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        if "__match_args__" in own and "__init__" not in own and "__new__" not in own:
+            cls.__init__ = _record_init(cls)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -117,6 +127,19 @@ class Record:
         return type(self), self._fields()
 
 
+def _record_init(cls: type) -> Callable:
+    """The ``__init__`` of a record class, compiled from source once per
+    class, as ``namedtuple`` builds its ``__new__``: a call runs
+    straight-line code, with no loop over the fields."""
+    params = [f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls.__match_args__]
+    body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in cls.__match_args__)
+    scope = {"set_field": set_field, "_defaults": cls._defaults}
+    exec(f"def __init__(self, {', '.join(params)}):{body}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -150,43 +173,24 @@ class Zero(Ty):
 class Sum(Ty):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Ty, right: Ty):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class Prod(Ty):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Ty, right: Ty):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class Total(Ty):
     __slots__ = __match_args__ = ("dom", "cod")
 
-    def __init__(self, dom: Ty, cod: Ty):
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
-
 
 class Partial(Ty):
     __slots__ = __match_args__ = ("dom", "cod")
-
-    def __init__(self, dom: Ty, cod: Ty):
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
 
 
 class Named(Ty):
     """A type name, applied to ``args`` when it names a type constructor."""
 
     __slots__ = __match_args__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[Ty, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "args", args)
+    _defaults = {"args": ()}
 
 
 def normalize_ty(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> Ty:
@@ -401,11 +405,8 @@ class PFunV(PVal):
 
     __slots__ = ("fn", "dom", "__dict__")
     __match_args__ = ("fn", "dom")
+    _defaults = {"dom": None}
     __hash__ = _value_hash
-
-    def __init__(self, fn: Callable[[PVal], PVal], dom: Optional[Ty] = None):
-        set_field(self, "fn", fn)
-        set_field(self, "dom", dom)
 
     def __eq__(self, other):
         return self is other
@@ -876,96 +877,50 @@ class Term(Record):
 class Var(Term):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
 
 class Lit(Term):
     __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: PVal):
-        set_field(self, "value", value)
 
 
 class Lam(Term):
     __slots__ = __match_args__ = ("param", "body")
 
-    def __init__(self, param: str, body: Term):
-        set_field(self, "param", param)
-        set_field(self, "body", body)
-
 
 class App(Term):
     __slots__ = __match_args__ = ("fn", "arg")
-
-    def __init__(self, fn: Term, arg: Term):
-        set_field(self, "fn", fn)
-        set_field(self, "arg", arg)
 
 
 class PairE(Term):
     __slots__ = __match_args__ = ("fst", "snd")
 
-    def __init__(self, fst: Term, snd: Term):
-        set_field(self, "fst", fst)
-        set_field(self, "snd", snd)
-
 
 class Fst(Term):
     __slots__ = __match_args__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        set_field(self, "arg", arg)
 
 
 class Snd(Term):
     __slots__ = __match_args__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        set_field(self, "arg", arg)
-
 
 class InlE(Term):
     __slots__ = __match_args__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        set_field(self, "arg", arg)
 
 
 class InrE(Term):
     __slots__ = __match_args__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        set_field(self, "arg", arg)
-
 
 class CaseE(Term):
     __slots__ = __match_args__ = ("scrutinee", "left_var", "left", "right_var", "right")
-
-    def __init__(self, scrutinee: Term, left_var: str, left: Term, right_var: str, right: Term):
-        set_field(self, "scrutinee", scrutinee)
-        set_field(self, "left_var", left_var)
-        set_field(self, "left", left)
-        set_field(self, "right_var", right_var)
-        set_field(self, "right", right)
 
 
 class RestrictE(Term):
     __slots__ = __match_args__ = ("arg", "cond")
 
-    def __init__(self, arg: Term, cond: Term):
-        set_field(self, "arg", arg)
-        set_field(self, "cond", cond)
-
 
 class EqE(Term):
     __slots__ = __match_args__ = ("lhs", "rhs", "strong", "depth")
-
-    def __init__(self, lhs: Term, rhs: Term, strong: bool = False, depth: int = 4):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "strong", strong)
-        set_field(self, "depth", depth)
+    _defaults = {"strong": False, "depth": 4}
 
 
 class Ambiguous(Record):
@@ -973,9 +928,6 @@ class Ambiguous(Record):
     evaluating the name raises ``AmbiguousName`` with ``message``."""
 
     __slots__ = __match_args__ = ("message",)
-
-    def __init__(self, message: str):
-        set_field(self, "message", message)
 
 
 class Fuel:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .kernel import QuasiError
+from .kernel import QuasiError, Record, set_field
 
 RERE = "rere"
 SPAP = "spap"
@@ -25,34 +24,34 @@ class LabError(QuasiError):
     pass
 
 
-@dataclass(frozen=True)
-class FinObj:
-    kind: str
-    carrier: tuple[int, ...]
-    # rere: frozenset of ordered pairs (reflexive); spap: frozenset of frozensets
-    structure: frozenset
+class FinObj(Record):
+    __slots__ = __match_args__ = ("kind", "carrier", "structure")
 
-    def __post_init__(self):
-        if self.kind == RERE:
-            for x in self.carrier:
-                if (x, x) not in self.structure:
+    def __init__(self, kind: str, carrier: tuple[int, ...], structure: frozenset):
+        """``structure`` is, for rere, a frozenset of ordered pairs (reflexive);
+        for spap, a frozenset of frozensets."""
+        if kind == RERE:
+            for x in carrier:
+                if (x, x) not in structure:
                     raise LabError("relation must be reflexive")
-            for x, y in self.structure:
-                if x not in self.carrier or y not in self.carrier:
+            for x, y in structure:
+                if x not in carrier or y not in carrier:
                     raise LabError("relation off the carrier")
-        elif self.kind == SPAP:
-            for a in self.structure:
-                if not a <= set(self.carrier):
+        elif kind == SPAP:
+            for a in structure:
+                if not a <= set(carrier):
                     raise LabError("family member off the carrier")
         else:
-            raise LabError(f"unknown category {self.kind!r}")
+            raise LabError(f"unknown category {kind!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "carrier", carrier)
+        set_field(self, "structure", structure)
 
 
-@dataclass(frozen=True)
-class FinMor:
-    src: FinObj
-    dst: FinObj
-    graph: tuple[tuple[int, int], ...]
+class FinMor(Record):
+    """A map given by its graph, ``(x, image)`` pairs."""
+
+    __slots__ = __match_args__ = ("src", "dst", "graph")
 
     def __call__(self, x: int) -> int:
         for a, b in self.graph:
@@ -153,12 +152,11 @@ def terminal(kind: str) -> FinObj:
     return spap_obj((0,), [(), (0,)])
 
 
-@dataclass(frozen=True)
-class ProductData:
-    obj: FinObj
-    proj1: FinMor
-    proj2: FinMor
-    atom_of: tuple[tuple[tuple[int, int], int], ...]
+class ProductData(Record):
+    """The product object, its projections, and the atom of each pair as
+    ``((x, y), atom)`` entries."""
+
+    __slots__ = __match_args__ = ("obj", "proj1", "proj2", "atom_of")
 
     def atom(self, x: int, y: int) -> int:
         return dict(self.atom_of)[(x, y)]
@@ -205,10 +203,8 @@ def full_subobject(obj: FinObj, subset: Iterable[int]) -> FinObj:
     return FinObj(obj.kind, tuple(sorted(atoms)), structure)
 
 
-@dataclass(frozen=True)
-class EqualizerData:
-    obj: FinObj
-    include: FinMor
+class EqualizerData(Record):
+    __slots__ = __match_args__ = ("obj", "include")
 
 
 def equalizer(f: FinMor, g: FinMor) -> EqualizerData:
@@ -219,11 +215,8 @@ def equalizer(f: FinMor, g: FinMor) -> EqualizerData:
     return EqualizerData(obj, mor(obj, f.src, {x: x for x in atoms}))
 
 
-@dataclass(frozen=True)
-class CoproductData:
-    obj: FinObj
-    inj1: FinMor
-    inj2: FinMor
+class CoproductData(Record):
+    __slots__ = __match_args__ = ("obj", "inj1", "inj2")
 
 
 def coproduct(a: FinObj, b: FinObj) -> CoproductData:
@@ -376,11 +369,10 @@ def coarseness_counterexample(max_size: int = 4) -> FinObj | None:
     return None
 
 
-@dataclass
-class NnoFragmentReport:
-    discrete_not_coarse: bool
-    discrete_unique_counts: list[int]
-    indiscrete_unique_counts: list[int]
+class NnoFragmentReport(Record):
+    __slots__ = __match_args__ = (
+        "discrete_not_coarse", "discrete_unique_counts", "indiscrete_unique_counts"
+    )
 
     @property
     def discrete_initiality_ok(self) -> bool:
@@ -430,10 +422,8 @@ def nno_fragment_check(size: int = 6) -> NnoFragmentReport:
 # Comparing extended polynomial functors with general polynomial ones
 
 
-@dataclass
-class FunctorComparison:
-    ext_card: int
-    general_card: int
+class FunctorComparison(Record):
+    __slots__ = __match_args__ = ("ext_card", "general_card")
 
     @property
     def isomorphic(self) -> bool:

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-from .kernel import Record, set_field
+from .kernel import Record
 
 
 class CheckResult(Record):
-    __slots__ = __match_args__ = ("name", "status", "detail")
-
-    def __init__(self, name: str, status: str, detail: str = ""):  # status: pass | fail | skip
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "detail", detail)
+    __slots__ = __match_args__ = ("name", "status", "detail")  # status: pass | fail | skip
+    _defaults = {"detail": ""}
 
     @property
     def ok(self) -> bool:

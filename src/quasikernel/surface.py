@@ -50,7 +50,6 @@ from .kernel import (
     apply_pval,
     fold_right,
     pfun,
-    set_field,
     ty_card,
     tuple_of,
     untuple,
@@ -77,7 +76,8 @@ class UnsupportedTypeFormer(QuasiError):
 
 
 class DuplicateDeclaration(QuasiError):
-    """A second declaration of a type name already declared."""
+    """A second declaration of a type name already declared, or a constructor
+    or selector name repeated within one declaration."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,45 +86,23 @@ class DuplicateDeclaration(QuasiError):
 
 class Alt(Record):
     __slots__ = __match_args__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[Ty, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "args", args)
+    _defaults = {"args": ()}
 
 
 class SelGroup(Record):
     __slots__ = __match_args__ = ("names", "partial", "codomain")
 
-    def __init__(self, names: tuple[str, ...], partial: bool, codomain: Ty):
-        set_field(self, "names", names)
-        set_field(self, "partial", partial)
-        set_field(self, "codomain", codomain)
-
 
 class Decl(Record):
-    __slots__ = __match_args__ = ("kind", "name", "params", "alts", "coalts")
+    """A ``free type`` (kind "free", with ``alts``) or a ``cotype`` (kind
+    "cotype", with ``coalts``)."""
 
-    def __init__(
-        self,
-        kind: str,  # "free" | "cotype"
-        name: str,
-        params: tuple[str, ...] = (),
-        alts: tuple[Alt, ...] = (),
-        coalts: tuple[tuple[SelGroup, ...], ...] = (),
-    ):
-        set_field(self, "kind", kind)
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "alts", alts)
-        set_field(self, "coalts", coalts)
+    __slots__ = __match_args__ = ("kind", "name", "params", "alts", "coalts")
+    _defaults = {"params": (), "alts": (), "coalts": ()}
 
 
 class LetDef(Record):
     __slots__ = __match_args__ = ("name", "body")
-
-    def __init__(self, name: str, body: kernel.Term):
-        set_field(self, "name", name)
-        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -620,64 +598,28 @@ def _functor_of(t: Ty, pattern: Named, kind: str) -> SigFunctor:
 # Elaboration
 
 
-class CtorInfo:
-    __slots__ = ("name", "summand", "const_index", "arg_kinds", "const_tys")
+class CtorInfo(Record):
+    """A constructor: its summand, and for a nullary one (summand 0) its
+    injection ``const_index`` into the collected-constants sum; the kinds
+    of its arguments in declaration order ("const" | "rec") and the
+    resolved types of the constant ones."""
 
-    def __init__(
-        self,
-        name: str,
-        summand: int,
-        const_index: int,  # injection into the collected-constants sum, if nullary
-        arg_kinds: tuple[str, ...],  # "const" | "rec", in declaration order
-        const_tys: tuple[Ty, ...],  # resolved types of the constant arguments
-    ):
-        self.name = name
-        self.summand = summand
-        self.const_index = const_index
-        self.arg_kinds = arg_kinds
-        self.const_tys = const_tys
+    __slots__ = __match_args__ = ("name", "summand", "const_index", "arg_kinds", "const_tys")
 
 
-class SelInfo:
-    __slots__ = ("name", "alt", "kind", "const_pos", "rec_pos", "exponent")
+class SelInfo(Record):
+    """A selector of alternative ``alt``, of kind "const" | "rec" | "fn": its
+    position among the alternative's constant or recursive selectors, and
+    the exponent of a function selector."""
 
-    def __init__(
-        self,
-        name: str,
-        alt: int,
-        kind: str,  # "const" | "rec" | "fn"
-        const_pos: int = -1,  # position among this alternative's constant selectors
-        rec_pos: int = -1,  # position among this alternative's recursive selectors
-        exponent: Optional[Ty] = None,
-    ):
-        self.name = name
-        self.alt = alt
-        self.kind = kind
-        self.const_pos = const_pos
-        self.rec_pos = rec_pos
-        self.exponent = exponent
+    __slots__ = __match_args__ = ("name", "alt", "kind", "const_pos", "rec_pos", "exponent")
+    _defaults = {"const_pos": -1, "rec_pos": -1, "exponent": None}
 
 
-class FreeTypeInfo:
-    __slots__ = ("decl", "display", "functor", "nf", "handle", "ctors", "n_consts")
-
-    def __init__(
-        self,
-        decl: Decl,
-        display: str,
-        functor: SigFunctor,
-        nf: PolyNF,
-        handle: initial_mod.InitialAlgebra,
-        ctors: list[CtorInfo],
-        n_consts: int,
-    ):
-        self.decl = decl
-        self.display = display
-        self.functor = functor
-        self.nf = nf
-        self.handle = handle
-        self.ctors = ctors
-        self.n_consts = n_consts
+class FreeTypeInfo(Record):
+    __slots__ = __match_args__ = (
+        "decl", "display", "functor", "nf", "handle", "ctors", "n_consts"
+    )
 
     def ctor(self, name: str) -> CtorInfo:
         for c in self.ctors:
@@ -761,30 +703,10 @@ class FreeTypeInfo:
         return self.handle.primrec(body)(t)
 
 
-class CotypeInfo:
-    __slots__ = (
+class CotypeInfo(Record):
+    __slots__ = __match_args__ = (
         "decl", "display", "functor", "nf", "handle", "sels", "alt_const_tys", "alt_rec_count"
     )
-
-    def __init__(
-        self,
-        decl: Decl,
-        display: str,
-        functor: SigFunctor,
-        nf: ExtPolyNF,
-        handle: final_mod.FinalCoalgebra,
-        sels: list[SelInfo],
-        alt_const_tys: list[tuple[Ty, ...]],
-        alt_rec_count: list[int],
-    ):
-        self.decl = decl
-        self.display = display
-        self.functor = functor
-        self.nf = nf
-        self.handle = handle
-        self.sels = sels
-        self.alt_const_tys = alt_const_tys
-        self.alt_rec_count = alt_rec_count
 
     def sel(self, name: str) -> SelInfo:
         for s in self.sels:
@@ -854,6 +776,12 @@ class ElabEnv:
             return "term binding"
         if d.name in self.templates or d.name in self.freetypes or d.name in self.cotypes:
             raise DuplicateDeclaration(f"duplicate declaration {d.name!r}")
+        # a repeated name would only ever reach its first constructor or selector
+        names = [a.name for a in d.alts] + [n for alt in d.coalts for g in alt for n in g.names]
+        for i, n in enumerate(names):
+            if n in names[:i]:
+                what = "constructor" if d.kind == "free" else "selector"
+                raise DuplicateDeclaration(f"duplicate {what} {n!r} in {d.name}")
         if d.params:
             check_positivity(d)
             functor = extract_functor(d)

@@ -133,8 +133,22 @@ class TestElaborateReportsWhatItInstalls:
                     ("elaborate.A", "fail", "duplicate declaration 'A'"),
                 ],
             ),
+            (
+                "free type A ::= a | a\nfree type B ::= b\n",
+                [
+                    ("elaborate.A", "fail", "duplicate constructor 'a' in A"),
+                    ("elaborate.B", "pass", "Unit"),
+                ],
+            ),
+            (
+                "cotype K ::= (a, a: K) | (a: Nat)\n",
+                [("elaborate.K", "fail", "duplicate selector 'a' in K")],
+            ),
         ],
-        ids=["product-codomain", "sum-codomain", "nat-exponent", "let-after-ambiguous-fold", "duplicate"],
+        ids=[
+            "product-codomain", "sum-codomain", "nat-exponent", "let-after-ambiguous-fold",
+            "duplicate", "duplicate-constructor", "duplicate-selector",
+        ],
     )
     def test_defective_declaration_fails_under_its_name(self, tmp_path, src, expected):
         p = tmp_path / "defect.qk"
@@ -314,6 +328,20 @@ class TestCheck:
         names = [c["name"] for c in report["checks"]]
         assert names and all(n.startswith("cpo.") for n in names)
 
+    def test_unstabilised_lfp_keeps_the_minimality_check(self):
+        # at chain bound 1 the factorial iteration cannot settle, so there is
+        # no fixed point whose minimality could be tested
+        argv = ["check", str(CORPUS / "naturals.qk"), "--suite", "cpo"]
+        names = [c["name"] for c in run(argv)[0]["checks"]]
+        report, code = run([*argv, "--chain-bound", "1"])
+        assert code == 1
+        checks = {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+        assert sorted(checks) == names
+        assert checks["cpo.lfp-factorial"] == ("fail", "no fixed point within 1 iterations")
+        assert checks["cpo.lfp-minimality"] == (
+            "skip", "no fixed point to test: no fixed point within 1 iterations"
+        )
+
 
 class TestLab:
     def test_spap_regularity_counterexample(self):
@@ -402,14 +430,18 @@ class TestParser:
         prefixes = {c["name"].split(".")[0] for c in report["checks"]}
         assert prefixes == {"initial", "cpo"}
 
-    @pytest.mark.parametrize("depth", ["0", "-1"])
-    def test_obs_depth_below_one_is_rejected(self, list_file, depth, capsys):
+    @pytest.mark.parametrize(
+        "flag, depth",
+        [("--obs-depth", "0"), ("--obs-depth", "-1"), ("--chain-bound", "0"), ("--chain-bound", "-2")],
+        ids=["0", "-1", "chain-bound-0", "chain-bound--2"],
+    )
+    def test_obs_depth_below_one_is_rejected(self, list_file, flag, depth, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["check", list_file, "--obs-depth", depth, "--suite", "initial"])
+            run(["check", list_file, flag, depth, "--suite", "initial"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert "--obs-depth: must be at least 1" in err
+        assert f"{flag}: must be at least 1" in err
 
     def test_bad_argument_then_valid_call(self):
         for _ in range(2):
@@ -476,10 +508,12 @@ class TestImportFootprint:
         loaded = self.loaded("lab", "rere")
         assert {"quasikernel.checks", "quasikernel.lab"} <= loaded
         assert "quasikernel.surface" not in loaded
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
     def test_check_loads_the_suites_it_runs(self):
         loaded = self.loaded("check", str(CORPUS / "naturals.qk"), "--suite", "all")
         assert {"quasikernel.surface", "quasikernel.checks", "quasikernel.cpo"} <= loaded
+        assert "dataclasses" not in loaded and "inspect" not in loaded
         loaded = self.loaded("check", str(CORPUS / "naturals.qk"), "--suite", "initial")
         assert "quasikernel.checks" in loaded and "quasikernel.cpo" not in loaded
 

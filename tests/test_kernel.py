@@ -74,6 +74,10 @@ from quasikernel.kernel import (
     ty_card,
     untuple,
 )
+from quasikernel.checks import CheckConfig
+from quasikernel.cpo import NAT_FLAT, CpoDescriptor
+from quasikernel.lab import FinObj, LabError, rere_obj
+from quasikernel.surface import SelInfo
 
 
 def fold_pairs(n, last):
@@ -463,14 +467,43 @@ class TestRecords:
         assert (e.strong, e.depth) == (False, 4)
         assert EqE(Var("a"), Var("b"), depth=2, strong=True) == EqE(Var("a"), Var("b"), True, 2)
         assert PairE(snd=Var("b"), fst=Var("a")) == PairE(Var("a"), Var("b"))
+        s = SelInfo("f", 1, "fn", rec_pos=2)
+        assert (s.const_pos, s.rec_pos, s.exponent) == (-1, 2, None)
+        assert s == SelInfo(name="f", alt=1, kind="fn", const_pos=-1, rec_pos=2, exponent=None)
+        le = NAT_FLAT.le
+        c = CpoDescriptor("c", le)
+        assert (c.sample, c.bottom) == ((), None)
+        assert CpoDescriptor(le=le, name="c", bottom=UNDEF) == CpoDescriptor("c", le, (), UNDEF)
         with pytest.raises(TypeError):
             Sum(Unit())
         with pytest.raises(TypeError):
             Unit(1)
+        with pytest.raises(TypeError):
+            SelInfo("f", 1)
+
+    def test_interned_and_fieldless_values_keep_object_init(self):
+        # an interned node is not given its fields again on each construction
+        assert PairV.__init__ is InlV.__init__ is Unit.__init__ is object.__init__
+        assert InrV.__init__ is UnitV.__init__ is Undef.__init__ is object.__init__
+
+    def test_a_validating_init_still_validates(self):
+        assert FinObj("rere", (0,), frozenset({(0, 0)})) == rere_obj((0,))
+        with pytest.raises(LabError, match="reflexive"):
+            FinObj("rere", (0, 1), frozenset({(0, 0)}))
+        with pytest.raises(TypeMismatch, match="nonnegative"):
+            NatV(-1)
 
     @pytest.mark.parametrize(
         "record, field",
-        [(Sum(Unit(), Nat()), "left"), (Var("x"), "name"), (nat(1), "n"), (InlV(UNIT), "value")],
+        [
+            (Sum(Unit(), Nat()), "left"),
+            (Var("x"), "name"),
+            (nat(1), "n"),
+            (InlV(UNIT), "value"),
+            (rere_obj((0, 1)), "carrier"),
+            (NAT_FLAT, "sample"),
+            (CheckConfig(4, 32, 0), "seed"),
+        ],
     )
     def test_assigning_a_field_raises(self, record, field):
         with pytest.raises(AttributeError):

@@ -336,6 +336,23 @@ class TestElaborateFreeTypes:
         assert [c.name for c in env.freetypes["A"].ctors] == ["a", "s"]
         assert "b" not in env.terms and env.cotypes == {} and env.templates == {}
 
+    @pytest.mark.parametrize(
+        "src, detail",
+        [
+            ("free type A ::= a | a", "duplicate constructor 'a' in A"),
+            ("free type L t ::= nil | cons(t; L t) | nil", "duplicate constructor 'nil' in L"),
+            ("cotype K ::= (a, a: K) | (b: Nat)", "duplicate selector 'a' in K"),
+            ("cotype K ::= (a: K) | (a: Nat)", "duplicate selector 'a' in K"),
+        ],
+    )
+    def test_a_name_repeated_within_a_declaration_is_rejected(self, src, detail):
+        # otherwise only the first constructor or selector of the name is reachable
+        env = ElabEnv()
+        with pytest.raises(DuplicateDeclaration, match=detail):
+            env.declare(parse(src)[0])
+        assert env.freetypes == env.cotypes == env.templates == {}
+        assert not {"a", "nil", "A.a", "L.nil"} & set(env.terms)
+
 
 class TestElaborateCotypes:
     def setup_proc(self):
