@@ -25,11 +25,13 @@ class LabError(QuasiError):
 
 
 class FinObj(Record):
+    """An object on its carrier atoms; ``structure`` is, for rere, a
+    frozenset of ordered pairs (reflexive), for spap a frozenset of
+    frozensets.  Its ``__init__`` validates the structure."""
+
     __slots__ = __match_args__ = ("kind", "carrier", "structure")
 
     def __init__(self, kind: str, carrier: tuple[int, ...], structure: frozenset):
-        """``structure`` is, for rere, a frozenset of ordered pairs (reflexive);
-        for spap, a frozenset of frozensets."""
         if kind == RERE:
             for x in carrier:
                 if (x, x) not in structure:
