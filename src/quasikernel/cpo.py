@@ -22,6 +22,7 @@ from .kernel import (
     TRUE,
     UNDEF,
     Bool,
+    FinMapV,
     InlV,
     InrV,
     Nat,
@@ -133,10 +134,22 @@ def product_cpo(a: CpoDescriptor, b: CpoDescriptor) -> CpoDescriptor:
 
 def pfun_cpo(domain: Ty, b: CpoDescriptor, nat_bound: int = 6) -> CpoDescriptor:
     """Partial maps out of a sampled domain, pointwise; pointed by the
-    everywhere-undefined map."""
+    everywhere-undefined map.
+
+    Two finite tables compare by their entries: each entry of ``f`` at a
+    sampled point must lie below ``g``'s entry there, which is the
+    pointwise order, since a point ``f`` leaves out is undefined and so
+    below anything.  A procedural map is applied at every sampled point.
+    """
     dom = tuple(enumerate_ty(domain, nat_bound))
+    points = frozenset(dom)
 
     def le(f: PVal, g: PVal) -> bool:
+        if isinstance(f, FinMapV) and isinstance(g, FinMapV):
+            at = dict(g.entries)
+            return all(
+                lifted_le(b, v, at.get(k, UNDEF)) for k, v in f.entries if k in points
+            )
         return all(lifted_le(b, apply_pval(f, x), apply_pval(g, x)) for x in dom)
 
     sample = [finmap({})]
@@ -189,45 +202,65 @@ def sum_cpo(a: CpoDescriptor, b: CpoDescriptor) -> CpoDescriptor:
 # Least fixed points
 
 
-def kleene_chain(cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int) -> list[PVal]:
+def _iterate(
+    cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int
+) -> tuple[list[PVal], bool]:
+    """The Kleene chain from bottom, up to ``bound`` steps, and whether it
+    settled.  Each step is compared with its predecessor at most once each
+    way: ``==``, exact on interned values, settles it with no ``le`` at
+    all; otherwise it must lie above, and it settles once it also lies
+    below."""
     if cpo.bottom is None:
         raise NotPointed(f"{cpo.name} has no bottom element")
     xs = [cpo.bottom]
     for _ in range(bound):
-        nxt = f(xs[-1])
-        if not cpo.le(xs[-1], nxt):
-            raise MonotonicityViolation("function is not monotone on its own chain")
+        prev = xs[-1]
+        nxt = f(prev)
         xs.append(nxt)
-        if cpo.equal(xs[-2], nxt):
-            break
-    return xs
+        if nxt == prev:
+            return xs, True
+        if not cpo.le(prev, nxt):
+            raise MonotonicityViolation("function is not monotone on its own chain")
+        if cpo.le(nxt, prev):
+            return xs, True
+    return xs, False
+
+
+def kleene_chain(cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int) -> list[PVal]:
+    return _iterate(cpo, f, bound)[0]
 
 
 def lfp(cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int = 32) -> PVal:
     """Least fixed point as the supremum of the iteration chain from bottom."""
-    xs = kleene_chain(cpo, f, bound)
-    if not cpo.equal(xs[-1], xs[-2] if len(xs) >= 2 else xs[-1]):
+    xs, settled = _iterate(cpo, f, bound)
+    if not settled:
         raise NotStabilized(f"no fixed point within {bound} iterations")
     out = xs[-1]
-    if not cpo.equal(f(out), out):
-        raise NotStabilized("iteration settled on a non-fixed point")
+    if out != xs[-2]:  # equal in the order only, so f may still move it
+        image = f(out)
+        if image != out and not cpo.equal(image, out):
+            raise NotStabilized("iteration settled on a non-fixed point")
     return out
 
 
 def order_axiom_failures(cpo: CpoDescriptor) -> list[str]:
-    """Reflexivity, transitivity, antisymmetry over the descriptor's samples."""
-    out = []
+    """Reflexivity, antisymmetry, transitivity over the descriptor's samples,
+    read off one ``le`` per ordered pair of samples."""
     s = cpo.sample
-    for x in s:
-        if not cpo.le(x, x):
-            out.append(f"not reflexive at {x!r}")
-    for x in s:
-        for y in s:
-            if cpo.le(x, y) and cpo.le(y, x) and x != y:
-                out.append(f"antisymmetry fails at {x!r}, {y!r}")
-            for z in s:
-                if cpo.le(x, y) and cpo.le(y, z) and not cpo.le(x, z):
-                    out.append(f"transitivity fails at {x!r}, {y!r}, {z!r}")
+    le = [[cpo.le(x, y) for y in s] for x in s]
+    ixs = range(len(s))
+    out = [f"not reflexive at {s[i]!r}" for i in ixs if not le[i][i]]
+    for i in ixs:
+        for j in ixs:
+            if not le[i][j]:
+                continue
+            if le[j][i] and s[i] != s[j]:
+                out.append(f"antisymmetry fails at {s[i]!r}, {s[j]!r}")
+            out.extend(
+                f"transitivity fails at {s[i]!r}, {s[j]!r}, {s[k]!r}"
+                for k in ixs
+                if le[j][k] and not le[i][k]
+            )
     return out
 
 
@@ -237,10 +270,11 @@ def minimality_failures(
     fixed: PVal,
     candidates: Sequence[PVal],
 ) -> list[str]:
-    """The fixed point must sit below every sampled pre-fixed point."""
+    """The fixed point must sit below every sampled pre-fixed point; ``f``
+    is applied only to the candidates the fixed point is not below."""
     out = []
     for p in candidates:
-        if cpo.le(f(p), p) and not cpo.le(fixed, p):
+        if not cpo.le(fixed, p) and cpo.le(f(p), p):
             out.append(f"not minimal against {p!r}")
     return out
 

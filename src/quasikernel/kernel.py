@@ -20,6 +20,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from contextvars import ContextVar
+from types import CodeType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -127,14 +128,23 @@ class Record:
         return type(self), self._fields()
 
 
+_INIT_CODE: dict[str, CodeType] = {}
+
+
 def _record_init(cls: type) -> Callable:
-    """The ``__init__`` of a record class, compiled from source once per
-    class, as ``namedtuple`` builds its ``__new__``: a call runs
-    straight-line code, with no loop over the fields."""
+    """The ``__init__`` of a record class, built from source as
+    ``namedtuple`` builds its ``__new__``: a call runs straight-line code,
+    with no loop over the fields.  Classes with the same fields and
+    defaulted fields share one compiled source; each runs it in its own
+    scope, so its defaults are its own."""
     params = [f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls.__match_args__]
     body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in cls.__match_args__)
+    source = f"def __init__(self, {', '.join(params)}):{body}"
+    code = _INIT_CODE.get(source)
+    if code is None:
+        code = _INIT_CODE[source] = compile(source, "<record>", "exec")
     scope = {"set_field": set_field, "_defaults": cls._defaults}
-    exec(f"def __init__(self, {', '.join(params)}):{body}", scope)
+    exec(code, scope)
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init

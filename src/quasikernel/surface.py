@@ -657,13 +657,17 @@ class FreeTypeInfo(Record):
                 ri += 1
         return out
 
-    def ctor_of_payload(self, summand: int, param: PVal) -> CtorInfo:
+    def ctor_position(self, summand: int, param: PVal) -> int:
+        """The declaration-order index of the constructor behind summand's payload."""
         if summand == 0 and self.n_consts > 1:
             idx, _ = project(param, self.n_consts)
             return next(
-                c for c in self.ctors if c.summand == 0 and c.const_index == idx
+                k for k, c in enumerate(self.ctors) if c.summand == 0 and c.const_index == idx
             )
-        return next(c for c in self.ctors if c.summand == summand)
+        return next(k for k, c in enumerate(self.ctors) if c.summand == summand)
+
+    def ctor_of_payload(self, summand: int, param: PVal) -> CtorInfo:
+        return self.ctors[self.ctor_position(summand, param)]
 
     # ---- recursion schemes keyed by constructor ------------------------------
 
@@ -671,13 +675,14 @@ class FreeTypeInfo(Record):
         """Apply the branch of the constructor behind summand i's payload ``w``
         to its declaration-order arguments, ``rec`` filling the recursive
         positions; with ``spread``, each ``rec`` entry is a tuple of arguments."""
-        info = self.ctor_of_payload(i, w)
+        pos = self.ctor_position(i, w)
+        info = self.ctors[pos]
         args = self.split_args(info, w, rec)
         if spread:
             args = [
                 x for k, a in zip(info.arg_kinds, args) for x in (a if k == "rec" else (a,))
             ]
-        return _apply_branch(branches[self.ctors.index(info)], args)
+        return _apply_branch(branches[pos], args)
 
     def fold(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         """Per-constructor fold: each branch consumes the constructor's

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from quasikernel.cpo import (
     BOOL_FLAT,
@@ -37,10 +38,14 @@ from quasikernel.kernel import (
     InrV,
     Nat,
     PairV,
+    PathTrie,
     Unit,
     apply_pval,
+    encode_path,
+    enumerate_ty,
     finmap,
     nat,
+    pfun,
 )
 
 
@@ -194,6 +199,137 @@ class TestLfp:
     def test_unpointed_carrier_rejected(self):
         with pytest.raises(NotPointed):
             lfp(NAT_FLAT, lambda v: v, 4)
+
+    def test_no_iteration_names_its_bound(self):
+        cpo, step = self.factorial_setup()
+        for bound in (0, 1):
+            with pytest.raises(NotStabilized, match=f"no fixed point within {bound} iterations"):
+                lfp(cpo, step, bound)
+        with pytest.raises(NotStabilized, match="no fixed point within 0 iterations"):
+            lfp(VERT, lambda v: v, 0)
+
+    def test_each_step_is_compared_at_most_once_each_way(self):
+        cpo, step = self.factorial_setup()
+        calls = []
+
+        def le(f, g):
+            calls.append((f, g))
+            return cpo.le(f, g)
+
+        counted = CpoDescriptor(cpo.name, le, cpo.sample, cpo.bottom)
+        fact = lfp(counted, step, bound=32)
+        assert fact == lfp(cpo, step, bound=32)
+        steps = len(kleene_chain(cpo, step, 32)) - 1
+        assert len(calls) <= 2 * steps
+        assert len(set(calls)) == len(calls)
+
+    def test_settling_on_a_non_fixed_point_is_reported(self):
+        # f tells apart two tables the order cannot: the chain settles,
+        # yet the image of its last element still moves
+        c = pfun_cpo(Bool(), NAT_FLAT)
+        outside = encode_path([nat(0)])  # a key outside the sampled domain
+        tagged = finmap({outside: nat(0)})
+        moved = finmap({TRUE: nat(1)})
+        f = lambda v: tagged if v == c.bottom else moved
+        with pytest.raises(NotStabilized, match="non-fixed point"):
+            lfp(c, f, 4)
+
+
+class TestTableOrder:
+    """``pfun_cpo`` orders two tables by their entries; the reference is the
+    pointwise order over the sampled domain."""
+
+    @staticmethod
+    def pointwise(domain, b, f, g, nat_bound=6):
+        dom = enumerate_ty(domain, nat_bound)
+        return all(lifted_le(b, apply_pval(f, x), apply_pval(g, x)) for x in dom)
+
+    @staticmethod
+    def tables(keys, values):
+        """Flat tables on ``keys``, trie-keyed tables and the empty table."""
+        paths = [encode_path([nat(j) for j in p]) for p in ((), (0,), (1,), (0, 1), (2, 0))]
+        flat = st.dictionaries(st.sampled_from(keys), st.sampled_from(values), max_size=6)
+        tries = st.dictionaries(st.sampled_from(paths), st.sampled_from(values), max_size=5)
+        return st.one_of(flat.map(finmap), tries.map(finmap), st.just(finmap({})))
+
+    @given(st.data(), st.integers(1, 6))
+    def test_nat_tables_agree_with_the_pointwise_order(self, data, k):
+        # keys up to k + 2 reach past the sampled domain {0, ..., k - 1}
+        keys = [nat(i) for i in range(k + 3)]
+        values = [nat(i) for i in range(4)]
+        c = pfun_cpo(Nat(), NAT_FLAT, nat_bound=k)
+        f = data.draw(self.tables(keys, values))
+        g = data.draw(self.tables(keys, values))
+        assert c.le(f, g) == self.pointwise(Nat(), NAT_FLAT, f, g, k)
+
+    @given(st.data())
+    def test_bool_tables_agree_with_the_pointwise_order(self, data):
+        # TRUE is also the empty path, so some trie tables meet the domain
+        keys = [TRUE, FALSE, nat(0), InlV(nat(1)), encode_path([nat(3)])]
+        c = pfun_cpo(Bool(), VERT)
+        f = data.draw(self.tables(keys, [FALSE, TRUE]))
+        g = data.draw(self.tables(keys, [FALSE, TRUE]))
+        assert c.le(f, g) == self.pointwise(Bool(), VERT, f, g)
+
+    def test_the_generators_reach_both_representations(self):
+        assert isinstance(finmap({encode_path([nat(0)]): TRUE}), PathTrie)
+        assert isinstance(finmap({TRUE: TRUE}), PathTrie)
+        assert not isinstance(finmap({nat(0): TRUE}), PathTrie)
+        assert not isinstance(finmap({TRUE: TRUE, FALSE: TRUE}), PathTrie)
+
+    def test_procedural_and_mixed_pairs_stay_pointwise(self):
+        c = pfun_cpo(Bool(), NAT_FLAT)
+        const = pfun(lambda x: nat(1))
+        assert c.le(finmap({TRUE: nat(1)}), const)
+        assert c.le(const, finmap({TRUE: nat(1), FALSE: nat(1)}))
+        assert not c.le(const, finmap({TRUE: nat(1)}))
+        assert c.le(UNDEF, const) and not c.le(const, UNDEF)
+
+
+def reference_order_failures(cpo):
+    """The order axioms as a loop over every triple, calling ``le`` inside."""
+    out = []
+    s = cpo.sample
+    for x in s:
+        if not cpo.le(x, x):
+            out.append(f"not reflexive at {x!r}")
+    for x in s:
+        for y in s:
+            if cpo.le(x, y) and cpo.le(y, x) and x != y:
+                out.append(f"antisymmetry fails at {x!r}, {y!r}")
+            for z in s:
+                if cpo.le(x, y) and cpo.le(y, z) and not cpo.le(x, z):
+                    out.append(f"transitivity fails at {x!r}, {y!r}, {z!r}")
+    return out
+
+
+class TestOrderAxiomMatrix:
+    NATS = tuple(nat(i) for i in range(4))
+
+    @pytest.mark.parametrize(
+        "le",
+        [
+            lambda a, b: 0 <= b.n - a.n <= 1,  # not transitive
+            lambda a, b: a.n // 2 == b.n // 2,  # not antisymmetric
+            lambda a, b: a.n < b.n,  # not reflexive
+            lambda a, b: a.n <= b.n,  # a partial order
+        ],
+    )
+    def test_same_failures_in_the_same_order_as_the_triple_loop(self, le):
+        desc = CpoDescriptor("probe", le, self.NATS)
+        assert order_axiom_failures(desc) == reference_order_failures(desc)
+
+    def test_broken_axioms_are_reported(self):
+        hop = CpoDescriptor("hop", lambda a, b: 0 <= b.n - a.n <= 1, self.NATS)
+        pairs = CpoDescriptor("pairs", lambda a, b: a.n // 2 == b.n // 2, self.NATS)
+        assert order_axiom_failures(hop)[0].startswith("transitivity fails at NatV(n=0)")
+        assert order_axiom_failures(pairs)[0].startswith("antisymmetry fails at NatV(n=0)")
+
+    def test_le_runs_once_per_ordered_pair(self):
+        calls = []
+        desc = CpoDescriptor("count", lambda a, b: calls.append(1) or a == b, self.NATS)
+        assert order_axiom_failures(desc) == []
+        assert len(calls) == len(self.NATS) ** 2
 
 
 LIST_BOOL_NF = PolyNF(((Unit(), 0), (Bool(), 1)))

@@ -36,6 +36,7 @@ from quasikernel.kernel import (
     Partial,
     PathTrie,
     Prod,
+    Record,
     RestrictE,
     Snd,
     Sum,
@@ -480,6 +481,23 @@ class TestRecords:
             Unit(1)
         with pytest.raises(TypeError):
             SelInfo("f", 1)
+
+    def test_classes_with_one_source_share_its_code_not_their_defaults(self):
+        class Low(Record):
+            __slots__ = __match_args__ = ("x", "y")
+            _defaults = {"y": 1}
+
+        class High(Record):
+            __slots__ = __match_args__ = ("x", "y")
+            _defaults = {"y": 2}
+
+        assert Low.__init__ is not High.__init__
+        assert Low.__init__.__code__ is High.__init__.__code__
+        assert Sum.__init__.__code__ is Prod.__init__.__code__
+        assert (Low(0).y, High(0).y, High(0, 5).y) == (1, 2, 5)
+        assert Low.__init__.__qualname__.endswith("Low.__init__")
+        assert High.__init__.__qualname__.endswith("High.__init__")
+        assert Sum.__init__.__qualname__ == "Sum.__init__"
 
     def test_interned_and_fieldless_values_keep_object_init(self):
         # an interned node is not given its fields again on each construction
