@@ -80,17 +80,18 @@ def check_chain(cpo: CpoDescriptor, ch: PartialChain, bound: int) -> list[PVal]:
 
 
 def chain_sup_info(cpo: CpoDescriptor, ch: PartialChain, bound: int) -> tuple[PVal, int]:
-    """Supremum of a partial chain plus the stabilization index."""
+    """Supremum of a partial chain plus the stabilization index: the first
+    index from which every element equals the last, each compared with it
+    once."""
     xs = check_chain(cpo, ch, bound)
-    defined = [(i, x) for i, x in enumerate(xs) if x.defined()]
-    if not defined:
+    if not any(x.defined() for x in xs):
         return UNDEF, bound
-    last = xs[-1]
-    if len(xs) < 2 or not (xs[-2].defined() and cpo.equal(xs[-2], last)):
-        raise NotStabilized(f"chain still moving at bound {bound}")
     idx = len(xs) - 1
+    last = xs[idx]
     while idx > 0 and xs[idx - 1].defined() and cpo.equal(xs[idx - 1], last):
         idx -= 1
+    if idx == len(xs) - 1:
+        raise NotStabilized(f"chain still moving at bound {bound}")
     return last, idx
 
 

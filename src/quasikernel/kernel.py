@@ -20,7 +20,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from contextvars import ContextVar
-from types import CodeType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -128,7 +127,7 @@ class Record:
         return type(self), self._fields()
 
 
-_INIT_CODE: dict[str, CodeType] = {}
+_init_code = functools.cache(lambda source: compile(source, "<record>", "exec"))
 
 
 def _record_init(cls: type) -> Callable:
@@ -140,11 +139,8 @@ def _record_init(cls: type) -> Callable:
     params = [f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls.__match_args__]
     body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in cls.__match_args__)
     source = f"def __init__(self, {', '.join(params)}):{body}"
-    code = _INIT_CODE.get(source)
-    if code is None:
-        code = _INIT_CODE[source] = compile(source, "<record>", "exec")
     scope = {"set_field": set_field, "_defaults": cls._defaults}
-    exec(code, scope)
+    exec(_init_code(source), scope)
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init

@@ -78,6 +78,23 @@ class TestChainSup:
         with pytest.raises(NotStabilized):
             chain_sup(prefix_cpo, ch, 8)
 
+    def test_a_single_defined_element_has_not_stabilized(self):
+        with pytest.raises(NotStabilized, match="still moving at bound 1"):
+            chain_sup(NAT_FLAT, lambda i: nat(1), 1)
+
+    def test_each_element_is_compared_with_the_last_once(self):
+        calls = []
+
+        def le(a, b):
+            calls.append((a, b))
+            return a == b
+
+        flat = CpoDescriptor("counted", le)
+        sup, idx = chain_sup_info(flat, chain_from([UNDEF, nat(2), nat(2), nat(2)]), 6)
+        assert (sup, idx) == (nat(2), 1)
+        # 4 steps checked monotone, then 4 elements equal to the last, both ways
+        assert len(calls) == 4 + 2 * 4
+
     def test_flat_monotonicity_violation_flagged(self):
         with pytest.raises(MonotonicityViolation):
             chain_sup(NAT_FLAT, chain_from([nat(3), nat(4), nat(4)]), 4)
