@@ -355,8 +355,9 @@ class InitialAlgebra:
         i, w, children = poly_unvalue(self.nf, fv)
         return self.construct(i, w, children)
 
-    def lambek_inverse(self) -> Callable[[PVal], PVal]:
-        """The two-sided inverse of the structure map, obtained as a fold."""
+    def lambek_algebra(self) -> list[Callable[[PVal, list], PVal]]:
+        """The algebra ``F alpha : F F T -> F T``, per summand: the children's
+        results are mapped back into T by the structure map."""
 
         def alg_for(i):
             def alg(w, results):
@@ -366,7 +367,11 @@ class InitialAlgebra:
 
             return alg
 
-        alg = [alg_for(i) for i in range(self.n)]
+        return [alg_for(i) for i in range(self.n)]
+
+    def lambek_inverse(self) -> Callable[[PVal], PVal]:
+        """The two-sided inverse of the structure map, obtained as a fold."""
+        alg = self.lambek_algebra()
         return lambda t: self.fold(alg, t)
 
     def case_op(self, branches: Sequence[Callable[[PVal, list], PVal]], t: PVal) -> PVal:

@@ -744,12 +744,12 @@ class CotypeInfo(Record):
 
 def _build_param(tys: tuple[Ty, ...], values: Sequence[PVal]) -> PVal:
     # Unit factors are elided by normalization; skip them when packing
-    return tuple_of([v for t, v in zip(tys, values) if t != Unit()])
+    return tuple_of([v for t, v in zip(tys, values) if type(t) is not Unit])
 
 
 def _split_param(tys: tuple[Ty, ...], param: PVal) -> list[PVal]:
-    parts = iter(untuple(param, sum(t != Unit() for t in tys)))
-    return [UNIT if t == Unit() else next(parts) for t in tys]
+    parts = iter(untuple(param, sum(type(t) is not Unit for t in tys)))
+    return [UNIT if type(t) is Unit else next(parts) for t in tys]
 
 
 def _apply_branch(branch: PVal | Callable, args: Sequence[PVal]) -> PVal:
@@ -894,9 +894,7 @@ def _elaborate_freetype(d: Decl, fields: list[list[SigFunctor]], display: str) -
                 const_is_var.append(isinstance(arg, Named) and arg.name in param_names)
             else:
                 kinds.append("rec")
-        flags = [
-            v for t, v in zip(const_tys, const_is_var) if t != Unit()
-        ]
+        flags = [v for t, v in zip(const_tys, const_is_var) if type(t) is not Unit]
         if "rec" not in kinds:
             ctors.append(CtorInfo(alt.name, 0, n_consts, tuple(kinds), tuple(const_tys)))
             shape[0].append(flags)

@@ -92,7 +92,15 @@ class TestChainSup:
         flat = CpoDescriptor("counted", le)
         sup, idx = chain_sup_info(flat, chain_from([UNDEF, nat(2), nat(2), nat(2)]), 6)
         assert (sup, idx) == (nat(2), 1)
-        # 4 steps checked monotone, then 4 elements equal to the last, both ways
+        # 4 steps checked monotone; the 4 elements equal to the last are
+        # found so by ``==``, with no call to ``le``
+        assert len(calls) == 4
+        # where distinct values are equivalent, each of the 4 elements is
+        # compared with the last both ways, once
+        calls.clear()
+        coarse = CpoDescriptor("coarse", lambda a, b: calls.append((a, b)) or True)
+        values = [UNDEF, nat(1), nat(2), nat(3), nat(4), nat(5)]
+        assert chain_sup_info(coarse, chain_from(values), 6) == (nat(5), 1)
         assert len(calls) == 4 + 2 * 4
 
     def test_flat_monotonicity_violation_flagged(self):
@@ -120,6 +128,20 @@ class TestDescriptors:
     )
     def test_order_axioms_on_samples(self, cpo):
         assert order_axiom_failures(cpo) == []
+
+    @pytest.mark.parametrize(
+        "cpo", [NAT_FLAT, VERT, pfun_cpo(Bool(), VERT), sum_cpo(VERT, NAT_FLAT)]
+    )
+    def test_equal_is_le_both_ways(self, cpo):
+        for a in cpo.sample:
+            for b in cpo.sample:
+                assert cpo.equal(a, b) == (cpo.le(a, b) and cpo.le(b, a))
+
+    def test_equal_decides_a_flat_pair_with_one_le(self):
+        calls = []
+        counted = CpoDescriptor("counted", lambda a, b: calls.append((a, b)) or a == b)
+        assert counted.equal(nat(1), nat(1)) and calls == []
+        assert not counted.equal(nat(1), nat(2)) and calls == [(nat(1), nat(2))]
 
     def test_product_order_is_componentwise(self):
         p = product_cpo(NAT_FLAT, NAT_FLAT)

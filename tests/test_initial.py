@@ -199,6 +199,7 @@ CORPUS_SIGNATURES = (
     "free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)\n"
 )
 CORPUS_DEPTHS = {"List": 4, "Nat2": 6, "Shape": 3, "Tagged": 3}
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 # The reference builds flat tables itself: a `finmap` over `encode_path`
@@ -500,11 +501,12 @@ class TestProductFold:
 
 
 class TestFoldCount:
-    def test_check_folds_each_tree_at_most_three_times(self, monkeypatch):
-        # one product fold for the equation, at most one for uniqueness and
-        # one for Lambek's lemma; not one per sampled algebra.  The file's
-        # two ``let`` folds run while it is elaborated, before any tree is
-        # enumerated, and are not counted.
+    def test_check_folds_each_tree_at_most_twice(self, monkeypatch):
+        # one product fold for the equation and at most one for uniqueness;
+        # not one per sampled algebra.  Lambek's lemma reads the children's
+        # inverses and calls no fold, and membership walks with ``_f``.  The
+        # file's two ``let`` folds run while it is elaborated, before any
+        # tree is enumerated, and are not counted.
         from quasikernel.cli import run
 
         folds, trees = [], []
@@ -521,11 +523,95 @@ class TestFoldCount:
             "enumerate_trees",
             lambda self, d: trees.extend(enumerate_trees(self, d)) or enumerate_trees(self, d),
         )
-        corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "lists.qk")
-        report, code = run(["check", corpus, "--suite", "initial", "--obs-depth", "6"])
+        lists = os.path.join(CORPUS, "lists.qk")
+        report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
         assert code == 0, report
         assert trees
-        assert len(folds) <= 3 * len(trees)
+        assert len(folds) <= 2 * len(trees)
+
+
+_real_destruct, _real_sel, _real_f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
+
+# one-function mutants of the tree handle, as monkeypatches of its class
+MUTANTS = {
+    "destruct-reversed": (
+        "destruct",
+        lambda self, t: (lambda i, w, cs: (i, w, cs[::-1]))(*_real_destruct(self, t)),
+    ),
+    "sel-1": ("sel", lambda self, j, t: _real_sel(self, 1, t)),
+}
+
+
+def _initial_report(name, depth, monkeypatch=None, mutant=None):
+    """``suite_initial`` on a freshly elaborated corpus type, by check name."""
+    from quasikernel.checks import CheckConfig, suite_initial
+    from quasikernel.surface import elaborate, parse
+
+    if mutant is not None:
+        monkeypatch.setattr(InitialAlgebra, *MUTANTS[mutant])
+    info = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name]
+    results = suite_initial(info, CheckConfig(depth, 8, 0))
+    return info.handle, {r.name.rsplit(".", 1)[1]: r for r in results}
+
+
+class TestLambekCheck:
+    """The Lambek check of ``suite_initial``: one node per tree, each tree's
+    inverse built from its children's."""
+
+    def test_calls_the_structure_map_once_per_node(self, monkeypatch):
+        from quasikernel.cli import run
+
+        calls, trees = [], []
+        structure_map = InitialAlgebra.structure_map
+        enumerate_trees = InitialAlgebra.enumerate_trees
+
+        def counted(self, fv):
+            if trees:
+                calls.append(fv)
+            return structure_map(self, fv)
+
+        def enumerated(self, d):
+            out = enumerate_trees(self, d)
+            trees.extend((self, t) for t in out)
+            return out
+
+        monkeypatch.setattr(InitialAlgebra, "structure_map", counted)
+        monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
+        lists = os.path.join(CORPUS, "lists.qk")
+        report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
+        assert code == 0, report
+        assert trees
+        # k children's inverses mapped back into T, and the tree rebuilt once
+        assert len(calls) <= sum(len(h.destruct(t)[2]) + 1 for h, t in trees)
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutants_fail_on_shape(self, monkeypatch, mutant):
+        _, checks = _initial_report("Shape", 3, monkeypatch, mutant)
+        assert checks["lambek"].status == "fail"
+
+    @pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])
+    @pytest.mark.parametrize("name", ["List", "Shape", "Tagged"])
+    def test_verdict_matches_the_real_fold(self, monkeypatch, name, mutant):
+        h, checks = _initial_report(name, 3, monkeypatch, mutant)
+        inv = h.lambek_inverse()
+        reference = all(h.structure_map(inv(t)) == t for t in h.enumerate_trees(3))
+        assert (checks["lambek"].status == "pass") == reference
+
+    def test_a_fold_that_disagrees_with_its_equation_is_a_failed_check(self, monkeypatch):
+        # a walk that hands each algebra its results reversed: on Shape's
+        # glue the equation forces another value than fold gives
+        from quasikernel.cli import run
+
+        def reversed_f(self, n, t, algebra):
+            return _real_f(self, n, t, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
+
+        monkeypatch.setattr(InitialAlgebra, "_f", reversed_f)
+        mixed = os.path.join(CORPUS, "mixed.qk")
+        report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
+        assert code == 1
+        (entry,) = [c for c in report["checks"] if c["name"] == "initial.Shape.fold-uniqueness"]
+        assert entry["status"] == "fail"
+        assert entry["detail"].startswith("summand 1 at depth 2: ")
 
 
 class TestLambek:
