@@ -2,13 +2,14 @@
 
 Modules:
   kernel    partial values, strict evaluation, restriction, two equalities
+  report    check results, the unit of every command's report
   functors  signature functors, the two normal forms, fmap and sums
   initial   list objects and finite-tree initial algebras with fold
   final     path-map final coalgebras with unfold, and finite M-types
   surface   declaration language, positivity, extraction, elaboration
   cpo       partial-chain domains, fixed points, datatypes as cpos
-  lab       finite reflexive-relation and subset-space categories
-  report    check results, the unit of every command's report
+  lab       finite reflexive-relation and subset-space categories, and
+            the certifications behind ``lab``
   checks    bounded check suites over the constructions
   cli       command-line front end
 

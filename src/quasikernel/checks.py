@@ -3,8 +3,8 @@
 These quantify universal properties over finite enumerations: algebras
 over small carriers, trees up to a depth bound, paths up to a length
 bound.  The CLI assembles their outcomes into reports; the test suite
-calls them directly.  The cpo and lab suites import their modules when
-they run, so ``check --suite initial`` loads neither.
+calls them directly.  The cpo suite imports its module when it runs, so
+``check --suite initial`` does not load it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .kernel import (
     eq_strong,  # noqa: F401  not called; the benchmark's tracer test reads it
     finmap,
     nat,
+    show_pval,
 )
 from .report import CheckResult, check
 
@@ -53,19 +54,6 @@ def _algebra_domain(a_ty, k: int, carrier: Sequence[PVal]) -> list:
         for w in enumerate_ty(a_ty, 2)
         for combo in itertools.product(carrier, repeat=k)
     ]
-
-
-def _summand_functions(a_ty, k: int, carrier: Sequence[PVal]):
-    domain = _algebra_domain(a_ty, k, carrier)
-    for values in itertools.product(carrier, repeat=len(domain)):
-        yield _table_fn(dict(zip(domain, values)))
-
-
-def enumerate_algebras(nf: PolyNF, carrier: Sequence[PVal]) -> Iterator[list]:
-    """Every algebra structure on the carrier, as per-summand table functions."""
-    per_summand = [list(_summand_functions(a, k, carrier)) for a, k in nf.summands]
-    for combo in itertools.product(*per_summand):
-        yield list(combo)
 
 
 def sample_algebras(
@@ -101,9 +89,10 @@ def fold_equation_failures(
 
     The algebras' carriers are first-order values, which compare exactly
     by ``==``; a side of another shape is a failure like any other (for
-    every algebra, if it is the whole product fold).  Trees are processed
-    shallowest first so each side is computed by the real fold, into the
-    product of the algebras, exactly once per tree.
+    every algebra, if it is the whole product fold).  A failure prints
+    both sides as ``eval`` prints values.  Trees are processed shallowest
+    first so each side is computed by the real fold, into the product of
+    the algebras, exactly once per tree.
     """
     product = product_algebra(handle.n, algebras)
     failures: list[list[str]] = [[] for _ in algebras]
@@ -117,7 +106,7 @@ def fold_equation_failures(
         rhs = product[i](w, [results[_shape_key(c)] for c in children])
         for found, l, r in zip(failures, lhs, rhs):
             if l != r:
-                found.append(f"summand {i}: {l!r} != {r!r}")
+                found.append(f"summand {i}: {show_pval(l)} != {show_pval(r)}")
     return [f for found in failures for f in found]
 
 
@@ -359,52 +348,4 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
         out.append(check("cpo.sum-stability", sup == InlV(TRUE)))
     except cpo_mod.QuasiError as e:  # pragma: no cover
         out.append(CheckResult("cpo.sum-stability", "fail", str(e)))
-    return out
-
-
-def suite_lab(which: str, cfg: CheckConfig) -> list[CheckResult]:
-    from . import lab
-
-    out = []
-    if which == "rere":
-        zero, one = lab.initial(lab.RERE), lab.terminal(lab.RERE)
-        m = lab.hom_set(zero, one)[0]
-        out.append(check("lab.rere.zero-to-one-regular", lab.is_regular_mono(m)))
-        o = lab.coarseness_counterexample()
-        detail = f"counterexample: {o!r}" if o is not None else ""
-        out.append(check("lab.rere.coarse-iff-indiscrete", o is None, detail))
-        report = lab.nno_fragment_check()
-        out.append(check("lab.rere.nno-discrete-not-coarse", report.discrete_not_coarse))
-        out.append(check("lab.rere.nno-bounded-initiality", report.discrete_initiality_ok))
-        out.append(check("lab.rere.nno-indiscrete-fails", report.indiscrete_fails))
-    if which == "spap":
-        zero, one = lab.initial(lab.SPAP), lab.terminal(lab.SPAP)
-        m = lab.hom_set(zero, one)[0]
-        regular = lab.is_regular_mono(m)
-        hull = lab.regular_hull(m)
-        witness_ok = hull == lab.spap_obj((), [()])
-        out.append(
-            check(
-                "lab.spap.zero-to-one-not-regular",
-                not regular and witness_ok,
-                f"regular subobject witness: carrier={hull.carrier} family={sorted(map(sorted, hull.structure))}",
-            )
-        )
-        c = lab.coproduct(one, one)
-        pb = lab.pullback(c.inj1, c.inj2)
-        disjoint = any(lab.is_iso(f) for f in lab.hom_set(pb, zero))
-        out.append(check("lab.spap.coproduct-not-disjoint", not disjoint))
-    if which == "mtypes":
-        one = lab.terminal(lab.SPAP)
-        one_empty = lab.spap_obj((0,), [])
-        report = lab.mtype_vs_extpoly_compare(one, one_empty, one_empty)
-        out.append(
-            check(
-                "lab.mtypes.counterexample",
-                report.ext_card >= 1 and report.general_card == 0,
-                f"|F(1_0)|={report.ext_card}, |P_q(1_0)|={report.general_card}",
-            )
-        )
-        agree = lab.mtype_vs_extpoly_compare(one, one, one_empty)
-        out.append(check("lab.mtypes.disjoint-fibers-agree", agree.isomorphic))
     return out

@@ -2,7 +2,8 @@
 
 Each command imports what it runs: the file commands import ``surface``,
 ``check`` imports the suites (and with ``--suite cpo``/``all`` the cpo
-module), and ``lab`` imports the lab, but not ``surface``.
+module), and ``lab`` imports the lab, which certifies its own sweeps,
+but neither ``surface`` nor the suites.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(args):
-    from .checks import CheckConfig
-
-    return CheckConfig(
-        obs_depth=args.obs_depth,
-        chain_bound=args.chain_bound,
-        seed=args.seed,
-    )
-
-
 def cmd_elaborate(args) -> list[CheckResult]:
     """One check per declaration, each declared as ``check`` and ``eval`` do;
     a failed declaration is left out and the rest are still declared."""
@@ -117,12 +108,12 @@ def cmd_eval(args) -> list[CheckResult]:
 
 
 def cmd_check(args) -> list[CheckResult]:
-    from .checks import suite_cpo, suite_final, suite_initial
+    from .checks import CheckConfig, suite_cpo, suite_final, suite_initial
     from .surface import elaborate, parse
 
     with open(args.file, encoding="utf-8") as fh:
         source = fh.read()
-    cfg = _config(args)
+    cfg = CheckConfig(obs_depth=args.obs_depth, chain_bound=args.chain_bound, seed=args.seed)
     try:
         env = elaborate(parse(source), fuel_steps=args.fuel)
     except QuasiError as e:
@@ -140,9 +131,9 @@ def cmd_check(args) -> list[CheckResult]:
 
 
 def cmd_lab(args) -> list[CheckResult]:
-    from .checks import suite_lab
+    from .lab import certify
 
-    return suite_lab(args.which, _config(args))
+    return certify(args.which)
 
 
 def run(argv=None) -> tuple[dict, int]:

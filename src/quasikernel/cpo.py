@@ -26,7 +26,6 @@ from .kernel import (
     InlV,
     InrV,
     Nat,
-    PairV,
     PVal,
     QuasiError,
     Record,
@@ -117,24 +116,6 @@ BOOL_FLAT = flat_cpo(Bool(), "Bool")
 UNIT_CPO = flat_cpo(Unit(), "Unit")
 
 
-def product_cpo(a: CpoDescriptor, b: CpoDescriptor) -> CpoDescriptor:
-    def le(x: PVal, y: PVal) -> bool:
-        return (
-            isinstance(x, PairV)
-            and isinstance(y, PairV)
-            and a.le(x.fst, y.fst)
-            and b.le(x.snd, y.snd)
-        )
-
-    bottom = None
-    if a.bottom is not None and b.bottom is not None:
-        bottom = PairV(a.bottom, b.bottom)
-    sample = tuple(
-        PairV(x, y) for x in a.sample[:3] for y in b.sample[:3]
-    )
-    return CpoDescriptor(f"({a.name} x {b.name})", le, sample, bottom)
-
-
 def pfun_cpo(domain: Ty, b: CpoDescriptor, nat_bound: int = 6) -> CpoDescriptor:
     """Partial maps out of a sampled domain, pointwise; pointed by the
     everywhere-undefined map.
@@ -162,22 +143,6 @@ def pfun_cpo(domain: Ty, b: CpoDescriptor, nat_bound: int = 6) -> CpoDescriptor:
     return CpoDescriptor(
         f"({domain!r} -/-> {b.name})", le, tuple(sample), bottom=finmap({})
     )
-
-
-def cfun_cpo(a_dom: Ty, b: CpoDescriptor, nat_bound: int = 4) -> CpoDescriptor:
-    """Total (continuous) maps, pointwise order on the sampled domain."""
-    dom = tuple(enumerate_ty(a_dom, nat_bound))
-
-    def le(f: PVal, g: PVal) -> bool:
-        return all(
-            (fx := apply_pval(f, x)).defined()
-            and (gx := apply_pval(g, x)).defined()
-            and b.le(fx, gx)
-            for x in dom
-        )
-
-    sample = tuple(finmap({x: v for x in dom}) for v in b.sample[:3])
-    return CpoDescriptor(f"({a_dom!r} ->c {b.name})", le, sample)
 
 
 def sum_cpo(a: CpoDescriptor, b: CpoDescriptor) -> CpoDescriptor:
@@ -227,10 +192,6 @@ def _iterate(
         if cpo.le(nxt, prev):
             return xs, True
     return xs, False
-
-
-def kleene_chain(cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int) -> list[PVal]:
-    return _iterate(cpo, f, bound)[0]
 
 
 def lfp(cpo: CpoDescriptor, f: Callable[[PVal], PVal], bound: int = 32) -> PVal:

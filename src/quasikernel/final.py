@@ -1,10 +1,9 @@
 """Constructed final coalgebras: infinite trees as partial path maps.
 
 Elements are procedural partial maps from paths over the summed
-exponent type to the summed parameter type, plus (when produced by
-unfold) the generating coalgebra and seed as a witness.  Elements are
-genuinely infinite, so equality is bounded observational equivalence at
-a configurable depth; exponent types must be finitely enumerable for
+exponent type to the summed parameter type.  They are genuinely
+infinite, so equality is bounded observational equivalence at a
+configurable depth; exponent types must be finitely enumerable for
 observation to be effective (an implementation bound, not a semantic
 one).  An unfolded tree keeps a trie of the coalgebra steps it has
 reached, so a step runs once; the bounded checks read trees through one
@@ -94,7 +93,7 @@ class _Node:
 _OFF = _Node(UNDEF, None, None)  # the node at every undefined path
 
 
-def _trie_tree(top: _Node, **fields) -> PVal:
+def _trie_tree(top: _Node) -> PVal:
     """The tree whose root is ``top``'s child under label None; an unfolded
     tree's root step runs on first observation."""
 
@@ -104,11 +103,7 @@ def _trie_tree(top: _Node, **fields) -> PVal:
             node = node.child(label)
         return node.value
 
-    return _as_ptree(at, trie=top, **fields)
-
-
-def ptree_witness(tree: PVal):
-    return getattr(tree, "_witness", None)
+    return _as_ptree(at, trie=top)
 
 
 def subtree(handle, tree: PVal, label: PVal) -> PVal:
@@ -227,7 +222,7 @@ class FinalCoalgebra:
 
             return inject(i, n, x), succ
 
-        return _trie_tree(_Node(UNDEF, lambda _root: z, step), witness=(d, z))
+        return _trie_tree(_Node(UNDEF, lambda _root: z, step))
 
     # ---- carrier membership -------------------------------------------------
 
@@ -348,7 +343,7 @@ class MType:
             a, g = d(seed)
             return a, lambda b: g(b) if self.sig.q(b) == a else _OFF
 
-        return _trie_tree(_Node(UNDEF, lambda _root: z, step), witness=(d, z))
+        return _trie_tree(_Node(UNDEF, lambda _root: z, step))
 
     def offered(self, a: PVal) -> list[PVal]:
         return [b for b in self.b_labels if a.defined() and self.sig.q(b) == a]

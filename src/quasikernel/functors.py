@@ -29,16 +29,13 @@ from .kernel import (
     Unit,
     Zero,
     apply_pval,
-    enumerate_ty,
     finmap,
     fold_right,
     is_true,
     pair,
     pfun,
-    product_choices,
     set_field,
     tuple_of,
-    ty_card,
     untuple,
 )
 
@@ -234,30 +231,6 @@ def ext_unvalue(nf: ExtPolyNF, v: PVal) -> tuple[int, PVal, PVal]:
     return i, payload.fst, payload.snd
 
 
-def poly_card(nf: PolyNF, x_card: int) -> int:
-    return sum(ty_card(a) * x_card**k for a, k in nf.summands)
-
-
-def poly_enumerate(nf: PolyNF, xs: list[PVal], nat_bound: int = 4) -> list[PVal]:
-    """All encoded ``F X`` values with X-components drawn from ``xs``."""
-    out = []
-    for i, (a, k) in enumerate(nf.summands):
-        for p in enumerate_ty(a, nat_bound):
-            for children in product_choices(xs, k):
-                out.append(poly_value(nf, i, p, list(children)))
-    return out
-
-
-def ext_enumerate(nf: ExtPolyNF, xs: list[PVal], nat_bound: int = 4) -> list[PVal]:
-    out = []
-    for i, (a, b) in enumerate(nf.summands):
-        dom = enumerate_ty(b, nat_bound)
-        for p in enumerate_ty(a, nat_bound):
-            for choice in product_choices(xs, len(dom)):
-                out.append(ext_value(nf, i, p, finmap(zip(dom, choice))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Map action
 
@@ -291,13 +264,8 @@ def sumcase(f: Callable[[PVal], PVal], g: Callable[[PVal], PVal], v: PVal) -> PV
 # Coproducts via the triple encoding, and the partial constant bot
 
 
-def bot(target: Ty | None = None) -> PVal:
+def bot() -> PVal:
     """Partial constant ``1 -/-> a``: undefined at ()."""
-    return finmap({})
-
-
-def zero_map(target: Ty | None = None) -> PVal:
-    """The unique map out of the empty type; never applicable."""
     return finmap({})
 
 

@@ -59,9 +59,7 @@ from .kernel import (
     nat,
     product_choices,
     trie,
-    trie_of_paths,
     tuple_of,
-    ty_card,
     untuple,
 )
 
@@ -147,25 +145,12 @@ def enc_to_list(l: PVal) -> list[PVal]:
 # Trees as kernel values
 
 
-def make_tree(label: dict[Path, PVal], depth_map: dict[Path, int], anchor: PVal) -> PVal:
-    l = trie_of_paths(label.items())
-    d = trie_of_paths((p, nat(k)) for p, k in depth_map.items())
-    return PairV(l, PairV(d, anchor))
-
-
 def tree_parts(t: PVal) -> tuple[PathTrie, PathTrie, PVal]:
     if type(t) is PairV and type(t.snd) is PairV:
         l, rest = t.fst, t.snd
         if type(l) is PathTrie and type(rest.fst) is PathTrie:
             return l, rest.fst, rest.snd
     raise TypeMismatch("not a tree value")
-
-
-def tree_label_at(t: PVal, p: Path) -> PVal:
-    node, _, _ = tree_parts(t)
-    for j in p:
-        node = node.child(j)
-    return node.root
 
 
 def tree_depth(t: PVal) -> Optional[int]:
@@ -200,10 +185,6 @@ class InitialAlgebra:
         self.param_shape = param_shape
         # one object per summand, so interning a root hits by identity
         self._node_labels = [inject(i, self.n, InrV(UNIT)) for i in range(self.n)]
-        try:
-            self.empty_constants = ty_card(nf.summands[0][0]) == 0
-        except QuasiError:
-            self.empty_constants = False
 
     # A = sum over summands of (A_i + 1)
     def node_label(self, i: int) -> PVal:
@@ -373,13 +354,6 @@ class InitialAlgebra:
         """The two-sided inverse of the structure map, obtained as a fold."""
         alg = self.lambek_algebra()
         return lambda t: self.fold(alg, t)
-
-    def case_op(self, branches: Sequence[Callable[[PVal, list], PVal]], t: PVal) -> PVal:
-        """Decompose once, then dispatch on the constructor; strict in t."""
-        if not t.defined():
-            return UNDEF
-        i, w, children = self.destruct(t)
-        return branches[i](w, children)
 
     # ---- membership and enumeration ----------------------------------------
 

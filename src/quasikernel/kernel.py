@@ -199,11 +199,12 @@ class Named(Ty):
     _defaults = {"args": ()}
 
 
-def normalize_ty(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> Ty:
-    """Resolve names and expand the definitional aliases.
+def normalize_ty(ty: Ty) -> Ty:
+    """Expand the definitional aliases.
 
     ``Bool`` is definitionally ``Sum(Unit, Unit)`` and ``Logical`` is
-    ``Partial(Unit, Unit)``; unresolved names are an error.
+    ``Partial(Unit, Unit)``.  Names are resolved by the elaborator before a
+    type reaches the kernel, so a name here is an error.
     """
     match ty:
         case Bool():
@@ -211,24 +212,22 @@ def normalize_ty(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> Ty:
         case Logical():
             return Partial(Unit(), Unit())
         case Named(name):
-            if env is None or name not in env:
-                raise UnboundName(f"unresolved type name {name!r}")
-            return normalize_ty(env[name], env)
+            raise UnboundName(f"unresolved type name {name!r}")
         case Sum(l, r):
-            return Sum(normalize_ty(l, env), normalize_ty(r, env))
+            return Sum(normalize_ty(l), normalize_ty(r))
         case Prod(l, r):
-            return Prod(normalize_ty(l, env), normalize_ty(r, env))
+            return Prod(normalize_ty(l), normalize_ty(r))
         case Total(d, c):
-            return Total(normalize_ty(d, env), normalize_ty(c, env))
+            return Total(normalize_ty(d), normalize_ty(c))
         case Partial(d, c):
-            return Partial(normalize_ty(d, env), normalize_ty(c, env))
+            return Partial(normalize_ty(d), normalize_ty(c))
         case _:
             return ty
 
 
-def ty_card(ty: Ty, env: Optional[Mapping[str, Ty]] = None) -> int:
+def ty_card(ty: Ty) -> int:
     """Number of values of a finite type; raises on Nat."""
-    t = normalize_ty(ty, env)
+    t = normalize_ty(ty)
     match t:
         case Unit():
             return 1
@@ -731,13 +730,13 @@ def apply_pval(f: PVal, x: PVal) -> PVal:
     raise TypeMismatch(f"cannot apply non-function {show_pval(f)}")
 
 
-def enumerate_ty(ty: Ty, nat_bound: int = 4, env=None) -> list[PVal]:
+def enumerate_ty(ty: Ty, nat_bound: int = 4) -> list[PVal]:
     """All values of a finite type (naturals truncated below ``nat_bound``).
 
     Function types enumerate as finite tables, which is exact because the
     domain itself is finite.
     """
-    t = normalize_ty(ty, env)
+    t = normalize_ty(ty)
     match t:
         case Unit():
             return [UNIT]

@@ -5,7 +5,8 @@ Two concrete quasitopos-style categories at desk scale, with enough
 regular monomorphisms are found (or refuted) by searching equalizers of
 small cospans, and choice-map existence is decided by probing with all
 set-functions out of a small object pool.  Morphism equality is graph
-equality; objects are compared up to listed-atom identity.
+equality; objects are compared up to listed-atom identity.  ``certify``
+runs the checks that ``lab`` reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .kernel import QuasiError, Record, set_field
+from .report import CheckResult, check
 
 RERE = "rere"
 SPAP = "spap"
@@ -447,3 +449,54 @@ def mtype_vs_extpoly_compare(b_left, b_right, x) -> FunctorComparison:
         dom = full_subobject(b, fiber)
         pq_card += len(hom_set(dom, x))
     return FunctorComparison(f_card, pq_card)
+
+
+# ---------------------------------------------------------------------------
+# The certifications behind ``lab``
+
+
+def certify(which: str) -> list[CheckResult]:
+    """The checks of ``lab rere``, ``lab spap`` or ``lab mtypes``."""
+    out = []
+    if which == RERE:
+        zero, one = initial(RERE), terminal(RERE)
+        m = hom_set(zero, one)[0]
+        out.append(check("lab.rere.zero-to-one-regular", is_regular_mono(m)))
+        o = coarseness_counterexample()
+        detail = f"counterexample: {o!r}" if o is not None else ""
+        out.append(check("lab.rere.coarse-iff-indiscrete", o is None, detail))
+        nno = nno_fragment_check()
+        out.append(check("lab.rere.nno-discrete-not-coarse", nno.discrete_not_coarse))
+        out.append(check("lab.rere.nno-bounded-initiality", nno.discrete_initiality_ok))
+        out.append(check("lab.rere.nno-indiscrete-fails", nno.indiscrete_fails))
+    if which == SPAP:
+        zero, one = initial(SPAP), terminal(SPAP)
+        m = hom_set(zero, one)[0]
+        regular = is_regular_mono(m)
+        hull = regular_hull(m)
+        witness_ok = hull == spap_obj((), [()])
+        out.append(
+            check(
+                "lab.spap.zero-to-one-not-regular",
+                not regular and witness_ok,
+                f"regular subobject witness: carrier={hull.carrier} family={sorted(map(sorted, hull.structure))}",
+            )
+        )
+        c = coproduct(one, one)
+        pb = pullback(c.inj1, c.inj2)
+        disjoint = any(is_iso(f) for f in hom_set(pb, zero))
+        out.append(check("lab.spap.coproduct-not-disjoint", not disjoint))
+    if which == "mtypes":
+        one = terminal(SPAP)
+        one_empty = spap_obj((0,), [])
+        cmp = mtype_vs_extpoly_compare(one, one_empty, one_empty)
+        out.append(
+            check(
+                "lab.mtypes.counterexample",
+                cmp.ext_card >= 1 and cmp.general_card == 0,
+                f"|F(1_0)|={cmp.ext_card}, |P_q(1_0)|={cmp.general_card}",
+            )
+        )
+        agree = mtype_vs_extpoly_compare(one, one, one_empty)
+        out.append(check("lab.mtypes.disjoint-fibers-agree", agree.isomorphic))
+    return out

@@ -438,26 +438,6 @@ def pretty_ty(t: Ty | SigFunctor) -> str:
     raise TypeMismatch(f"unprintable type {t!r}")
 
 
-def pretty_decl(d: Decl) -> str:
-    head = " ".join([d.name, *d.params])
-    if d.kind == "free":
-        alts = " | ".join(
-            a.name + (f"({'; '.join(pretty_ty(t) for t in a.args)})" if a.args else "")
-            for a in d.alts
-        )
-        return f"free type {head} ::= {alts}"
-    coalts = " | ".join(
-        "("
-        + "; ".join(
-            f"{', '.join(g.names)}{':?' if g.partial else ':'} {pretty_ty(g.codomain)}"
-            for g in alt
-        )
-        + ")"
-        for alt in d.coalts
-    )
-    return f"cotype {head} ::= {coalts}"
-
-
 # ---------------------------------------------------------------------------
 # Positivity
 
@@ -665,9 +645,6 @@ class FreeTypeInfo(Record):
                 k for k, c in enumerate(self.ctors) if c.summand == 0 and c.const_index == idx
             )
         return next(k for k, c in enumerate(self.ctors) if c.summand == summand)
-
-    def ctor_of_payload(self, summand: int, param: PVal) -> CtorInfo:
-        return self.ctors[self.ctor_position(summand, param)]
 
     # ---- recursion schemes keyed by constructor ------------------------------
 

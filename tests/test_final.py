@@ -15,11 +15,10 @@ from quasikernel.final import (
     ambient_ext_values,
     ambient_general_poly_values,
     ambient_iso,
-    ptree_witness,
     subtree,
 )
 from quasikernel.functors import ExtPolyNF, ext_unvalue, inject, project
-from quasikernel.initial import make_tree, tree_label_at, tree_parts, tree_tables
+from quasikernel.initial import tree_parts, tree_tables
 from quasikernel.kernel import (
     FALSE,
     TRUE,
@@ -40,6 +39,7 @@ from quasikernel.kernel import (
     is_true,
     nat,
     pfun,
+    trie_of_paths,
 )
 from quasikernel.surface import elaborate, parse
 
@@ -102,10 +102,11 @@ class TestPaths:
         for p in ((), tree_path, process_path):
             assert decode_path(encode_path(p)) == p
         # initial maps integer paths through nat at its edge
-        t = make_tree({(1, 10, 2): TRUE}, {(1, 10, 2): 0}, UNIT)
+        label = trie_of_paths([((1, 10, 2), TRUE)])
+        t = PairV(label, PairV(trie_of_paths([((1, 10, 2), nat(0))]), UNIT))
         assert tree_parts(t)[0].keys() == [encode_path(tree_path)]
         assert tree_tables(t) == ({(1, 10, 2): TRUE}, {(1, 10, 2): 0})
-        assert tree_label_at(t, (1, 10, 2)) == TRUE
+        assert label.child(1).child(10).child(2).root == TRUE
 
 
 class TestCounterStream:
@@ -124,10 +125,6 @@ class TestCounterStream:
         step = inject(0, 1, UNIT)
         for k in range(5):
             assert h.observe(tail, (step,) * k) == h.observe(t, (step,) * (k + 1))
-
-    def test_witness_recorded(self):
-        h, d, t = counter()
-        assert ptree_witness(t) == (d, 0)
 
 
 class TestMembership:

@@ -1,5 +1,7 @@
+import itertools
 import os
 import random
+import re
 import sys
 import threading
 
@@ -7,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasikernel.checks import (
-    enumerate_algebras,
     fold_equation_failures,
     fold_uniqueness_solutions,
     sample_algebras,
@@ -26,13 +27,11 @@ from quasikernel.initial import (
     enc_nil,
     enc_to_list,
     induction_via_fold,
-    make_tree,
     nat_algebra,
     param_map,
     subtype_fold,
     tree_anchor,
     tree_depth,
-    tree_label_at,
     tree_parts,
     tree_tables,
     unchurch,
@@ -58,6 +57,7 @@ from quasikernel.kernel import (
     finmap,
     is_true,
     nat,
+    show_pval,
     trie_of_paths,
 )
 
@@ -79,6 +79,32 @@ def tree_list(handle, values):
 
 def length_algebra():
     return [lambda w, rs: nat(0), lambda w, rs: nat(rs[0].n + 1)]
+
+
+def make_tree(label, depth_map, anchor):
+    """A tree value from its label and depth tables, well formed or not."""
+    d = trie_of_paths((p, nat(k)) for p, k in depth_map.items())
+    return PairV(trie_of_paths(label.items()), PairV(d, anchor))
+
+
+def label_at(t, path):
+    node = tree_parts(t)[0]
+    for j in path:
+        node = node.child(j)
+    return node.root
+
+
+def enumerate_algebras(nf, carrier):
+    """Every algebra structure on the carrier, as per-summand table
+    functions, with the parameters' naturals below 2."""
+
+    def functions(a, k):
+        domain = [(w, cs) for w in enumerate_ty(a, 2) for cs in itertools.product(carrier, repeat=k)]
+        for values in itertools.product(carrier, repeat=len(domain)):
+            table = dict(zip(domain, values))
+            yield lambda w, rs, table=table: table[(w, tuple(rs))]
+
+    return [list(combo) for combo in itertools.product(*(list(functions(a, k)) for a, k in nf.summands))]
 
 
 class TestEncList:
@@ -159,8 +185,8 @@ class TestConstructors:
     def test_root_label_is_constructor_marker(self):
         h = nat_algebra()
         t = h.construct(0, UNIT, [])
-        assert tree_label_at(t, ()) == h.node_label(0)
-        assert tree_label_at(t, (0,)) == h.leaf_label(0, UNIT)
+        assert label_at(t, ()) == h.node_label(0)
+        assert label_at(t, (0,)) == h.leaf_label(0, UNIT)
 
     def test_depth_law_exact(self):
         h = InitialAlgebra(MIXED_NF)
@@ -182,13 +208,6 @@ class TestConstructors:
         t = h.construct(2, UNIT, [inner, inner])
         assert tree_parts(h.sel(1, t))[:2] == tree_parts(inner)[:2]
         assert tree_parts(h.sel(2, t))[:2] == tree_parts(inner)[:2]
-
-    def test_empty_constants_flagged(self):
-        from quasikernel.kernel import Zero
-
-        h = InitialAlgebra(PolyNF(((Zero(), 0), (Unit(), 1))))
-        assert h.empty_constants
-        assert h.enumerate_trees(4) == []
 
 
 # the corpus signatures, elaborated as the CLI elaborates them
@@ -368,13 +387,13 @@ class TestFold:
         monkeypatch.setattr(h, "fold", tampered)
         failures = fold_equation_failures(h, algebras, trees)
         i = h.destruct(odd)[0]
-        assert failures == [f"summand {i}: UnitV() != {nat(k)!r}"]
+        assert failures == [f"summand {i}: () != {k}"]
 
         # a whole product fold of another shape fails once for every
         # algebra, in algebra order, and raises no TypeError
         monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
         failures = fold_equation_failures(h, algebras, trees)
-        assert failures == [f"summand {i}: UnitV() != {nat(k)!r}" for k in range(3)]
+        assert failures == [f"summand {i}: () != {k}" for k in range(3)]
 
     def test_fold_uniqueness(self):
         carrier = [nat(i) for i in range(3)]
@@ -423,7 +442,7 @@ def _equation_failures_one_by_one(handle, algebra, trees):
         results[tree_parts(t)[:2]] = lhs
         rhs = algebra[i](w, [results[tree_parts(c)[:2]] for c in children])
         if lhs != rhs:
-            failures.append(f"summand {i}: {lhs!r} != {rhs!r}")
+            failures.append(f"summand {i}: {show_pval(lhs)} != {show_pval(rhs)}")
     return failures
 
 
@@ -542,6 +561,11 @@ MUTANTS = {
 }
 
 
+def _reversed_f(self, n, t, algebra):
+    """A walk that hands each algebra its results reversed."""
+    return _real_f(self, n, t, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
+
+
 def _initial_report(name, depth, monkeypatch=None, mutant=None):
     """``suite_initial`` on a freshly elaborated corpus type, by check name."""
     from quasikernel.checks import CheckConfig, suite_initial
@@ -598,20 +622,30 @@ class TestLambekCheck:
         assert (checks["lambek"].status == "pass") == reference
 
     def test_a_fold_that_disagrees_with_its_equation_is_a_failed_check(self, monkeypatch):
-        # a walk that hands each algebra its results reversed: on Shape's
-        # glue the equation forces another value than fold gives
+        # results handed over reversed: on Shape's glue the equation forces
+        # another value than fold gives
         from quasikernel.cli import run
 
-        def reversed_f(self, n, t, algebra):
-            return _real_f(self, n, t, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
-
-        monkeypatch.setattr(InitialAlgebra, "_f", reversed_f)
+        monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
         mixed = os.path.join(CORPUS, "mixed.qk")
         report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
         assert code == 1
         (entry,) = [c for c in report["checks"] if c["name"] == "initial.Shape.fold-uniqueness"]
         assert entry["status"] == "fail"
         assert entry["detail"].startswith("summand 1 at depth 2: ")
+
+    def test_a_failed_fold_equation_prints_values_as_eval_does(self, monkeypatch):
+        from quasikernel.cli import run
+
+        monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
+        mixed = os.path.join(CORPUS, "mixed.qk")
+        report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
+        assert code == 1
+        failed = [c for c in report["checks"] if c["name"].endswith(".fold-equation")]
+        assert failed and all(c["status"] == "fail" for c in failed)
+        for c in failed:
+            assert re.fullmatch(r"summand \d+: \d+ != \d+", c["detail"]), c["detail"]
+            assert "NatV(" not in c["detail"]
 
 
 class TestLambek:
@@ -673,42 +707,47 @@ class TestPrimrec:
         by_primrec = h.primrec(
             [lambda w, ps: nat(0), lambda w, ps: nat(1)]
         )
-        branches = [lambda w, ch: nat(0), lambda w, ch: nat(1)]
         for t in h.enumerate_trees(3):
-            assert by_primrec(t) == h.case_op(branches, t)
+            assert by_primrec(t) == nat(h.destruct(t)[0])
 
 
 class TestCase:
+    """``case`` as ``eval`` runs it: one branch per declared constructor,
+    applied to the constructor's arguments."""
+
+    def info(self):
+        from quasikernel.surface import elaborate, parse
+
+        return elaborate(parse("free type L ::= nil | cons(Bool; L)")).freetypes["L"]
+
     def test_against_pattern_match_oracle(self):
-        h = list_handle()
-        branches = [
-            lambda w, ch: nat(0),
-            lambda w, ch: nat(2 if w == TRUE else 1),
-        ]
+        info = self.info()
+        h = info.handle
+        branches = [lambda: nat(0), lambda x, _l: nat(2 if x == TRUE else 1)]
 
         def oracle(t):
             i, w, _ = h.destruct(t)
             return nat(0) if i == 0 else nat(2 if w == TRUE else 1)
 
         for t in h.enumerate_trees(4):
-            assert h.case_op(branches, t) == oracle(t)
+            assert info.case(branches, t) == oracle(t)
 
     def test_strict_on_undefined_scrutinee(self):
-        h = list_handle()
-        assert h.case_op([lambda w, ch: nat(0)] * 2, UNDEF) == UNDEF
+        assert self.info().case([nat(0), lambda x, _l: nat(0)], UNDEF) == UNDEF
 
     def test_head_selector_via_case(self):
-        h = list_handle()
-        head = lambda t: h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t)
-        assert head(tree_list(h, [FALSE, TRUE])) == FALSE
-        assert head(tree_list(h, [])) == UNDEF
+        info = self.info()
+        head = lambda t: info.case([lambda: UNDEF, lambda x, _l: x], t)
+        assert head(tree_list(info.handle, [FALSE, TRUE])) == FALSE
+        assert head(tree_list(info.handle, [])) == UNDEF
 
     def test_takes_one_destruct_step(self):
-        h = list_handle()
+        info = self.info()
+        h = info.handle
         t = tree_list(h, [TRUE, FALSE] * 14)
         destruct, calls = h.destruct, []
         h.destruct = lambda t: calls.append(t) or destruct(t)
-        assert h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t) == TRUE
+        assert info.case([lambda: UNDEF, lambda x, _l: x], t) == TRUE
         assert len(calls) == 1
 
 
@@ -927,7 +966,7 @@ class TestMembership:
         h = InitialAlgebra(MIXED_NF)
         for t in h.enumerate_trees(4):
             assert (tree_depth(t) or 0) > 0
-            root = tree_label_at(t, ())
+            root = label_at(t, ())
             assert root in {h.node_label(i) for i in range(h.n)}
 
 
@@ -988,7 +1027,7 @@ class TestTrieTables:
         t = tree_list(h, [TRUE, FALSE] * 20)
         assert h.fold(length_algebra(), t) == nat(40)
         assert h.destruct(t)[0] == 1 and h.sel(1, t) == h.destruct(t)[2][0]
-        assert h.is_in_T(t) and h.case_op([lambda w, ch: UNDEF, lambda w, ch: w], t) == TRUE
+        assert h.is_in_T(t)
         assert reads == []
 
     def test_construct_shares_the_child_tables(self):

@@ -541,12 +541,6 @@ class TestTypes:
 
         assert normalize_ty(Logical()) == Partial(Unit(), Unit())
 
-    def test_named_resolution(self):
-        assert normalize_ty(
-            __import__("quasikernel.kernel", fromlist=["Named"]).Named("t"),
-            {"t": Bool()},
-        ) == Sum(Unit(), Unit())
-
     def test_unresolved_name(self):
         from quasikernel.kernel import Named
 

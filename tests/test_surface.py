@@ -54,7 +54,7 @@ from quasikernel.surface import (
     parse,
     parse_expr,
     parse_functor,
-    pretty_decl,
+    pretty_ty,
     resolve_ty,
 )
 
@@ -63,6 +63,22 @@ NAT_SRC = "free type Nat ::= 0 | suc Nat"
 PROC_SRC = "cotype Proc ::= (out:? Bool; next:? Proc) | (spawnl, spawnr: Proc)"
 TREE_SRC = "free type Tree a b ::= leaf a | branch(b -> List (Tree a b))"
 MONO_LIST_SRC = "free type List ::= nil | cons(Nat; List)"
+
+
+def pretty_decl(d: Decl) -> str:
+    """A declaration printed in the syntax ``parse`` reads."""
+    head = " ".join([d.name, *d.params])
+    if d.kind == "free":
+        alts = " | ".join(
+            a.name + (f"({'; '.join(pretty_ty(t) for t in a.args)})" if a.args else "")
+            for a in d.alts
+        )
+        return f"free type {head} ::= {alts}"
+    groups = (
+        "; ".join(f"{', '.join(g.names)}{':?' if g.partial else ':'} {pretty_ty(g.codomain)}" for g in alt)
+        for alt in d.coalts
+    )
+    return f"cotype {head} ::= " + " | ".join(f"({g})" for g in groups)
 
 # closed and parametric types as the parser builds them: Named leaves
 # (builtins, parameters, bracketed applications) under nested Sum/Prod/Total
@@ -293,7 +309,7 @@ class TestElaborateFreeTypes:
             if i == 0:
                 assert lhs == branches[0]
             else:
-                ctor = info.ctor_of_payload(i, w)
+                ctor = info.ctors[info.ctor_position(i, w)]
                 args = info.split_args(ctor, w, children)
                 rhs = branches[1](args[0], info.fold(branches, args[1]))
                 assert is_true(eq_strong(lhs, rhs))
