@@ -458,7 +458,7 @@ def mtype_vs_extpoly_compare(b_left, b_right, x) -> FunctorComparison:
 def certify(which: str) -> list[CheckResult]:
     """The checks of ``lab rere``, ``lab spap`` or ``lab mtypes``."""
     out = []
-    if which == RERE:
+    if which == "rere":
         zero, one = initial(RERE), terminal(RERE)
         m = hom_set(zero, one)[0]
         out.append(check("lab.rere.zero-to-one-regular", is_regular_mono(m)))
@@ -469,7 +469,7 @@ def certify(which: str) -> list[CheckResult]:
         out.append(check("lab.rere.nno-discrete-not-coarse", nno.discrete_not_coarse))
         out.append(check("lab.rere.nno-bounded-initiality", nno.discrete_initiality_ok))
         out.append(check("lab.rere.nno-indiscrete-fails", nno.indiscrete_fails))
-    if which == SPAP:
+    if which == "spap":
         zero, one = initial(SPAP), terminal(SPAP)
         m = hom_set(zero, one)[0]
         regular = is_regular_mono(m)
