@@ -1,7 +1,8 @@
 """Partial lambda-calculus kernel with constructed datatypes and process types.
 
 Modules:
-  kernel    partial values, strict evaluation, restriction, two equalities
+  kernel    partial values, strict evaluation of the five parsed term forms,
+            existential and strong equality on values
   report    check results, the unit of every command's report
   functors  signature functors, the two normal forms, fmap and sums
   initial   list objects and finite-tree initial algebras with fold

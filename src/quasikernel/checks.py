@@ -181,7 +181,6 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
         trees = handle.enumerate_trees(cfg.obs_depth)
     except QuasiError as e:
         return [CheckResult(f"{prefix}.enumerable", "skip", str(e))]
-    trees = sorted(trees, key=lambda t: tree_depth(t) or 0)
     out = []
     carrier = [nat(i) for i in range(3)]
     rng = random.Random(cfg.seed)
@@ -196,9 +195,9 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     except FoldDisagrees as e:
         out.append(CheckResult(f"{prefix}.fold-uniqueness", "fail", str(e)))
 
-    # Lambek's lemma and the depth law in one depth-ordered pass, one node
-    # per tree: a tree's inverse is the Lambek algebra on its children's,
-    # already computed and checked.  That is the fold of the tree when the
+    # Lambek's lemma and the depth law in one pass, one node per tree: the
+    # trees come in depth order, so a tree's inverse is the Lambek algebra
+    # on its children's, already computed and checked.  That is the fold of the tree when the
     # fold equation holds, which ``fold-equation`` tests with real folds;
     # ``membership`` still folds each tree.  Inverses are keyed by path
     # maps, since a subtree read by ``destruct`` carries its parent's anchor.

@@ -376,7 +376,8 @@ class InitialAlgebra:
 
     def enumerate_trees(self, max_depth: int) -> list[PVal]:
         """All carrier elements of depth at most ``max_depth``, with the
-        parameters' naturals below 2."""
+        parameters' naturals below 2, in order of depth: the constants
+        first, and then round r adds exactly the trees of depth r + 2."""
         params = [enumerate_ty(a, nat_bound=2) for a, _ in self.nf.summands]
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
         seen = {t for t in layers}

@@ -168,10 +168,6 @@ class Bool(Ty):
     __slots__ = ()
 
 
-class Logical(Ty):
-    __slots__ = ()
-
-
 class Zero(Ty):
     __slots__ = ()
 
@@ -200,17 +196,14 @@ class Named(Ty):
 
 
 def normalize_ty(ty: Ty) -> Ty:
-    """Expand the definitional aliases.
+    """Expand the definitional alias: ``Bool`` is ``Sum(Unit, Unit)``.
 
-    ``Bool`` is definitionally ``Sum(Unit, Unit)`` and ``Logical`` is
-    ``Partial(Unit, Unit)``.  Names are resolved by the elaborator before a
-    type reaches the kernel, so a name here is an error.
+    Names are resolved by the elaborator before a type reaches the kernel,
+    so a name here is an error.
     """
     match ty:
         case Bool():
             return Sum(Unit(), Unit())
-        case Logical():
-            return Partial(Unit(), Unit())
         case Named(name):
             raise UnboundName(f"unresolved type name {name!r}")
         case Sum(l, r):
@@ -781,14 +774,7 @@ def product_choices(options, n):
 
 
 # ---------------------------------------------------------------------------
-# Restriction and equality
-
-
-def restrict(v: PVal, cond: PVal) -> PVal:
-    """Restriction: defined and equal to ``v`` iff ``v`` defined and ``cond`` true."""
-    if cond == TRUE:
-        return v
-    return UNDEF
+# Equality
 
 
 def _canonical_args(dom: Optional[Ty], depth: int) -> list[PVal]:
@@ -899,35 +885,6 @@ class PairE(Term):
     __slots__ = __match_args__ = ("fst", "snd")
 
 
-class Fst(Term):
-    __slots__ = __match_args__ = ("arg",)
-
-
-class Snd(Term):
-    __slots__ = __match_args__ = ("arg",)
-
-
-class InlE(Term):
-    __slots__ = __match_args__ = ("arg",)
-
-
-class InrE(Term):
-    __slots__ = __match_args__ = ("arg",)
-
-
-class CaseE(Term):
-    __slots__ = __match_args__ = ("scrutinee", "left_var", "left", "right_var", "right")
-
-
-class RestrictE(Term):
-    __slots__ = __match_args__ = ("arg", "cond")
-
-
-class EqE(Term):
-    __slots__ = __match_args__ = ("lhs", "rhs", "strong", "depth")
-    _defaults = {"strong": False, "depth": 4}
-
-
 class Ambiguous(Record):
     """What a bare name binds while several installed types bind it:
     evaluating the name raises ``AmbiguousName`` with ``message``."""
@@ -957,7 +914,8 @@ _applying: ContextVar[Fuel] = ContextVar("applying_fuel")
 
 
 def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
-    """Call-by-value evaluation; application to an undefined argument is undefined."""
+    """Call-by-value evaluation of the five forms the parser builds;
+    application to an undefined argument is undefined."""
     fuel.tick()
     match term:
         case Var(name):
@@ -991,45 +949,6 @@ def eval_term(term: Term, env: Mapping[str, PVal], fuel: Fuel) -> PVal:
                 _applying.reset(token)
         case PairE(x, y):
             return pair(eval_term(x, env, fuel), eval_term(y, env, fuel))
-        case Fst(e):
-            v = eval_term(e, env, fuel)
-            if not v.defined():
-                return UNDEF
-            if not isinstance(v, PairV):
-                raise TypeMismatch("fst of non-pair")
-            return v.fst
-        case Snd(e):
-            v = eval_term(e, env, fuel)
-            if not v.defined():
-                return UNDEF
-            if not isinstance(v, PairV):
-                raise TypeMismatch("snd of non-pair")
-            return v.snd
-        case InlE(e):
-            return inl(eval_term(e, env, fuel))
-        case InrE(e):
-            return inr(eval_term(e, env, fuel))
-        case CaseE(scrut, lv, lb, rv, rb):
-            v = eval_term(scrut, env, fuel)
-            if not v.defined():
-                return UNDEF
-            inner = dict(env)
-            match v:
-                case InlV(x):
-                    inner[lv] = x
-                    return eval_term(lb, inner, fuel)
-                case InrV(x):
-                    inner[rv] = x
-                    return eval_term(rb, inner, fuel)
-            raise TypeMismatch("case on non-sum value")
-        case RestrictE(e, c):
-            cv = eval_term(c, env, fuel)
-            vv = eval_term(e, env, fuel)
-            return restrict(vv, cv)
-        case EqE(l, r, strong, depth):
-            lv = eval_term(l, env, fuel)
-            rv = eval_term(r, env, fuel)
-            return eq_strong(lv, rv, depth) if strong else eq_existential(lv, rv, depth)
     raise TypeMismatch(f"unknown term {term!r}")
 
 

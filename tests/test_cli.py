@@ -297,6 +297,16 @@ class TestEval:
         report, code = run(["eval", str(p), "-e", r"b (bn (B.unfold (\z. (z, \u. suc z)) 3))"])
         assert code == 0 and report["checks"][0]["detail"] == "4"
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["fst (bot ())", "snd (bot ())", "inl (bot ())", "inr (bot ())", "(bot (), 1)", r"(\x. 0) (bot ())", "fst 3"],
+    )
+    def test_projections_injections_pairs_and_application_are_strict(self, expr):
+        # the projections are builtins: a non-pair has no first component
+        report, code = run(["eval", str(CORPUS / "lists.qk"), "-e", expr])
+        assert code == 0
+        assert report["checks"] == [{"name": "eval", "status": "pass", "detail": "undefined"}]
+
     def test_long_list_literal_prints(self):
         # its path keys nest two levels per element, past the recursion limit
         digits = ",".join(str(i % 10) for i in range(640))

@@ -53,7 +53,6 @@ from quasikernel.kernel import (
     is_true,
     nat,
     product_choices,
-    restrict,
     ty_card,
 )
 
@@ -364,12 +363,6 @@ class TestFmapSumDistribution:
 class TestBot:
     def test_bot_is_undefined_at_unit(self):
         assert apply_pval(bot(), UNIT) == UNDEF
-
-    def test_restrict_false_matches_bot_result(self):
-        v = nat(9)
-        assert is_true(
-            eq_strong(restrict(v, FALSE), apply_pval(bot(), UNIT))
-        )
 
     def test_outl_on_wrong_side(self):
         assert outl(inr(nat(1))) == UNDEF

@@ -648,6 +648,32 @@ class TestLambekCheck:
             assert "NatV(" not in c["detail"]
 
 
+class TestEnumerateTrees:
+    """``suite_initial``'s one-pass Lambek check reads the trees in the
+    order ``enumerate_trees`` returns them, so that order is by depth."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
+    def test_corpus_types_come_in_depth_order(self, name):
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
+        depths = [tree_depth(t) for t in h.enumerate_trees(CORPUS_DEPTHS[name])]
+        assert depths == sorted(depths) and depths[-1] == CORPUS_DEPTHS[name]
+
+    @pytest.mark.parametrize(
+        "nf, depth",
+        [
+            (LIST_NF, 4),
+            (LIST_NAT_NF, 4),
+            (MIXED_NF, 3),
+            (PolyNF(((Bool(), 0), (Unit(), 2), (Bool(), 1))), 3),
+        ],
+    )
+    def test_normal_forms_come_in_depth_order(self, nf, depth):
+        depths = [tree_depth(t) for t in InitialAlgebra(nf).enumerate_trees(depth)]
+        assert depths == sorted(depths) and depths[-1] == depth
+
+
 class TestLambek:
     def test_inverse_decomposes_cons(self):
         h = list_handle()

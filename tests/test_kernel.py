@@ -15,17 +15,12 @@ from quasikernel.kernel import (
     UNIT,
     App,
     Bool,
-    CaseE,
     EMPTY_TRIE,
-    EqE,
     FinMapV,
-    Fst,
     Fuel,
     FuelExhausted,
     IncomparableTypes,
-    InlE,
     InlV,
-    InrE,
     InrV,
     Lam,
     Lit,
@@ -37,8 +32,6 @@ from quasikernel.kernel import (
     PathTrie,
     Prod,
     Record,
-    RestrictE,
-    Snd,
     Sum,
     Total,
     TypeMismatch,
@@ -67,7 +60,6 @@ from quasikernel.kernel import (
     pair,
     pfun,
     product_choices,
-    restrict,
     show_pval,
     trie,
     trie_of_paths,
@@ -78,7 +70,7 @@ from quasikernel.kernel import (
 from quasikernel.checks import CheckConfig
 from quasikernel.cpo import NAT_FLAT, CpoDescriptor
 from quasikernel.lab import FinObj, LabError, rere_obj
-from quasikernel.surface import SelInfo
+from quasikernel.surface import Alt, Decl, SelInfo
 
 
 def fold_pairs(n, last):
@@ -153,25 +145,6 @@ def typed_value_strategy():
             st.sampled_from(enumerate_ty(ty, nat_bound=3)),
         )
     )
-
-
-class TestRestrict:
-    def test_true_keeps_value(self):
-        assert restrict(nat(7), TRUE) == nat(7)
-
-    def test_false_undefines(self):
-        assert restrict(nat(7), FALSE) == UNDEF
-
-    def test_undefined_stays_undefined(self):
-        assert restrict(UNDEF, TRUE) == UNDEF
-
-    def test_undefined_condition(self):
-        assert restrict(nat(1), UNDEF) == UNDEF
-
-    @given(pval_strategy)
-    def test_restrict_laws(self, v):
-        assert is_true(eq_strong(restrict(v, TRUE), v))
-        assert restrict(v, FALSE) == UNDEF
 
 
 class TestEquality:
@@ -310,16 +283,12 @@ class TestEval:
         return eval_term(term, env or {}, Fuel(steps))
 
     def test_beta_needs_defined_argument(self):
-        undef_term = RestrictE(Lit(nat(0)), Lit(FALSE))
-        term = App(Lam("x", Var("x")), undef_term)
+        term = App(Lam("x", Var("x")), Lit(UNDEF))
         assert self.run(term) == UNDEF
 
     def test_constant_function(self):
         term = App(Lam("x", Lit(UNIT)), Lit(nat(3)))
         assert self.run(term) == UNIT
-
-    def test_restrict_false(self):
-        assert self.run(RestrictE(Lit(nat(5)), Lit(FALSE))) == UNDEF
 
     def test_unbound_name(self):
         with pytest.raises(UnboundName):
@@ -359,21 +328,13 @@ class TestEval:
         assert spent(via_builtin, {"f": f}) == 5 + 2 * (direct - 3)
 
     def test_deterministic(self):
-        prog = CaseE(Lit(inl(nat(2))), "a", Var("a"), "b", Lit(nat(0)))
+        swap = Lam("p", PairE(Var("q"), Var("p")))
+        prog = App(Lam("q", App(swap, Lit(inl(nat(2))))), Lit(nat(0)))
         assert self.run(prog, steps=100) == self.run(prog, steps=100)
 
-    def test_projections_and_case_strictness(self):
-        assert self.run(Fst(Lit(UNDEF))) == UNDEF
-        assert self.run(Snd(Lit(UNDEF))) == UNDEF
-        assert self.run(CaseE(Lit(UNDEF), "a", Lit(nat(1)), "b", Lit(nat(2)))) == UNDEF
-
     def test_all_unary_formers_are_strict(self):
-        from quasikernel.kernel import InlE, InrE, PairE
-
         undef = Lit(UNDEF)
         for term in (
-            InlE(undef),
-            InrE(undef),
             PairE(undef, Lit(nat(1))),
             PairE(Lit(nat(1)), undef),
             App(Lit(pfun(lambda v: v)), undef),
@@ -386,12 +347,6 @@ class TestEval:
         assert self.run(term) == nat(5)
 
     def test_type_mismatches_are_hard_errors(self):
-        from quasikernel.kernel import TypeMismatch
-
-        with pytest.raises(TypeMismatch):
-            self.run(Fst(Lit(nat(1))))
-        with pytest.raises(TypeMismatch):
-            self.run(CaseE(Lit(nat(1)), "a", Lit(UNIT), "b", Lit(UNIT)))
         with pytest.raises(TypeMismatch):
             apply_pval(nat(1), nat(2))
 
@@ -403,8 +358,8 @@ class TestRecords:
         assert repr(Bool()) == "Bool()"
         assert repr(Named("x")) == "Named(name='x', args=())"
         assert repr(Sum(Unit(), Nat())) == "Sum(left=Unit(), right=Nat())"
-        assert repr(EqE(Var("x"), Lit(UNIT))) == (
-            "EqE(lhs=Var(name='x'), rhs=Lit(value=UnitV()), strong=False, depth=4)"
+        assert repr(SelInfo("f", 1, "fn")) == (
+            "SelInfo(name='f', alt=1, kind='fn', const_pos=-1, rec_pos=-1, exponent=None)"
         )
         assert repr(PairV(nat(1), TRUE)) == "PairV(fst=NatV(n=1), snd=InlV(value=UnitV()))"
         assert repr(UNDEF) == "Undef()"
@@ -425,7 +380,7 @@ class TestRecords:
         [
             (Sum(Unit(), Nat()), Prod(Unit(), Nat())),
             (Total(Unit(), Nat()), Partial(Unit(), Nat())),
-            (InlE(Var("x")), InrE(Var("x"))),
+            (Named("x"), Alt("x")),  # one generated source, two modules
             (InlV(UNIT), InrV(UNIT)),
             (Unit(), Nat()),
             (UNIT, UNDEF),
@@ -451,11 +406,11 @@ class TestRecords:
                 assert (name, arg) == ("L", Nat())
             case _:
                 pytest.fail("Named did not match")
-        match EqE(Var("a"), Var("b"), True):
-            case EqE(Var(l), Var(r), strong, depth):
-                assert (l, r, strong, depth) == ("a", "b", True, 4)
+        match Decl("free", "L", ("X",)):
+            case Decl(kind, name, (param,), alts, coalts):
+                assert (kind, name, param, alts, coalts) == ("free", "L", "X", (), ())
             case _:
-                pytest.fail("EqE did not match")
+                pytest.fail("Decl did not match")
         match PairV(nat(2), InrV(UNIT)):
             case PairV(NatV(n), InrV(UnitV())):
                 assert n == 2
@@ -464,9 +419,9 @@ class TestRecords:
 
     def test_keyword_construction_and_defaults(self):
         assert Named(name="x") == Named("x", ()) == Named("x", args=())
-        e = EqE(lhs=Var("a"), rhs=Var("b"))
-        assert (e.strong, e.depth) == (False, 4)
-        assert EqE(Var("a"), Var("b"), depth=2, strong=True) == EqE(Var("a"), Var("b"), True, 2)
+        d = Decl(kind="free", name="L")
+        assert (d.params, d.alts, d.coalts) == ((), (), ())
+        assert Decl("free", "L", alts=(Alt("nil"),), params=("X",)) == Decl("free", "L", ("X",), (Alt("nil"),), ())
         assert PairE(snd=Var("b"), fst=Var("a")) == PairE(Var("a"), Var("b"))
         s = SelInfo("f", 1, "fn", rec_pos=2)
         assert (s.const_pos, s.rec_pos, s.exponent) == (-1, 2, None)
@@ -535,11 +490,6 @@ class TestRecords:
 class TestTypes:
     def test_bool_is_sum_unit_unit(self):
         assert normalize_ty(Bool()) == Sum(Unit(), Unit())
-
-    def test_logical_normalizes_to_partial(self):
-        from quasikernel.kernel import Logical, Partial
-
-        assert normalize_ty(Logical()) == Partial(Unit(), Unit())
 
     def test_unresolved_name(self):
         from quasikernel.kernel import Named

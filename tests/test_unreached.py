@@ -2,7 +2,8 @@
 
 A public module-level ``def`` or ``class`` counts as used when a ``Name``,
 an ``Attribute`` or an import anywhere in ``src/quasikernel`` mentions it,
-outside its own definition.  The paper's constructions that no command
+outside its own definition.  The class of a ``case C(...)`` pattern is no
+mention: a class that is matched but never built is unused.  The paper's constructions that no command
 runs yet are listed below, grouped by the claim each one supports; their
 tests are in ``tests/``.
 """
@@ -48,7 +49,10 @@ def _scan() -> tuple[dict[str, str], dict[str, int]]:
             if own is not None and not own.startswith("_"):
                 defs[f"{path.stem}.{own}"] = own
             names = set()
+            patterns = {id(n.cls) for n in ast.walk(stmt) if isinstance(n, ast.MatchClass)}
             for node in ast.walk(stmt):
+                if id(node) in patterns:
+                    continue
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
