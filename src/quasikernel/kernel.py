@@ -993,7 +993,7 @@ def show_pval(v: PVal) -> str:
     return "".join(out)
 
 
-# Logical values: a formula is a partial constant on Unit; it holds iff
+# Formulas as values: a formula is a partial constant on Unit; it holds iff
 # application at () is defined.
 TOP = finmap({UNIT: UNIT})
 BOT = finmap({})
