@@ -375,9 +375,10 @@ class InitialAlgebra:
             return False
 
     def enumerate_trees(self, max_depth: int) -> list[PVal]:
-        """All carrier elements of depth at most ``max_depth``, with the
-        parameters' naturals below 2, in order of depth: the constants
-        first, and then round r adds exactly the trees of depth r + 2."""
+        """All carrier elements of depth at most ``max_depth`` (at least 1),
+        with the parameters' naturals below 2, in order of depth: the
+        constants first, and then round r adds exactly the trees of depth
+        r + 2, so ``max_depth - 1`` rounds reach the bound and no further."""
         params = [enumerate_ty(a, nat_bound=2) for a, _ in self.nf.summands]
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
         seen = {t for t in layers}
@@ -394,7 +395,7 @@ class InitialAlgebra:
             if not new:
                 break
             layers.extend(new)
-        return [t for t in layers if (tree_depth(t) or 0) <= max_depth]
+        return layers
 
 
 # ---------------------------------------------------------------------------

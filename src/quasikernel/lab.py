@@ -359,16 +359,47 @@ def is_coarse(a: FinObj) -> bool:
     return True
 
 
+def relation_classes(size: int):
+    """One off-diagonal edge list per isomorphism class of reflexive
+    relations on ``range(size)``.
+
+    Edge i of the off-diagonal pairs is bit i of a mask; each class is
+    represented by the least mask of its orbit under the relabellings.
+    The masks are walked in increasing order, so an unseen mask is the
+    least of its orbit: it is yielded, and its image under every
+    permutation of the atoms is marked seen.
+    """
+    atoms = range(size)
+    off = [(x, y) for x in atoms for y in atoms if x != y]
+    bit = {e: 1 << i for i, e in enumerate(off)}
+    # images[k][i]: the bit of edge i's image under the k-th permutation
+    images = [[bit[(s[x], s[y])] for x, y in off] for s in itertools.permutations(atoms)]
+    seen = bytearray(1 << len(off))
+    for mask in range(len(seen)):
+        if seen[mask]:
+            continue
+        ones = [i for i in range(len(off)) if mask >> i & 1]
+        yield [off[i] for i in ones]
+        for image in images:
+            # a permutation maps distinct edges to distinct bits
+            seen[sum(image[i] for i in ones)] = 1
+
+
 def coarseness_counterexample(max_size: int = 4) -> FinObj | None:
     """A reflexive relation on at most ``max_size`` atoms whose coarseness
-    differs from its indiscreteness, or None if every one agrees."""
+    differs from its indiscreteness, or None if every one agrees.
+
+    One relation per isomorphism class is enough: a bijection s of the
+    atoms of ``a`` maps the structure-preserving set-functions P -> a one
+    to one onto those P -> s(a), so it preserves coarseness, and it
+    preserves having every edge.
+    """
     for size in range(max_size + 1):
         atoms = tuple(range(size))
         diag = frozenset((x, x) for x in atoms)
-        off = [(x, y) for x in atoms for y in atoms if x != y]
-        for edges in _subsets(off):
+        for edges in relation_classes(size):
             o = FinObj(RERE, atoms, diag.union(edges))
-            if is_coarse(o) != (len(edges) == len(off)):
+            if is_coarse(o) != (len(edges) == size * (size - 1)):
                 return o
     return None
 

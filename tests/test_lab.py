@@ -29,6 +29,7 @@ from quasikernel.lab import (
     product,
     pullback,
     regular_hull,
+    relation_classes,
     rere_obj,
     spap_obj,
     subobject_iso,
@@ -351,6 +352,45 @@ class TestNnoFragment:
         assert report.discrete_unique_counts[-1] == 1
 
 
+def _canonical(size, edges):
+    """The least sorted edge list among the relabellings of a relation."""
+    return min(
+        tuple(sorted((s[x], s[y]) for x, y in edges))
+        for s in itertools.permutations(range(size))
+    )
+
+
+class TestRelationClasses:
+    def test_class_counts_are_a000273(self):
+        counts = [sum(1 for _ in relation_classes(n)) for n in range(6)]
+        assert counts == [1, 1, 3, 16, 218, 9_608]
+
+    @pytest.mark.parametrize("size", range(5))
+    def test_classes_partition_the_relations(self, size):
+        reps = [_canonical(size, edges) for edges in relation_classes(size)]
+        assert len(set(reps)) == len(reps)
+        off_diag = [(x, y) for x in range(size) for y in range(size) if x != y]
+        labelled = {_canonical(size, edges) for edges in _edge_subsets(off_diag)}
+        assert labelled == set(reps)
+
+    def test_edges_are_off_diagonal_and_distinct(self):
+        for edges in relation_classes(4):
+            assert len(set(edges)) == len(edges)
+            assert all(x != y and {x, y} <= set(range(4)) for x, y in edges)
+
+    def test_the_sweep_visits_every_class(self, monkeypatch):
+        # invariant under relabelling, and wrong only on the one class of
+        # four-atom relations with 11 of the 12 off-diagonal edges
+        def wrong_on_one_class(a):
+            n = len(a.carrier)
+            return len(a.structure) in (n * n, n + 11)
+
+        monkeypatch.setattr(lab, "is_coarse", wrong_on_one_class)
+        o = coarseness_counterexample()
+        assert o is not None
+        assert o.carrier == (0, 1, 2, 3) and len(o.structure) == 4 + 11
+
+
 def _ref_is_coarse(a):
     """Coarseness probed in the pool's original order, smallest first."""
     pool = all_objects(RERE, 2) + [indiscrete(range(3))]
@@ -381,8 +421,9 @@ class TestFailFirstCoarseness:
         assert code == 0
         # the smallest-first order made 101,580 structure checks here
         assert calls["preserves_structure"] <= 15_000
-        # every reflexive relation on at most four atoms, plus the NNO's N
-        assert calls["is_coarse"] == 4_167
+        # one reflexive relation per isomorphism class on at most four
+        # atoms (1 + 1 + 3 + 16 + 218), plus the NNO's N
+        assert calls["is_coarse"] == 240
 
     def test_no_counterexample(self):
         assert coarseness_counterexample() is None
