@@ -390,9 +390,9 @@ def coarseness_counterexample(max_size: int = 4) -> FinObj | None:
     differs from its indiscreteness, or None if every one agrees.
 
     One relation per isomorphism class is enough: a bijection s of the
-    atoms of ``a`` maps the structure-preserving set-functions P -> a one
-    to one onto those P -> s(a), so it preserves coarseness, and it
-    preserves having every edge.
+    atoms of a relation a maps the structure-preserving set-functions
+    P -> a one to one onto those P -> s(a), so it preserves coarseness,
+    and it preserves having every edge.
     """
     for size in range(max_size + 1):
         atoms = tuple(range(size))

@@ -373,11 +373,6 @@ class TestRelationClasses:
         labelled = {_canonical(size, edges) for edges in _edge_subsets(off_diag)}
         assert labelled == set(reps)
 
-    def test_edges_are_off_diagonal_and_distinct(self):
-        for edges in relation_classes(4):
-            assert len(set(edges)) == len(edges)
-            assert all(x != y and {x, y} <= set(range(4)) for x, y in edges)
-
     def test_the_sweep_visits_every_class(self, monkeypatch):
         # invariant under relabelling, and wrong only on the one class of
         # four-atom relations with 11 of the 12 off-diagonal edges
