@@ -9,9 +9,8 @@ calls them directly.  The cpo suite imports its module when it runs, so
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .functors import PolyNF, ext_unvalue, inject, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
@@ -36,66 +35,70 @@ from .report import CheckResult, check
 
 
 # ---------------------------------------------------------------------------
-# Algebra enumeration over finite carriers
+# Sampled algebras over finite carriers
 
 
-def _table_fn(table: dict):
-    def call(w, results):
-        return table[(w, tuple(results))]
+def sample_algebras(nf: PolyNF, size: int, count: int, rng: random.Random) -> list:
+    """Seeded random algebras over a carrier of ``size`` members, for
+    signatures whose full space is too large.
 
-    return call
-
-
-def _algebra_domain(a_ty, k: int, carrier: Sequence[PVal]) -> list:
-    """The inputs ``(w, children)`` of one summand's algebra function, with
-    the parameter's naturals below 2, as ``enumerate_trees`` builds them."""
+    An algebra is a table per summand, from the parameter ``w`` (naturals
+    below 2, as ``enumerate_trees`` builds them) to a list of carrier
+    indices: entry n is the result on the children whose indices, read as
+    a base-``size`` number with the first child most significant, are n.
+    Each entry is one ``rng.choice``, drawn per algebra, summand, ``w`` and
+    entry, in that order.
+    """
+    members = range(size)
     return [
-        (w, combo)
-        for w in enumerate_ty(a_ty, 2)
-        for combo in itertools.product(carrier, repeat=k)
+        [
+            {w: [rng.choice(members) for _ in range(size**k)] for w in enumerate_ty(a, 2)}
+            for a, k in nf.summands
+        ]
+        for _ in range(count)
     ]
-
-
-def sample_algebras(
-    nf: PolyNF, carrier: Sequence[PVal], count: int, rng: random.Random
-) -> Iterator[list]:
-    """Seeded random algebras, for signatures whose full space is too large."""
-    domains = [_algebra_domain(a, k, carrier) for a, k in nf.summands]
-    for _ in range(count):
-        yield [_table_fn({key: rng.choice(carrier) for key in d}) for d in domains]
 
 
 # ---------------------------------------------------------------------------
 # Fold equation and uniqueness
 
 
-def product_algebra(n: int, algebras: Sequence) -> list:
-    """Summand i maps ``(w, rows)`` to the tuple of ``algebras[k][i]`` on
-    column k of the rows, so a fold into it is the tuple of the folds into
+def product_algebra(nf: PolyNF, algebras: Sequence[list], size: int) -> list:
+    """Summand i maps ``(w, rows)``, the children's results as tuples of
+    carrier indices, to the tuple of each algebra's entry for ``w`` at its
+    column of the rows, so a fold into it is the tuple of the folds into
     the algebras, made in one walk of the tree ("banana split")."""
 
-    def summand(fs):
-        empty = [()] * len(fs)
-        return lambda w, rows: tuple([f(w, c) for f, c in zip(fs, zip(*rows) if rows else empty)])
+    def summand(i, a_ty):
+        tables = {w: [a[i][w] for a in algebras] for w in enumerate_ty(a_ty, 2)}
 
-    return [summand([a[i] for a in algebras]) for i in range(n)]
+        def apply(w, rows):
+            at = rows[0] if rows else [0] * len(algebras)
+            for row in rows[1:]:
+                at = [x * size + y for x, y in zip(at, row)]
+            return tuple(map(list.__getitem__, tables[w], at))
+
+        return apply
+
+    return [summand(i, a) for i, (a, _) in enumerate(nf.summands)]
 
 
 def fold_equation_failures(
-    handle: InitialAlgebra, algebras: Sequence, trees: Sequence[PVal]
+    handle: InitialAlgebra, algebras: Sequence[list], trees: Sequence[PVal], carrier: Sequence[PVal]
 ) -> list[str]:
     """Instances of the fold equation whose two sides differ: every one of
     algebra 0, then of algebra 1, and so on.
 
-    The algebras' carriers are first-order values, which compare exactly
-    by ``==``; a side of another shape is a failure like any other (for
-    every algebra, if it is the whole product fold).  A failure prints
-    both sides as ``eval`` prints values.  Trees are processed shallowest
-    first so each side is computed by the real fold, into the product of
-    the algebras, exactly once per tree.
+    A side is a carrier index, and a failure prints both sides' members as
+    ``eval`` prints values.  A fold result of another shape, which only a
+    broken fold gives, is a failure like any other (for every algebra, if
+    it is the whole product fold).  Trees are processed shallowest first
+    so each side is computed by the real fold, into the product of the
+    algebras, exactly once per tree.
     """
-    product = product_algebra(handle.n, algebras)
-    failures: list[list[str]] = [[] for _ in algebras]
+    product = product_algebra(handle.nf, algebras, len(carrier))
+    shown = lambda j: show_pval(carrier[j] if type(j) is int else j)
+    failures: list[tuple[int, str]] = []
     results: dict = {}
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
@@ -104,10 +107,14 @@ def fold_equation_failures(
             lhs = (lhs,) * len(algebras)
         results[_shape_key(t)] = lhs
         rhs = product[i](w, [results[_shape_key(c)] for c in children])
-        for found, l, r in zip(failures, lhs, rhs):
-            if l != r:
-                found.append(f"summand {i}: {show_pval(l)} != {show_pval(r)}")
-    return [f for found in failures for f in found]
+        if lhs != rhs:
+            failures += [
+                (k, f"summand {i}: {shown(l)} != {shown(r)}")
+                for k, (l, r) in enumerate(zip(lhs, rhs))
+                if l != r
+            ]
+    failures.sort(key=lambda f: f[0])  # stable, so each algebra's stay in tree order
+    return [f for _, f in failures]
 
 
 def _shape_key(t: PVal):
@@ -121,7 +128,7 @@ class FoldDisagrees(QuasiError):
 
 def fold_uniqueness_solutions(
     handle: InitialAlgebra,
-    algebras: Sequence,
+    algebras: Sequence[list],
     trees: Sequence[PVal],
     carrier: Sequence[PVal],
 ) -> list[int]:
@@ -132,36 +139,26 @@ def fold_uniqueness_solutions(
     carrier members), processed in depth order so each equation instance
     only mentions already-assigned subtrees.  Each tree's value is then
     forced up to equality, so the count is the product over trees of how
-    many carrier values equal the required one.  Exactly one solution means
-    the fold is unique on the bounded set; the search also insists that
-    any solution found agrees with the implemented fold, into the product
-    of the algebras that still have solutions, and raises ``FoldDisagrees``,
-    naming the first tree's summand and depth, where it does not.
+    many carrier members equal the required one.  Exactly one solution
+    means the fold is unique on the bounded set; the search also insists
+    that the required values are the implemented fold, into the product of
+    the algebras, and raises ``FoldDisagrees``, naming the first tree's
+    summand and depth, where they are not.
     """
-    live = list(range(len(algebras)))
+    product = product_algebra(handle.nf, algebras, len(carrier))
+    equal = [sum(b == a for b in carrier) for a in carrier]
     totals = [1] * len(algebras)
-    product = product_algebra(handle.n, algebras)
-    assignment: dict = {}  # tree -> the value forced for each live algebra
+    assignment: dict = {}  # tree -> the index forced for each algebra
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
         required = product[i](w, [assignment[_shape_key(c)] for c in children])
-        matches = [[b for b in carrier if b == r] for r in required]
-        for k, found in zip(live, matches):
-            totals[k] *= len(found)
-        if not all(matches):
-            kept = [j for j, found in enumerate(matches) if found]
-            if not kept:
-                break
-            live, matches = [live[j] for j in kept], [matches[j] for j in kept]
-            product = product_algebra(handle.n, [algebras[k] for k in live])
-            assignment = {s: tuple(v[j] for j in kept) for s, v in assignment.items()}
-        folded = handle.fold(product, t)
-        if any(b != v for found, v in zip(matches, folded) for b in found):
+        if handle.fold(product, t) != required:
             raise FoldDisagrees(
                 f"summand {i} at depth {tree_depth(t)}: "
                 "a fold-equation solution disagrees with fold itself"
             )
-        assignment[_shape_key(t)] = tuple(found[0] for found in matches)
+        assignment[_shape_key(t)] = required
+        totals = [n * equal[r] for n, r in zip(totals, required)]
     return totals
 
 
@@ -184,11 +181,11 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     out = []
     carrier = [nat(i) for i in range(3)]
     rng = random.Random(cfg.seed)
-    algebras = list(sample_algebras(handle.nf, carrier, 20, rng))
-    failures = fold_equation_failures(handle, algebras, trees)
+    algebras = sample_algebras(handle.nf, len(carrier), 20, rng)
+    failures = fold_equation_failures(handle, algebras, trees, carrier)
     out.append(check(f"{prefix}.fold-equation", not failures, "; ".join(failures[:1])))
 
-    algebras = list(sample_algebras(handle.nf, carrier, 3, rng))
+    algebras = sample_algebras(handle.nf, len(carrier), 3, rng)
     try:
         counts = fold_uniqueness_solutions(handle, algebras, trees, carrier)
         out.append(check(f"{prefix}.fold-uniqueness", all(c == 1 for c in counts)))
