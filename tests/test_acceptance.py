@@ -86,17 +86,17 @@ def corpus_handles():
     return [(name, InitialAlgebra(nf)) for name, nf in CORPUS]
 
 
-def enumerate_algebras(nf, carrier):
-    """Every algebra structure on the carrier, as per-summand table
-    functions, with the parameters' naturals below 2."""
+def enumerate_algebras(nf, size):
+    """Every algebra structure on a carrier of ``size`` members, as tables
+    of carrier indices (the layout of ``sample_algebras``), with the
+    parameters' naturals below 2."""
 
-    def functions(a, k):
-        domain = [(w, cs) for w in enumerate_ty(a, 2) for cs in itertools.product(carrier, repeat=k)]
-        for values in itertools.product(carrier, repeat=len(domain)):
-            table = dict(zip(domain, values))
-            yield lambda w, rs, table=table: table[(w, tuple(rs))]
+    def tables(a, k):
+        ws, entries = enumerate_ty(a, 2), size**k
+        for values in itertools.product(range(size), repeat=len(ws) * entries):
+            yield {w: list(values[j * entries:(j + 1) * entries]) for j, w in enumerate(ws)}
 
-    return [list(combo) for combo in itertools.product(*(list(functions(a, k)) for a, k in nf.summands))]
+    return [list(combo) for combo in itertools.product(*(list(tables(a, k)) for a, k in nf.summands))]
 
 
 def algebras_for(nf, rng, exhaustive_limit=3000, samples=30):
@@ -108,8 +108,8 @@ def algebras_for(nf, rng, exhaustive_limit=3000, samples=30):
             dom = 6
         space *= len(CARRIER3) ** dom
         if space > exhaustive_limit:
-            return list(sample_algebras(nf, CARRIER3, samples, rng))
-    return enumerate_algebras(nf, CARRIER3)
+            return sample_algebras(nf, len(CARRIER3), samples, rng)
+    return enumerate_algebras(nf, len(CARRIER3))
 
 
 def test_criterion_1_fold_equation():
@@ -120,7 +120,7 @@ def test_criterion_1_fold_equation():
         if name == "ProcType":
             ok = ok and trees == [] and ty_card(handle.nf.summands[0][0]) == 0
             continue
-        if fold_equation_failures(handle, algebras_for(handle.nf, rng), trees) != []:
+        if fold_equation_failures(handle, algebras_for(handle.nf, rng), trees, CARRIER3) != []:
             ok = False
     report(1, "fold-equation suite", ok)
 
@@ -132,7 +132,7 @@ def test_criterion_2_fold_uniqueness():
         trees = handle.enumerate_trees(4)
         for size in (2, 3):
             carrier = [nat(i) for i in range(size)]
-            algebras = list(sample_algebras(handle.nf, carrier, 8, rng))
+            algebras = sample_algebras(handle.nf, size, 8, rng)
             if fold_uniqueness_solutions(handle, algebras, trees, carrier) != [1] * 8:
                 ok = False
     report(2, "fold-uniqueness suite", ok)

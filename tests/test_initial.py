@@ -94,17 +94,32 @@ def label_at(t, path):
     return node.root
 
 
-def enumerate_algebras(nf, carrier):
-    """Every algebra structure on the carrier, as per-summand table
-    functions, with the parameters' naturals below 2."""
+def enumerate_algebras(nf, size):
+    """Every algebra structure on a carrier of ``size`` members, as tables
+    of carrier indices (the layout of ``sample_algebras``), with the
+    parameters' naturals below 2."""
 
-    def functions(a, k):
-        domain = [(w, cs) for w in enumerate_ty(a, 2) for cs in itertools.product(carrier, repeat=k)]
-        for values in itertools.product(carrier, repeat=len(domain)):
-            table = dict(zip(domain, values))
-            yield lambda w, rs, table=table: table[(w, tuple(rs))]
+    def tables(a, k):
+        ws, entries = enumerate_ty(a, 2), size**k
+        for values in itertools.product(range(size), repeat=len(ws) * entries):
+            yield {w: list(values[j * entries:(j + 1) * entries]) for j, w in enumerate(ws)}
 
-    return [list(combo) for combo in itertools.product(*(list(functions(a, k)) for a, k in nf.summands))]
+    return [list(combo) for combo in itertools.product(*(list(tables(a, k)) for a, k in nf.summands))]
+
+
+def constant_algebra(nf, size, j):
+    """The algebra whose every entry is carrier index j."""
+    return [{w: [j] * size**k for w in enumerate_ty(a, 2)} for a, k in nf.summands]
+
+
+def index_algebra(algebra, size):
+    """One table algebra as per-summand functions on carrier indices, read
+    the long way: the children's indices as a base-``size`` number."""
+
+    def summand(table):
+        return lambda w, rs: table[w][sum(r * size**e for e, r in enumerate(reversed(rs)))]
+
+    return [summand(table) for table in algebra]
 
 
 class TestEncList:
@@ -357,26 +372,27 @@ class TestFold:
         h = nat_algebra() if nf is None else InitialAlgebra(nf)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
-        algebras = list(enumerate_algebras(h.nf, carrier))
-        assert fold_equation_failures(h, algebras, trees) == []
+        algebras = enumerate_algebras(h.nf, len(carrier))
+        assert fold_equation_failures(h, algebras, trees, carrier) == []
 
     def test_fold_equation_sampled_mixed(self):
         h = InitialAlgebra(MIXED_NF)
         trees = h.enumerate_trees(4)
         carrier = [nat(i) for i in range(3)]
         rng = random.Random(0)
-        algebras = list(sample_algebras(h.nf, carrier, 25, rng))
-        assert fold_equation_failures(h, algebras, trees) == []
+        algebras = sample_algebras(h.nf, len(carrier), 25, rng)
+        assert fold_equation_failures(h, algebras, trees, carrier) == []
 
     def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
-        # the carrier is first-order, so a fold result of another shape is
-        # an unequal side like any other, not an incomparable pair; only
-        # component k of the product fold is replaced, and the failure is
-        # algebra k's, whose fold is the constant nat(k)
+        # a fold result of another shape is an unequal side like any other,
+        # not an incomparable pair; only component k of the product fold is
+        # replaced, and the failure is algebra k's, whose fold is the
+        # constant carrier index k
         h = list_handle()
         trees = h.enumerate_trees(3)
         odd = max(trees, key=tree_depth)  # no tree of the set has it as a child
-        algebras = [[lambda w, rs, k=k: nat(k)] * h.n for k in range(3)]
+        carrier = [nat(i) for i in range(3)]
+        algebras = [constant_algebra(h.nf, 3, k) for k in range(3)]
         k = 1
         real = h.fold
 
@@ -385,14 +401,14 @@ class TestFold:
             return out[:k] + (UNIT,) + out[k + 1:] if t == odd else out
 
         monkeypatch.setattr(h, "fold", tampered)
-        failures = fold_equation_failures(h, algebras, trees)
+        failures = fold_equation_failures(h, algebras, trees, carrier)
         i = h.destruct(odd)[0]
         assert failures == [f"summand {i}: () != {k}"]
 
         # a whole product fold of another shape fails once for every
         # algebra, in algebra order, and raises no TypeError
         monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
-        failures = fold_equation_failures(h, algebras, trees)
+        failures = fold_equation_failures(h, algebras, trees, carrier)
         assert failures == [f"summand {i}: () != {k}" for k in range(3)]
 
     def test_fold_uniqueness(self):
@@ -400,7 +416,7 @@ class TestFold:
         for h in (nat_algebra(), list_handle()):
             trees = h.enumerate_trees(4)
             rng = random.Random(1)
-            algebras = list(sample_algebras(h.nf, carrier, 10, rng))
+            algebras = sample_algebras(h.nf, len(carrier), 10, rng)
             assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1] * 10
 
     def test_fold_uniqueness_on_many_trees(self):
@@ -411,29 +427,17 @@ class TestFold:
         trees = h.enumerate_trees(4)
         assert len(trees) == 1446
         carrier = [nat(i) for i in range(3)]
-        algebras = list(sample_algebras(h.nf, carrier, 3, random.Random(0)))
+        algebras = sample_algebras(h.nf, len(carrier), 3, random.Random(0))
         assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1, 1, 1]
         # a carrier listing the required value twice doubles the count per tree
-        solo = [lambda w, rs: nat(0)] * h.n
+        solo = constant_algebra(h.nf, 2, 0)
         assert fold_uniqueness_solutions(h, [solo], trees[:3], [nat(0), nat(0)]) == [8]
-        assert fold_uniqueness_solutions(h, [solo], trees, [nat(1)]) == [0]
-
-    def test_an_algebra_without_solutions_stops_being_folded(self, monkeypatch):
-        h = list_handle()
-        trees = h.enumerate_trees(4)
-        solo = [lambda w, rs: nat(0)] * h.n
-        folded = []
-        real = h.fold
-        monkeypatch.setattr(h, "fold", lambda alg, t: folded.append(t) or real(alg, t))
-        # the empty carrier has no value for any tree, so nothing is folded
-        assert fold_uniqueness_solutions(h, [solo, solo], trees, []) == [0, 0]
-        assert folded == []
-        assert fold_uniqueness_solutions(h, [solo], trees, [nat(0)]) == [1]
-        assert len(folded) == len(trees)
+        assert fold_uniqueness_solutions(h, [solo], trees, [nat(0), nat(1)]) == [1]
 
 
-def _equation_failures_one_by_one(handle, algebra, trees):
-    """The fold equation checked for one algebra, one fold per tree."""
+def _equation_failures_one_by_one(handle, algebra, trees, carrier):
+    """The fold equation checked for one algebra on carrier indices, one
+    fold per tree."""
     failures = []
     results = {}
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
@@ -442,24 +446,21 @@ def _equation_failures_one_by_one(handle, algebra, trees):
         results[tree_parts(t)[:2]] = lhs
         rhs = algebra[i](w, [results[tree_parts(c)[:2]] for c in children])
         if lhs != rhs:
-            failures.append(f"summand {i}: {show_pval(lhs)} != {show_pval(rhs)}")
+            failures.append(f"summand {i}: {show_pval(carrier[lhs])} != {show_pval(carrier[rhs])}")
     return failures
 
 
 def _uniqueness_one_by_one(handle, algebra, trees, carrier):
-    """The fold-equation solutions counted for one algebra."""
+    """The fold-equation solutions counted for one algebra on carrier
+    indices: per tree, the members equal to the required one."""
     assignment = {}
     total = 1
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
         required = algebra[i](w, [assignment[tree_parts(c)[:2]] for c in children])
-        matches = [b for b in carrier if b == required]
-        if not matches:
-            return 0
-        fold_value = handle.fold(algebra, t)
-        assert all(b == fold_value for b in matches)
-        assignment[tree_parts(t)[:2]] = matches[0]
-        total *= len(matches)
+        assert handle.fold(algebra, t) == required
+        assignment[tree_parts(t)[:2]] = required
+        total *= sum(b == carrier[required] for b in carrier)
     return total
 
 
@@ -473,7 +474,7 @@ class _Bumped(InitialAlgebra):
         out = super().fold(algebra, t)
         if t not in self.bad:
             return out
-        bump = lambda v: nat((v.n + 1) % 3)
+        bump = lambda j: (j + 1) % 3
         return tuple(map(bump, out)) if type(out) is tuple else bump(out)
 
 
@@ -491,7 +492,7 @@ class TestProductFold:
         st.integers(1, 3),
         st.randoms(use_true_random=False),
         st.integers(0, 4),
-        st.lists(st.integers(0, 2), max_size=4),
+        st.lists(st.integers(0, 2), min_size=1, max_size=4),
     )
     def test_agrees_with_one_fold_per_algebra(self, a0, rest, depth, rng, count, picks):
         h = _Bumped(PolyNF(((a0, 0), *rest)))
@@ -508,14 +509,22 @@ class TestProductFold:
                 todo.extend(h.destruct(t)[2])
         rng.shuffle(trees)
         h.bad = frozenset(t for t in trees if rng.random() < 0.3)
-        algebras = list(sample_algebras(h.nf, [nat(i) for i in range(3)], count, rng))
-
-        expected = [f for alg in algebras for f in _equation_failures_one_by_one(h, alg, trees)]
-        assert fold_equation_failures(h, algebras, trees) == expected
+        carrier = [nat(i) for i in range(3)]
+        algebras = sample_algebras(h.nf, 3, count, rng)
+        expected = [
+            f
+            for alg in algebras
+            for f in _equation_failures_one_by_one(h, index_algebra(alg, 3), trees, carrier)
+        ]
+        assert fold_equation_failures(h, algebras, trees, carrier) == expected
 
         h.bad = frozenset()
-        carrier = [nat(i) for i in picks]  # repeats count twice, gaps give 0
-        expected = [_uniqueness_one_by_one(h, alg, trees, carrier) for alg in algebras]
+        carrier = [nat(i) for i in picks]  # a member listed twice counts twice
+        algebras = sample_algebras(h.nf, len(carrier), count, rng)
+        expected = [
+            _uniqueness_one_by_one(h, index_algebra(alg, len(carrier)), trees, carrier)
+            for alg in algebras
+        ]
         assert fold_uniqueness_solutions(h, algebras, trees, carrier) == expected
 
 
@@ -646,6 +655,112 @@ class TestLambekCheck:
         for c in failed:
             assert re.fullmatch(r"summand \d+: \d+ != \d+", c["detail"]), c["detail"]
             assert "NatV(" not in c["detail"]
+
+
+def _value_keyed_algebras(nf, carrier, count, rng):
+    """The sampler as it drew before its tables held carrier indices: per
+    algebra and summand a dict from ``(w, children's values)`` to a member,
+    one ``rng.choice(carrier)`` per key, keys in ``itertools.product`` order."""
+    domains = [
+        [(w, combo) for w in enumerate_ty(a, 2) for combo in itertools.product(carrier, repeat=k)]
+        for a, k in nf.summands
+    ]
+    return [[{key: rng.choice(carrier) for key in d} for d in domains] for _ in range(count)]
+
+
+class TestSampledTables:
+    """``sample_algebras`` makes the draws the value-keyed sampler made, in
+    the same order, and keeps each as a carrier index."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
+    def test_tables_hold_the_value_keyed_draws(self, name, seed):
+        from quasikernel.surface import elaborate, parse
+
+        nf = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle.nf
+        carrier = [nat(i) for i in range(3)]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for count in (20, 3):  # the fold-equation draws, then the uniqueness draws
+            got = sample_algebras(nf, len(carrier), count, rng)
+            want = _value_keyed_algebras(nf, carrier, count, ref_rng)
+            as_values = [
+                [
+                    {
+                        (w, combo): carrier[j]
+                        for w, entries in table.items()
+                        for combo, j in zip(itertools.product(carrier, repeat=k), entries, strict=True)
+                    }
+                    for table, (_, k) in zip(algebra, nf.summands, strict=True)
+                ]
+                for algebra in got
+            ]
+            assert as_values == want
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class TestFoldCheckMutants:
+    """Tampered folds that ``check`` must catch, run through ``cli.run``."""
+
+    def _report(self):
+        from quasikernel.cli import run
+
+        mixed = os.path.join(CORPUS, "mixed.qk")
+        report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
+        return code, {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+
+    def test_reversed_results_fail_both_fold_checks(self, monkeypatch):
+        # the details are those the value-keyed tables gave
+        monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
+        code, checks = self._report()
+        assert code == 1
+        disagrees = "summand 1 at depth 2: a fold-equation solution disagrees with fold itself"
+        for name, equation in (("Shape", "summand 1: 0 != 2"), ("Tagged", "summand 1: 1 != 2")):
+            assert checks[f"initial.{name}.fold-equation"] == ("fail", equation)
+            assert checks[f"initial.{name}.fold-uniqueness"] == ("fail", disagrees)
+
+    @pytest.mark.parametrize("summand", [0, 1])
+    def test_one_flipped_entry_fails_the_fold_equation(self, monkeypatch, summand):
+        # While the fold-equation product is folded, algebra 0 reads one
+        # entry of its table for ``summand`` moved to the next index; the
+        # equation's side reads the sampled entry.  The entry is the one
+        # read at the root of the first tree of that summand: the first
+        # constant, or the first parameter above copies of that constant.
+        from quasikernel import checks as checks_mod
+        from quasikernel.surface import elaborate, parse
+
+        sampled, sample, fold = [], checks_mod.sample_algebras, InitialAlgebra.fold
+        monkeypatch.setattr(
+            checks_mod, "sample_algebras", lambda *a: sampled.append(sample(*a)) or sampled[-1]
+        )
+        flipped = {}
+
+        def flipping_fold(self, algebra, t):
+            if len(sampled[-1]) != 20:
+                return fold(self, algebra, t)
+            tables = sampled[-1][0]
+            leaf = next(iter(tables[0].values()))[0]
+            entries = next(iter(tables[summand].values()))
+            k = self.nf.summands[summand][1]
+            at = sum(leaf * 3**e for e in range(k))
+            flipped[self.nf] = entries[at]
+            entries[at] = (entries[at] + 1) % 3
+            try:
+                return fold(self, algebra, t)
+            finally:
+                entries[at] = flipped[self.nf]
+
+        monkeypatch.setattr(InitialAlgebra, "fold", flipping_fold)
+        code, checks = self._report()
+        assert code == 1
+        env = elaborate(parse(CORPUS_SIGNATURES))
+        for name in ("Shape", "Tagged"):
+            entry = flipped[env.freetypes[name].handle.nf]
+            assert checks[f"initial.{name}.fold-equation"] == (
+                "fail",
+                f"summand {summand}: {(entry + 1) % 3} != {entry}",
+            )
+        failed = sorted(n for n, (status, _) in checks.items() if status != "pass")
+        assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
 
 
 class TestEnumerateTrees:
