@@ -412,12 +412,14 @@ class TestFold:
         assert failures == [f"summand {i}: () != {k}" for k in range(3)]
 
     def test_fold_uniqueness(self):
+        # the enumerated set is subtree-closed, and on it each sampled
+        # algebra's fold equation, counted one tree at a time, has one solution
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
             trees = h.enumerate_trees(4)
-            rng = random.Random(1)
-            algebras = sample_algebras(h.nf, len(carrier), 10, rng)
-            assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1] * 10
+            assert fold_uniqueness_solutions(h, trees) == []
+            for alg in sample_algebras(h.nf, len(carrier), 10, random.Random(1)):
+                assert _uniqueness_one_by_one(h, index_algebra(alg, 3), trees, carrier) == 1
 
     def test_fold_uniqueness_on_many_trees(self):
         # more trees than the default recursion limit (1,000) allows frames
@@ -426,13 +428,24 @@ class TestFold:
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
         trees = h.enumerate_trees(4)
         assert len(trees) == 1446
-        carrier = [nat(i) for i in range(3)]
-        algebras = sample_algebras(h.nf, len(carrier), 3, random.Random(0))
-        assert fold_uniqueness_solutions(h, algebras, trees, carrier) == [1, 1, 1]
+        assert fold_uniqueness_solutions(h, trees) == []
+        # one depth-2 tree removed: each tree that has it as a child fails,
+        # shallowest first, named by its summand and depth
+        gone = next(t for t in trees if tree_depth(t) == 2)
+        rest = [t for t in trees if t is not gone]
+        parents = [
+            t for t in rest if tree_parts(gone)[:2] in [tree_parts(c)[:2] for c in h.destruct(t)[2]]
+        ]
+        failures = fold_uniqueness_solutions(h, rest)
+        assert failures == [
+            f"summand {h.destruct(t)[0]} at depth {tree_depth(t)}: a subtree is not in the set"
+            for t in parents
+        ]
+        assert failures[0] == "summand 1 at depth 3: a subtree is not in the set"
         # a carrier listing the required value twice doubles the count per tree
         solo = constant_algebra(h.nf, 2, 0)
-        assert fold_uniqueness_solutions(h, [solo], trees[:3], [nat(0), nat(0)]) == [8]
-        assert fold_uniqueness_solutions(h, [solo], trees, [nat(0), nat(1)]) == [1]
+        assert _uniqueness_one_by_one(h, index_algebra(solo, 2), trees[:3], [nat(0), nat(0)]) == 8
+        assert _uniqueness_one_by_one(h, index_algebra(solo, 2), trees, [nat(0), nat(1)]) == 1
 
 
 def _equation_failures_one_by_one(handle, algebra, trees, carrier):
@@ -492,9 +505,8 @@ class TestProductFold:
         st.integers(1, 3),
         st.randoms(use_true_random=False),
         st.integers(0, 4),
-        st.lists(st.integers(0, 2), min_size=1, max_size=4),
     )
-    def test_agrees_with_one_fold_per_algebra(self, a0, rest, depth, rng, count, picks):
+    def test_agrees_with_one_fold_per_algebra(self, a0, rest, depth, rng, count):
         h = _Bumped(PolyNF(((a0, 0), *rest)))
         enumerated = h.enumerate_trees(depth)
         if len(enumerated) > 300:
@@ -517,24 +529,15 @@ class TestProductFold:
             for f in _equation_failures_one_by_one(h, index_algebra(alg, 3), trees, carrier)
         ]
         assert fold_equation_failures(h, algebras, trees, carrier) == expected
-
-        h.bad = frozenset()
-        carrier = [nat(i) for i in picks]  # a member listed twice counts twice
-        algebras = sample_algebras(h.nf, len(carrier), count, rng)
-        expected = [
-            _uniqueness_one_by_one(h, index_algebra(alg, len(carrier)), trees, carrier)
-            for alg in algebras
-        ]
-        assert fold_uniqueness_solutions(h, algebras, trees, carrier) == expected
+        assert fold_uniqueness_solutions(h, trees) == []
 
 
 class TestFoldCount:
-    def test_check_folds_each_tree_at_most_twice(self, monkeypatch):
-        # one product fold for the equation and at most one for uniqueness;
-        # not one per sampled algebra.  Lambek's lemma reads the children's
-        # inverses and calls no fold, and membership walks with ``_f``.  The
-        # file's two ``let`` folds run while it is elaborated, before any
-        # tree is enumerated, and are not counted.
+    def test_check_folds_each_tree_at_most_once(self, monkeypatch):
+        # one product fold for the equation, not one per sampled algebra.
+        # Uniqueness, Lambek's lemma and membership read each tree's
+        # children and call no fold.  The file's two ``let`` folds run while
+        # it is elaborated, before any tree is enumerated, and are not counted.
         from quasikernel.cli import run
 
         folds, trees = [], []
@@ -555,7 +558,7 @@ class TestFoldCount:
         report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
         assert code == 0, report
         assert trees
-        assert len(folds) <= 2 * len(trees)
+        assert len(folds) <= len(trees)
 
 
 _real_destruct, _real_sel, _real_f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
@@ -621,6 +624,7 @@ class TestLambekCheck:
     def test_mutants_fail_on_shape(self, monkeypatch, mutant):
         _, checks = _initial_report("Shape", 3, monkeypatch, mutant)
         assert checks["lambek"].status == "fail"
+        assert checks["membership"].status == "fail"
 
     @pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])
     @pytest.mark.parametrize("name", ["List", "Shape", "Tagged"])
@@ -632,16 +636,17 @@ class TestLambekCheck:
 
     def test_a_fold_that_disagrees_with_its_equation_is_a_failed_check(self, monkeypatch):
         # results handed over reversed: on Shape's glue the equation forces
-        # another value than fold gives
+        # another value than fold gives.  The Lambek check calls no fold.
         from quasikernel.cli import run
 
         monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
         mixed = os.path.join(CORPUS, "mixed.qk")
         report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
         assert code == 1
-        (entry,) = [c for c in report["checks"] if c["name"] == "initial.Shape.fold-uniqueness"]
-        assert entry["status"] == "fail"
-        assert entry["detail"].startswith("summand 1 at depth 2: ")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["initial.Shape.fold-equation"]["status"] == "fail"
+        assert checks["initial.Shape.fold-equation"]["detail"].startswith("summand 1: ")
+        assert checks["initial.Shape.lambek"]["status"] == "pass"
 
     def test_a_failed_fold_equation_prints_values_as_eval_does(self, monkeypatch):
         from quasikernel.cli import run
@@ -680,7 +685,9 @@ class TestSampledTables:
         nf = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle.nf
         carrier = [nat(i) for i in range(3)]
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        for count in (20, 3):  # the fold-equation draws, then the uniqueness draws
+        # the suite's 20 fold-equation draws, then 3 more from the same
+        # generator, which the suite no longer draws: later draws keep the layout
+        for count in (20, 3):
             got = sample_algebras(nf, len(carrier), count, rng)
             want = _value_keyed_algebras(nf, carrier, count, ref_rng)
             as_values = [
@@ -699,7 +706,7 @@ class TestSampledTables:
 
 
 class TestFoldCheckMutants:
-    """Tampered folds that ``check`` must catch, run through ``cli.run``."""
+    """Tampered folds and tree sets that ``check`` must catch."""
 
     def _report(self):
         from quasikernel.cli import run
@@ -708,15 +715,58 @@ class TestFoldCheckMutants:
         report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
         return code, {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
 
-    def test_reversed_results_fail_both_fold_checks(self, monkeypatch):
-        # the details are those the value-keyed tables gave
+    def test_reversed_results_fail_only_the_fold_equation(self, monkeypatch):
+        # the details are those the value-keyed tables gave; uniqueness and
+        # membership read each tree's children and call no fold, so they pass
         monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
         code, checks = self._report()
         assert code == 1
-        disagrees = "summand 1 at depth 2: a fold-equation solution disagrees with fold itself"
         for name, equation in (("Shape", "summand 1: 0 != 2"), ("Tagged", "summand 1: 1 != 2")):
             assert checks[f"initial.{name}.fold-equation"] == ("fail", equation)
-            assert checks[f"initial.{name}.fold-uniqueness"] == ("fail", disagrees)
+            assert checks[f"initial.{name}.fold-uniqueness"] == ("pass", "")
+            assert checks[f"initial.{name}.membership"] == ("pass", "")
+        failed = sorted(n for n, (status, _) in checks.items() if status != "pass")
+        assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
+
+    def test_a_missing_subtree_fails_uniqueness_and_skips_the_rest(self, monkeypatch):
+        # the second tree, a constant, left out of the set: the checks that
+        # read the children's results do not run, and nothing raises
+        enumerate_trees = InitialAlgebra.enumerate_trees
+        monkeypatch.setattr(
+            InitialAlgebra,
+            "enumerate_trees",
+            lambda self, d: (lambda ts: ts[:1] + ts[2:])(enumerate_trees(self, d)),
+        )
+        code, checks = self._report()
+        assert code == 1
+        skipped = ("skip", "not run: fold-uniqueness failed")
+        for name in ("Shape", "Tagged"):
+            assert checks[f"initial.{name}.fold-uniqueness"] == (
+                "fail",
+                "summand 1 at depth 2: a subtree is not in the set",
+            )
+            for check in ("fold-equation", "lambek", "membership"):
+                assert checks[f"initial.{name}.{check}"] == skipped
+            assert checks[f"initial.{name}.depth-law"] == ("pass", "")
+
+    def test_a_wrong_anchor_fails_membership(self, monkeypatch):
+        # one depth-2 tree of Shape carries another anchor.  Its path maps
+        # are those of an enumerated tree, so the set is still closed; the
+        # subtrees ``destruct`` reads carry the wrong anchor too, so only a
+        # rebuild from the enumerated trees tells it apart.
+        enumerate_trees = InitialAlgebra.enumerate_trees
+
+        def enumerated(self, d):
+            trees = enumerate_trees(self, d)
+            at = next(n for n, t in enumerate(trees) if tree_depth(t) == 2)
+            label, depth_map = tree_tables(trees[at])
+            trees[at] = make_tree(label, depth_map, nat(42))
+            return trees
+
+        monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
+        _, checks = _initial_report("Shape", 3)
+        assert checks["fold-uniqueness"].status == "pass"
+        assert checks["membership"].status == "fail"
 
     @pytest.mark.parametrize("summand", [0, 1])
     def test_one_flipped_entry_fails_the_fold_equation(self, monkeypatch, summand):
