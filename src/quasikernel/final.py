@@ -5,8 +5,10 @@ exponent type to the summed parameter type.  They are genuinely
 infinite, so equality is bounded observational equivalence at a
 configurable depth; exponent types must be finitely enumerable for
 observation to be effective (an implementation bound, not a semantic
-one).  An unfolded tree keeps a trie of the coalgebra steps it has
-reached, so a step runs once; the bounded checks read trees through one
+one).  Every tree is read through a trie of the coalgebra steps it has
+reached, so a step runs once: an unfolded tree is its coalgebra's trie,
+and any other map on encoded paths is the unfold of the path coalgebra
+that observes it.  The bounded checks read trees through one
 breadth-first ``walk``.
 """
 
@@ -55,21 +57,8 @@ class NonDisjointFibers(QuasiError):
 BPath = tuple[PVal, ...]
 
 
-def _as_ptree(observe: Callable[[BPath], PVal], **fields) -> PVal:
-    """A process tree observed through ``observe``, with ``fields`` kept as
-    ``_name`` attributes.
-
-    ``FinalCoalgebra.observe`` calls the tuple-path observer kept on the
-    tree; applying the tree to an ``encode_path`` value decodes it first.
-    """
-    tree = pfun(lambda path_pval: observe(decode_path(path_pval)))
-    for name, value in {"observe": observe, **fields}.items():
-        object.__setattr__(tree, "_" + name, value)
-    return tree
-
-
 class _Node:
-    """A node of an unfolded tree's trie: the observation at its path, the
+    """A node of a tree's trie: the observation at its path, the
     map from a label to the seed below it (or to a node made already:
     ``_OFF`` off the offered ones), the coalgebra step, and the children
     made so far, by label.  A child costs one step, and a step that raises
@@ -93,35 +82,38 @@ class _Node:
 _OFF = _Node(UNDEF, None, None)  # the node at every undefined path
 
 
+def _at(top: _Node, path: BPath) -> PVal:
+    node = top.child(None)
+    for label in path:
+        node = node.child(label)
+    return node.value
+
+
 def _trie_tree(top: _Node) -> PVal:
     """The tree whose root is ``top``'s child under label None; an unfolded
     tree's root step runs on first observation."""
-
-    def at(path: BPath) -> PVal:
-        node = top.child(None)
-        for label in path:
-            node = node.child(label)
-        return node.value
-
-    return _as_ptree(at, trie=top)
+    tree = pfun(lambda path: _at(top, decode_path(path)))
+    object.__setattr__(tree, "_trie", top)
+    return tree
 
 
-def subtree(handle, tree: PVal, label: PVal) -> PVal:
-    """The subtree of ``tree`` under one more label, observed through ``handle``.
+def _as_ptree(observe: Callable[[BPath], PVal]) -> PVal:
+    """The process tree observed through ``observe``: the unfold of the path
+    coalgebra, whose seed is the path and whose successor appends the label."""
+    return _trie_tree(_Node(UNDEF, lambda _root: (), lambda p: (observe(p), lambda b: p + (b,))))
 
-    A view of a tree with a trie shares that trie from the node under the
-    label, so ``walk`` expands it from there.  Otherwise a subtree of a
-    subtree observes the outermost tree under the whole label prefix, so a
-    nest of k subtrees costs O(k) per observation.
-    """
-    above = getattr(tree, "_trie", None)
-    if above is not None:
-        return _trie_tree(_Node(UNDEF, lambda _root: above.child(None).child(label), None))
-    owner, root, prefix = getattr(tree, "_under", (None, tree, ()))
-    if owner is not handle:
-        root, prefix = tree, ()
-    prefix += (label,)
-    return _as_ptree(lambda p: handle.observe(root, prefix + p), under=(handle, root, prefix))
+
+def _top(tree: PVal) -> _Node:
+    """The trie of ``tree``; a map made elsewhere gets the trie of the path
+    coalgebra that applies it to encoded paths."""
+    return getattr(tree, "_trie", None) or _as_ptree(lambda p: apply_pval(tree, encode_path(p)))._trie
+
+
+def subtree(tree: PVal, label: PVal) -> PVal:
+    """The subtree of ``tree`` under one more label: it shares the trie from
+    the node under the label, so ``walk`` expands it from there."""
+    above = _top(tree)
+    return _trie_tree(_Node(UNDEF, lambda _root: above.child(None).child(label), None))
 
 
 class FinalCoalgebra:
@@ -145,10 +137,7 @@ class FinalCoalgebra:
     # ---- observation ------------------------------------------------------
 
     def observe(self, tree: PVal, path: BPath) -> PVal:
-        observe = getattr(tree, "_observe", None)
-        if observe is None:
-            return apply_pval(tree, encode_path(path))
-        return observe(path)
+        return _at(_top(tree), path)
 
     def paths_up_to(self, depth: int) -> list[BPath]:
         out: list[BPath] = [()]
@@ -161,21 +150,16 @@ class FinalCoalgebra:
     def walk(self, tree: PVal, depth: int, labels: Optional[Callable] = None):
         """``(path, observation)`` up to ``depth`` in ``paths_up_to`` order,
         below each node through ``labels(observation)`` (default: all of B).
-        An unfolded tree expands each child from its parent's trie node, so
-        no path is hashed; any other tree is observed per path."""
-        top = getattr(tree, "_trie", None)
-        level = [((), top, None)]  # path, parent node, last label
+        Each child is expanded from its parent's trie node, so no path is
+        hashed."""
+        level = [((), _top(tree), None)]  # path, parent node, last label
         for k in range(depth + 1):
             below = []
             for path, parent, label in level:
-                if top is None:
-                    node = value = self.observe(tree, path)
-                else:
-                    node = parent.child(label)
-                    value = node.value
-                yield path, value
+                node = parent.child(label)
+                yield path, node.value
                 if k < depth:
-                    for b in self.b_labels if labels is None else labels(value):
+                    for b in self.b_labels if labels is None else labels(node.value):
                         below.append((path + (b,), node, b))
             level = below
 
@@ -200,7 +184,7 @@ class FinalCoalgebra:
             return UNDEF
         i, x = project(root, self.n)
         under = pfun(
-            lambda y: subtree(self, tree, inject(i, self.n, y)), dom=self.nf.summands[i][1]
+            lambda y: subtree(tree, inject(i, self.n, y)), dom=self.nf.summands[i][1]
         )
         return ext_value(self.nf, i, x, under)
 
@@ -334,7 +318,7 @@ class MType:
 
     def structure_map(self, tree: PVal) -> tuple[PVal, Callable[[PVal], PVal]]:
         """c f = (f nil, fun b . fun p . f (cons b p))."""
-        return self.observe(tree, ()), lambda b: subtree(self, tree, b)
+        return self.observe(tree, ()), lambda b: subtree(tree, b)
 
     def unfold(self, d: Callable, z) -> PVal:
         """d maps a seed to (index, successor map defined exactly on its fiber)."""

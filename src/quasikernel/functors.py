@@ -35,6 +35,7 @@ from .kernel import (
     pair,
     pfun,
     set_field,
+    show_pval,
     tuple_of,
     untuple,
 )
@@ -198,7 +199,7 @@ def project(v: PVal, n: int) -> tuple[int, PVal]:
             case InrV(x):
                 v, i, n = x, i + 1, n - 1
             case _:
-                raise TagOutOfRange(f"not a {n}-ary injection: {v!r}")
+                raise TagOutOfRange(f"not a {n}-ary injection: {show_pval(v)}")
     return i, v
 
 

@@ -157,13 +157,9 @@ def terminal(kind: str) -> FinObj:
 
 
 class ProductData(Record):
-    """The product object, its projections, and the atom of each pair as
-    ``((x, y), atom)`` entries."""
+    """The product object and its projections."""
 
-    __slots__ = __match_args__ = ("obj", "proj1", "proj2", "atom_of")
-
-    def atom(self, x: int, y: int) -> int:
-        return dict(self.atom_of)[(x, y)]
+    __slots__ = __match_args__ = ("obj", "proj1", "proj2")
 
 
 def product(a: FinObj, b: FinObj) -> ProductData:
@@ -187,7 +183,7 @@ def product(a: FinObj, b: FinObj) -> ProductData:
     obj = FinObj(a.kind, carrier, structure)
     p1 = mor(obj, a, {atom_of[(x, y)]: x for (x, y) in pairs})
     p2 = mor(obj, b, {atom_of[(x, y)]: y for (x, y) in pairs})
-    return ProductData(obj, p1, p2, tuple(sorted((p, i) for p, i in atom_of.items())))
+    return ProductData(obj, p1, p2)
 
 
 def _subsets(items: Sequence):

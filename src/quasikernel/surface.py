@@ -710,11 +710,11 @@ class CotypeInfo(Record):
         n_rec = self.alt_rec_count[info.alt]
         if info.kind == "rec":
             label = inject(info.alt, self.handle.n, inject(info.rec_pos, n_rec, UNIT))
-            return final_mod.subtree(self.handle, tree, label)
+            return final_mod.subtree(tree, label)
         # fn selector: a total function from the exponent into the cotype
         def at(y: PVal, _i=info) -> PVal:
             label = inject(_i.alt, self.handle.n, inject(_i.rec_pos, n_rec, y))
-            return final_mod.subtree(self.handle, tree, label)
+            return final_mod.subtree(tree, label)
 
         return pfun(at, dom=info.exponent)
 

@@ -232,6 +232,13 @@ class TestEval:
             {"name": "eval", "status": "fail", "detail": "cannot apply non-function 3"}
         ]
 
+    def test_failed_projection_prints_the_value(self):
+        report, code = run(["eval", str(CORPUS / "processes.qk"), "-e", r"out (unfold (\z. 7) 0)"])
+        assert code == 1
+        assert report["checks"] == [
+            {"name": "eval", "status": "fail", "detail": "not a 2-ary injection: 7"}
+        ]
+
     @pytest.mark.parametrize(
         "expr, detail",
         [

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasikernel import checks, lab
 from quasikernel.final import (
@@ -277,7 +277,7 @@ class TestLevelWalk:
         fresh = h.unfold(d, z)
         assert [(p, h.observe(fresh, p)) for p in h.paths_up_to(depth)] == expected
         assert list(h.walk(h.unfold(d, z), depth)) == expected
-        # a tree with no trie is observed per path
+        # a tree made from a path observer is the unfold of the path coalgebra
         view = _as_ptree(lambda p: reference_unfold_at(h, d, z, p))
         assert list(h.walk(view, depth)) == expected
 
@@ -292,12 +292,33 @@ class TestLevelWalk:
         for _ in range(2):  # one view per tree, so no walk shares a trie
             view = h.unfold(d, z)
             for label in prefix:
-                view = subtree(h, view, label)
+                view = subtree(view, label)
             views.append(view)
         paths = h.paths_up_to(depth)
         expected = [(p, reference_unfold_at(h, d, z, prefix + p)) for p in paths]
         if observed_first:
             views.reverse()
+        assert [(p, h.observe(views[0], p)) for p in paths] == expected
+        assert list(h.walk(views[1], depth)) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(finite_coalgebras(), st.integers(0, 3), st.data())
+    def test_nested_views_of_a_map_without_a_trie(self, coalgebra, depth, data):
+        # a map on encoded paths made elsewhere gets its trie where the
+        # first subtree reads it; the views below share that trie
+        h, d, z, _other = coalgebra
+        assume(h.b_labels)
+        prefix = tuple(data.draw(st.lists(st.sampled_from(h.b_labels), min_size=1, max_size=3)))
+        raw = pfun(lambda path: reference_unfold_at(h, d, z, decode_path(path)))
+        assert getattr(raw, "_trie", None) is None
+        views = []
+        for _ in range(2):
+            view = raw
+            for label in prefix:
+                view = subtree(view, label)
+            views.append(view)
+        paths = h.paths_up_to(depth)
+        expected = [(p, reference_unfold_at(h, d, z, prefix + p)) for p in paths]
         assert [(p, h.observe(views[0], p)) for p in paths] == expected
         assert list(h.walk(views[1], depth)) == expected
 
