@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .final import _OFF, _Node, root
 from .functors import PolyNF, ext_unvalue, inject, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
 from .kernel import (
@@ -228,6 +229,28 @@ def _canonical_coalgebra(info, cfg: CheckConfig):
     return d
 
 
+def _reference(handle, d):
+    """The seed states of bounded uniqueness's reference: ``d`` stepped
+    from a seed along the labels, apart from ``unfold``.  A state per seed,
+    and ``_OFF`` past a label the seed does not offer; its observation is
+    first-order, ``inject(i, x)``."""
+    states = {}
+
+    def state(seed) -> _Node:
+        made = states.get(seed)
+        if made is None:
+            i, x, g = d(seed)
+
+            def succ(label, i=i, g=g):
+                j, y = project(label, handle.n)
+                return state(g(y)) if j == i else _OFF
+
+            made = states[seed] = _Node(inject(i, handle.n, x), succ)
+        return made
+
+    return state
+
+
 def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
     prefix = f"final.{info.display}"
     handle = info.handle
@@ -251,29 +274,19 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
             eq_ok = False
             continue
         for y in handle.exponent_values[i]:
-            if not handle.tree_eq(apply_pval(lfn, y), handle.unfold(d, g(y)), 2):
+            if not handle.tree_eq(apply_pval(lfn, y), handle.unfold(d, g(y)), cfg.obs_depth):
                 eq_ok = False
     out.append(check(f"{prefix}.unfold-equation", eq_ok))
 
-    # iterative reference: cons-based recursion and snoc-based observation
-    # agree; both sides are first-order, ``inject(i, x)`` or undefined
-    def reference(z, path):
-        seed = z
-        for label in path:
-            i, _x, g = d(seed)
-            j, y = project(label, handle.n)
-            if j != i:
-                return UNDEF
-            seed = g(y)
-        i, x, _g = d(seed)
-        return inject(i, handle.n, x)
-
-    # a member is undefined off the summand offered at each node, and so is
-    # the reference, so below a member the walk follows the offered labels
+    # each node of an unfold is paired with the reference state of the seed
+    # at the same path; a member is undefined off the summand offered at
+    # each node, and so is the reference, so below a member the walk follows
+    # the offered labels
+    reference = _reference(handle, d)
     uniq_ok = True
     for z, u, failed in zip(seeds[:2], trees, found):
-        walk = handle.walk(u, cfg.obs_depth, None if failed else handle.offered)
-        if any(v != reference(z, p) for p, v in walk):
+        pairs = handle.walk((root(u), reference(z)), cfg.obs_depth, None if failed else handle.offered)
+        if any(a.value != b.value for _p, (a, b) in pairs):
             uniq_ok = False
     out.append(check(f"{prefix}.bounded-uniqueness", uniq_ok))
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .final import _as_ptree
+from .final import _as_ptree, root
 from .functors import project
 from .initial import tree_anchor, tree_tables
 from .kernel import (
@@ -334,10 +334,9 @@ class DomainFinal(Record):
         return i == j and self.param_cpos[i].le(xa, xb)
 
     def tree_le(self, t1: PVal, t2: PVal, depth: int = 4) -> bool:
-        walk = self.handle.walk
         return all(
-            not o1.defined() or (o2.defined() and self.label_le(o1, o2))
-            for (_, o1), (_, o2) in zip(walk(t1, depth), walk(t2, depth))
+            not n1.value.defined() or (n2.value.defined() and self.label_le(n1.value, n2.value))
+            for _, (n1, n2) in self.handle.walk((root(t1), root(t2)), depth)
         )
 
     def chain_sup(self, trees: Sequence[PVal], depth: int = 4) -> PVal:

@@ -5,11 +5,14 @@ exponent type to the summed parameter type.  They are genuinely
 infinite, so equality is bounded observational equivalence at a
 configurable depth; exponent types must be finitely enumerable for
 observation to be effective (an implementation bound, not a semantic
-one).  Every tree is read through a trie of the coalgebra steps it has
-reached, so a step runs once: an unfolded tree is its coalgebra's trie,
-and any other map on encoded paths is the unfold of the path coalgebra
-that observes it.  The bounded checks read trees through one
-breadth-first ``walk``.
+one).  Every tree is read through a graph of the coalgebra steps it has
+reached.  An unfolded tree's graph has one node per reachable seed, so
+a coalgebra on finitely many seeds gives a finite graph, cycles and
+all; any other map on encoded paths is read through a trie, one node
+per path.  The bounded checks read trees through one breadth-first
+``walk`` over tuples of nodes, which visits each distinct tuple once:
+on a graph keyed by seed, a check at any depth costs at most one visit
+per tuple of seeds, as a bisimulation is checked on pairs of states.
 """
 
 from __future__ import annotations
@@ -58,28 +61,28 @@ BPath = tuple[PVal, ...]
 
 
 class _Node:
-    """A node of a tree's trie: the observation at its path, the
-    map from a label to the seed below it (or to a node made already:
-    ``_OFF`` off the offered ones), the coalgebra step, and the children
-    made so far, by label.  A child costs one step, and a step that raises
-    leaves no child behind."""
+    """A node of a tree's graph: the observation there, the map from a
+    label to the node below it, and the children made so far, by label.
+    An unfold makes one node per seed it reaches, so a path back to a seed
+    closes a cycle; a path map's nodes are one per path, a trie.  A child
+    costs at most one coalgebra step, and a step that raises leaves no child
+    behind."""
 
-    __slots__ = ("value", "succ", "step", "kids")
+    __slots__ = ("value", "succ", "kids")
 
-    def __init__(self, value: PVal, succ: Callable, step: Callable):
-        self.value, self.succ, self.step, self.kids = value, succ, step, {}
+    def __init__(self, value: PVal, succ: Callable[[PVal], "_Node"]):
+        self.value, self.succ, self.kids = value, succ, {}
 
     def child(self, label: PVal) -> "_Node":
-        if self is _OFF:
+        if self is _OFF:  # shared by every tree, so it keeps no children
             return _OFF
         kid = self.kids.get(label)
         if kid is None:
-            seed = self.succ(label)
-            kid = self.kids[label] = seed if type(seed) is _Node else _Node(*self.step(seed), self.step)
+            kid = self.kids[label] = self.succ(label)
         return kid
 
 
-_OFF = _Node(UNDEF, None, None)  # the node at every undefined path
+_OFF = _Node(UNDEF, None)  # the node at every undefined path
 
 
 def _at(top: _Node, path: BPath) -> PVal:
@@ -89,31 +92,66 @@ def _at(top: _Node, path: BPath) -> PVal:
     return node.value
 
 
-def _trie_tree(top: _Node) -> PVal:
+def _graph_tree(top: _Node) -> PVal:
     """The tree whose root is ``top``'s child under label None; an unfolded
     tree's root step runs on first observation."""
     tree = pfun(lambda path: _at(top, decode_path(path)))
-    object.__setattr__(tree, "_trie", top)
+    object.__setattr__(tree, "_graph", top)
     return tree
 
 
+def _seed_graph(step: Callable, z) -> PVal:
+    """The tree unfolded from seed ``z``: ``step`` maps a seed to the
+    observation there and the map from a label to the seed below it
+    (``_OFF`` off the offered ones).  The nodes are keyed by seed, so each
+    reachable seed steps once; a seed that raises ``TypeError`` on hashing
+    gets a node of its own."""
+    nodes: dict = {}
+
+    def node(seed) -> _Node:
+        if seed is _OFF:
+            return _OFF
+        try:
+            made = nodes.get(seed)
+        except TypeError:
+            return fresh(seed)
+        if made is None:
+            made = nodes[seed] = fresh(seed)
+        return made
+
+    def fresh(seed) -> _Node:
+        value, succ = step(seed)
+        return _Node(value, lambda label: node(succ(label)))
+
+    return _graph_tree(_Node(UNDEF, lambda _root: node(z)))
+
+
 def _as_ptree(observe: Callable[[BPath], PVal]) -> PVal:
-    """The process tree observed through ``observe``: the unfold of the path
-    coalgebra, whose seed is the path and whose successor appends the label."""
-    return _trie_tree(_Node(UNDEF, lambda _root: (), lambda p: (observe(p), lambda b: p + (b,))))
+    """The process tree observed through ``observe``: a node per path, whose
+    child under a label is the node of the path extended by it."""
+
+    def node(path: BPath) -> _Node:
+        return _Node(observe(path), lambda label: node(path + (label,)))
+
+    return _graph_tree(_Node(UNDEF, lambda _root: node(())))
 
 
 def _top(tree: PVal) -> _Node:
-    """The trie of ``tree``; a map made elsewhere gets the trie of the path
-    coalgebra that applies it to encoded paths."""
-    return getattr(tree, "_trie", None) or _as_ptree(lambda p: apply_pval(tree, encode_path(p)))._trie
+    """The graph of ``tree``; a map made elsewhere gets the trie that
+    applies it to encoded paths."""
+    return getattr(tree, "_graph", None) or _as_ptree(lambda p: apply_pval(tree, encode_path(p)))._graph
+
+
+def root(tree: PVal) -> _Node:
+    """The node at the root of ``tree``; the bounded checks walk from it."""
+    return _top(tree).child(None)
 
 
 def subtree(tree: PVal, label: PVal) -> PVal:
-    """The subtree of ``tree`` under one more label: it shares the trie from
-    the node under the label, so ``walk`` expands it from there."""
+    """The subtree of ``tree`` under one more label: it shares the graph
+    from the node under the label."""
     above = _top(tree)
-    return _trie_tree(_Node(UNDEF, lambda _root: above.child(None).child(label), None))
+    return _graph_tree(_Node(UNDEF, lambda _root: above.child(None).child(label)))
 
 
 class FinalCoalgebra:
@@ -133,6 +171,8 @@ class FinalCoalgebra:
             [inject(i, self.n, y) for y in ys] for i, ys in enumerate(self.exponent_values)
         ]
         self.b_labels = [b for bs in self.summand_labels for b in bs]
+        # the exponent value under each label, by the summand offering it
+        self.exponent_at = [dict(zip(bs, ys)) for bs, ys in zip(self.summand_labels, self.exponent_values)]
 
     # ---- observation ------------------------------------------------------
 
@@ -147,21 +187,32 @@ class FinalCoalgebra:
             out.extend(frontier)
         return out
 
-    def walk(self, tree: PVal, depth: int, labels: Optional[Callable] = None):
-        """``(path, observation)`` up to ``depth`` in ``paths_up_to`` order,
-        below each node through ``labels(observation)`` (default: all of B).
-        Each child is expanded from its parent's trie node, so no path is
-        hashed."""
-        level = [((), _top(tree), None)]  # path, parent node, last label
-        for k in range(depth + 1):
+    def walk(self, roots: tuple[_Node, ...], depth: int, labels: Optional[Callable] = None):
+        """Breadth-first over tuples of nodes, one below each of ``roots``
+        along the same path: ``(path, nodes)`` for each distinct tuple up to
+        ``depth``, once, at the first of its shallowest paths in
+        ``paths_up_to`` order.  Below a tuple the walk follows
+        ``labels(observation at its first node)`` (default: all of B).  A
+        level is yielded before any node below it is made.
+
+        Every path up to ``depth`` reaches a tuple that the walk yields, at
+        a path no longer, and a tuple has the same edges along every path, so
+        checking each tuple and each edge from a tuple above ``depth`` checks
+        every path.  A graph keyed by seed has few tuples; a trie has one per
+        path, and is walked path by path."""
+        seen = {roots}
+        level = [((), roots)]
+        for _ in range(depth):
+            yield from level
             below = []
-            for path, parent, label in level:
-                node = parent.child(label)
-                yield path, node.value
-                if k < depth:
-                    for b in self.b_labels if labels is None else labels(node.value):
-                        below.append((path + (b,), node, b))
+            for path, nodes in level:
+                for b in self.b_labels if labels is None else labels(nodes[0].value):
+                    kids = tuple([node.child(b) for node in nodes])
+                    if kids not in seen:
+                        seen.add(kids)
+                        below.append((path + (b,), kids))
             level = below
+        yield from level
 
     def offered(self, value: PVal) -> list[PVal]:
         """The labels a member defines below a node observed as ``value``:
@@ -169,10 +220,11 @@ class FinalCoalgebra:
         return self.summand_labels[project(value, self.n)[0]] if value.defined() else []
 
     def tree_eq(self, t1: PVal, t2: PVal, depth: int = 4) -> bool:
-        """Bounded observational equivalence on all paths up to the depth."""
+        """Bounded observational equivalence on all paths up to the depth,
+        asked once per pair of nodes the two trees reach along one path."""
         return all(
-            is_true(eq_strong(v1, v2, depth))
-            for (_, v1), (_, v2) in zip(self.walk(t1, depth), self.walk(t2, depth))
+            is_true(eq_strong(n1.value, n2.value, depth))
+            for _, (n1, n2) in self.walk((root(t1), root(t2)), depth)
         )
 
     # ---- the coalgebra structure -------------------------------------------
@@ -199,33 +251,35 @@ class FinalCoalgebra:
 
         def step(seed):
             i, x, g = d(seed)
+            under = self.exponent_at[i]
 
             def succ(label: PVal):
-                j, y = project(label, n)
-                return g(y) if j == i else _OFF
+                y = under.get(label)
+                return _OFF if y is None else g(y)
 
             return inject(i, n, x), succ
 
-        return _trie_tree(_Node(UNDEF, lambda _root: z, step))
+        return _seed_graph(step, z)
 
     # ---- carrier membership -------------------------------------------------
 
     def membership_failures(self, tree: PVal, depth: int = 4) -> list[str]:
         """Check the two defining conditions on all paths up to the depth:
         the root is defined, and a longer path exactly where its last label
-        is offered at the path above it."""
+        is offered at the path above it.  A failure is an edge (node,
+        label) from a node above the depth, named by the node's first path
+        in ``walk`` order, so the list has one entry per failing edge, not
+        one per failing path; the first entry names the first failing path."""
         failures = []
-        offered = []  # the labels offered at each path above the last level
-        # the walk is breadth-first over all of B, so its path c > 0 extends
-        # its path (c - 1) // |B|
-        for c, (path, ext) in enumerate(self.walk(tree, depth)):
+        for path, (node,) in self.walk((root(tree),), depth):
+            if not path and not node.value.defined():
+                failures.append("root observation undefined")
             if len(path) < depth:
-                offered.append(self.offered(ext))
-            if c == 0:
-                if not ext.defined():
-                    failures.append("root observation undefined")
-            elif ext.defined() != (path[-1] in offered[(c - 1) // len(self.b_labels)]):
-                failures.append(self._misplaced(path, ext))
+                offered = self.offered(node.value)
+                for b in self.b_labels:
+                    ext = node.child(b).value
+                    if ext.defined() != (b in offered):
+                        failures.append(self._misplaced(path + (b,), ext))
         return failures
 
     def _misplaced(self, path: BPath, ext: PVal) -> str:
@@ -327,7 +381,7 @@ class MType:
             a, g = d(seed)
             return a, lambda b: g(b) if self.sig.q(b) == a else _OFF
 
-        return _trie_tree(_Node(UNDEF, lambda _root: z, step))
+        return _seed_graph(step, z)
 
     def offered(self, a: PVal) -> list[PVal]:
         return [b for b in self.b_labels if a.defined() and self.sig.q(b) == a]

@@ -397,7 +397,7 @@ class PFunV(PVal):
     """Procedural partial map.  Must be pure: equal arguments, equal results.
 
     Equal and hashed by identity; extensional comparison goes through
-    ``eq_*``.  ``final`` keeps the trie of a process tree in the map's
+    ``eq_*``.  ``final`` keeps the graph of a process tree in the map's
     ``__dict__``.
     """
 

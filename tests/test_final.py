@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasikernel import checks, lab
+from quasikernel import checks, final, lab
 from quasikernel.final import (
     DomainMismatch,
     FinalCoalgebra,
@@ -11,10 +11,15 @@ from quasikernel.final import (
     MType,
     NonDisjointFibers,
     NonEnumerableExponent,
+    _OFF,
+    _Node,
     _as_ptree,
+    _graph_tree,
+    _seed_graph,
     ambient_ext_values,
     ambient_general_poly_values,
     ambient_iso,
+    root,
     subtree,
 )
 from quasikernel.functors import ExtPolyNF, ext_unvalue, inject, project
@@ -189,6 +194,27 @@ class TestUnfoldLaws:
 
         assert h.tree_eq(h.unfold(as_coalgebra, t), t, 4)
 
+    def test_a_cyclic_unfold_steps_once_per_seed(self):
+        # seeds 0 and 1 alternate, so every path goes back to the root's seed
+        h = FinalCoalgebra(STREAM_NF)
+        steps = []
+        d = lambda n: steps.append(n) or (0, nat(n % 2), lambda _y: 1 - n)
+        t = h.unfold(d, 0)
+        step = inject(0, 1, UNIT)
+        assert [h.observe(t, (step,) * k) for k in range(9)] == [nat(k % 2) for k in range(9)]
+        assert steps == [0, 1]
+        assert root(t).child(step).child(step) is root(t)
+
+        # a seed that cannot be hashed gets a node of its own at each path
+        def listed(s):  # the same coalgebra on one-element lists
+            steps.append(s[0])
+            return 0, nat(s[0] % 2), lambda _y: [1 - s[0]]
+
+        steps.clear()
+        t = h.unfold(listed, [0])
+        assert [h.observe(t, (step,) * k) for k in range(4)] == [nat(k % 2) for k in range(4)]
+        assert steps == [0, 1, 0, 1]
+
     def test_counter_observation_equals_index(self):
         h, d, _t = counter()
         step = inject(0, 1, UNIT)
@@ -255,17 +281,78 @@ def statuses(results):
     return {r.name.rsplit(".", 1)[1]: r.status for r in results}
 
 
-def trie_nodes(tree) -> int:
-    """The nodes an unfolded tree's trie has expanded, each one step."""
-    from quasikernel.final import _OFF
-
-    count, todo = 0, list(tree._trie.kids.values())
+def graph_nodes(tree) -> int:
+    """The distinct nodes an unfolded tree's graph has made, each one step."""
+    seen, todo = {_OFF}, list(tree._graph.kids.values())
     while todo:
         node = todo.pop()
-        if node is not _OFF:
-            count += 1
+        if node not in seen:
+            seen.add(node)
             todo.extend(node.kids.values())
-    return count
+    return len(seen) - 1
+
+
+def path_walk(h, roots, depth, labels=None):
+    """The walk without a visited set: ``(path, nodes)`` at every path up to
+    ``depth`` in ``paths_up_to`` order, below each through ``labels``."""
+    level, out = [((), roots)], []
+    for k in range(depth + 1):
+        out.extend(level)
+        if k < depth:
+            level = [
+                (p + (b,), tuple(n.child(b) for n in nodes))
+                for p, nodes in level
+                for b in (h.b_labels if labels is None else labels(nodes[0].value))
+            ]
+    return out
+
+
+def first_reached(steps):
+    """Each distinct tuple of nodes in ``steps`` once, at its first path."""
+    first = {}
+    for path, nodes in steps:
+        first.setdefault(nodes, path)
+    return [(path, nodes) for nodes, path in first.items()]
+
+
+def check_walk(h, tree, depth, at):
+    """Every path up to ``depth`` observes ``at``, and the walk yields each
+    node the paths reach once, at its first path."""
+    top = (root(tree),)
+    paths = path_walk(h, top, depth)
+    assert [(p, nodes[0].value) for p, nodes in paths] == [(p, at(p)) for p in h.paths_up_to(depth)]
+    assert list(h.walk(top, depth)) == first_reached(paths)
+
+
+def stepped_at(step, z, path):
+    """The observation at ``path`` of the tree ``step`` unfolds from ``z``,
+    stepped along the path from the root."""
+    seed = z
+    for label in path:
+        seed = step(seed)[1](label)
+        if seed is _OFF:
+            return UNDEF
+    return step(seed)[0]
+
+
+def path_membership(h, at, depth):
+    """Membership failures path by path: one per failing path."""
+    failures = [] if at(()).defined() else ["root observation undefined"]
+    for p in h.paths_up_to(depth)[1:]:
+        ext = at(p)
+        if ext.defined() != (p[-1] in h.offered(at(p[:-1]))):
+            failures.append(h._misplaced(p, ext))
+    return failures
+
+
+def pruned_paths(h, at, depth, labels):
+    """The paths up to ``depth``, below each through ``labels(at(path))``."""
+    level, out = [()], []
+    for k in range(depth + 1):
+        out.extend(level)
+        if k < depth:
+            level = [p + (b,) for p in level for b in (h.b_labels if labels is None else labels(at(p)))]
+    return out
 
 
 class TestLevelWalk:
@@ -273,13 +360,14 @@ class TestLevelWalk:
     @given(finite_coalgebras(), st.integers(0, 4))
     def test_walk_equals_per_path_observation(self, coalgebra, depth):
         h, d, z, _other = coalgebra
-        expected = [(p, reference_unfold_at(h, d, z, p)) for p in h.paths_up_to(depth)]
+        at = lambda p: reference_unfold_at(h, d, z, p)
         fresh = h.unfold(d, z)
-        assert [(p, h.observe(fresh, p)) for p in h.paths_up_to(depth)] == expected
-        assert list(h.walk(h.unfold(d, z), depth)) == expected
-        # a tree made from a path observer is the unfold of the path coalgebra
-        view = _as_ptree(lambda p: reference_unfold_at(h, d, z, p))
-        assert list(h.walk(view, depth)) == expected
+        assert [h.observe(fresh, p) for p in h.paths_up_to(depth)] == list(map(at, h.paths_up_to(depth)))
+        check_walk(h, h.unfold(d, z), depth, at)
+        # a tree made from a path observer is a trie, one node per path
+        view = _as_ptree(at)
+        check_walk(h, view, depth, at)
+        assert len(list(h.walk((root(view),), depth))) == len(h.paths_up_to(depth))
 
     @settings(max_examples=80, deadline=None)
     @given(finite_coalgebras(), st.integers(0, 3), st.data())
@@ -289,17 +377,17 @@ class TestLevelWalk:
         prefix = tuple(data.draw(labels))
         observed_first = data.draw(st.booleans())
         views = []
-        for _ in range(2):  # one view per tree, so no walk shares a trie
+        for _ in range(2):  # one view per tree, so no walk shares a graph
             view = h.unfold(d, z)
             for label in prefix:
                 view = subtree(view, label)
             views.append(view)
         paths = h.paths_up_to(depth)
-        expected = [(p, reference_unfold_at(h, d, z, prefix + p)) for p in paths]
+        at = lambda p: reference_unfold_at(h, d, z, prefix + p)
         if observed_first:
             views.reverse()
-        assert [(p, h.observe(views[0], p)) for p in paths] == expected
-        assert list(h.walk(views[1], depth)) == expected
+        assert [h.observe(views[0], p) for p in paths] == list(map(at, paths))
+        check_walk(h, views[1], depth, at)
 
     @settings(max_examples=80, deadline=None)
     @given(finite_coalgebras(), st.integers(0, 3), st.data())
@@ -310,7 +398,7 @@ class TestLevelWalk:
         assume(h.b_labels)
         prefix = tuple(data.draw(st.lists(st.sampled_from(h.b_labels), min_size=1, max_size=3)))
         raw = pfun(lambda path: reference_unfold_at(h, d, z, decode_path(path)))
-        assert getattr(raw, "_trie", None) is None
+        assert getattr(raw, "_graph", None) is None
         views = []
         for _ in range(2):
             view = raw
@@ -318,9 +406,9 @@ class TestLevelWalk:
                 view = subtree(view, label)
             views.append(view)
         paths = h.paths_up_to(depth)
-        expected = [(p, reference_unfold_at(h, d, z, prefix + p)) for p in paths]
-        assert [(p, h.observe(views[0], p)) for p in paths] == expected
-        assert list(h.walk(views[1], depth)) == expected
+        at = lambda p: reference_unfold_at(h, d, z, prefix + p)
+        assert [h.observe(views[0], p) for p in paths] == list(map(at, paths))
+        check_walk(h, views[1], depth, at)
 
     @settings(max_examples=80, deadline=None)
     @given(finite_coalgebras(), st.integers(0, 4))
@@ -328,15 +416,65 @@ class TestLevelWalk:
         h, d, z, other = coalgebra
         u = h.unfold(d, z)
         assert h.membership_failures(u, depth) == []
+        reference = checks._reference(h, other)
 
         def agrees(labels):
             return all(
-                v == reference_unfold_at(h, other, z, p) for p, v in h.walk(u, depth, labels)
+                a.value == b.value for _p, (a, b) in h.walk((root(u), reference(z)), depth, labels)
             )
 
         assert agrees(h.offered) == agrees(None)
         if other is d:
             assert agrees(h.offered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_coalgebras(), st.integers(0, 5), st.data())
+    def test_graph_walk_agrees_with_the_path_walk(self, coalgebra, depth, data):
+        # on a graph keyed by seed, the trie of a path map and a view one
+        # label down, the walks give the answers of a check path by path:
+        # whether membership fails and its first failure, tree_eq, and
+        # bounded uniqueness, pruned or not
+        h, d, z, other = coalgebra
+        # below one (seed, label) the step may lead elsewhere: off the
+        # offered summand, or nowhere under an offered label
+        bad = data.draw(st.none() | st.tuples(
+            st.integers(0, 4), st.sampled_from(h.b_labels or [None]), st.none() | st.integers(0, z)
+        ))
+
+        def step(seed):
+            i, x, g = d(seed)
+
+            def succ(label):
+                if bad is not None and (seed, label) == bad[:2]:
+                    return _OFF if bad[2] is None else bad[2]
+                j, y = project(label, h.n)
+                return g(y) if j == i else _OFF
+
+            return inject(i, h.n, x), succ
+
+        at = lambda p: stepped_at(step, z, p)
+        trees = [(_seed_graph(step, z), at), (_as_ptree(at), at)]
+        if h.b_labels:
+            label = data.draw(st.sampled_from(h.b_labels))
+            trees.append((subtree(_seed_graph(step, z), label), lambda p: at((label,) + p)))
+        if bad is None:
+            trees.append((h.unfold(d, z), at))
+        reference = checks._reference(h, other)
+        other_at = lambda p: reference_unfold_at(h, other, z, p)
+        for tree, tree_at in trees:
+            got, want = h.membership_failures(tree, depth), path_membership(h, tree_at, depth)
+            assert bool(got) == bool(want)
+            assert got[:1] == want[:1]
+            assert set(got) <= set(want)
+            paths = h.paths_up_to(depth)
+            assert h.tree_eq(tree, h.unfold(other, z), depth) == all(
+                is_true(eq_strong(tree_at(p), other_at(p), depth)) for p in paths
+            )
+            for labels in (None, h.offered):
+                walked = h.walk((root(tree), reference(z)), depth, labels)
+                assert all(a.value == b.value for _p, (a, b) in walked) == all(
+                    tree_at(p) == other_at(p) for p in pruned_paths(h, tree_at, depth, labels)
+                )
 
     def test_defined_below_an_undefined_path_fails_membership(self):
         h, d, _t = proc_coalgebra()
@@ -369,8 +507,8 @@ class TestLevelWalk:
             with pytest.raises(QuasiError, match="no step from 2"):
                 h.observe(t, (step, step))
         with pytest.raises(QuasiError, match="no step from 2"):
-            list(h.walk(t, 3))
-        assert [v for _p, v in h.walk(t, 1)] == [nat(0), nat(1)]
+            list(h.walk((root(t),), 3))
+        assert [node.value for _p, (node,) in h.walk((root(t),), 1)] == [nat(0), nat(1)]
 
 
 class TestSuiteFinal:
@@ -402,6 +540,31 @@ class TestSuiteFinal:
         assert got["bounded-uniqueness"] == "fail"
         assert walks.count(h.offered) == 2
 
+    def test_an_unfold_that_merges_seeds_fails_uniqueness(self, monkeypatch):
+        # a graph keyed by seed % 2 gives each node the step of the first seed
+        # to reach it: every node is a proper node, so membership passes, but
+        # the trees are wrong from obs-depth 1 (unfold-equation) and 3
+        # (bounded-uniqueness, at this command seed) on
+        def merged(step, z):
+            nodes = {}
+
+            def node(seed):
+                if seed is _OFF:
+                    return _OFF
+                made = nodes.get(seed % 2)
+                if made is None:
+                    value, succ = step(seed)
+                    made = nodes[seed % 2] = _Node(value, lambda label: node(succ(label)))
+                return made
+
+            return _graph_tree(_Node(UNDEF, lambda _root: node(z)))
+
+        monkeypatch.setattr(final, "_seed_graph", merged)
+        info = proc_info()
+        for depth, uniqueness in ((2, "pass"), (3, "fail"), (4, "fail"), (12, "fail")):
+            got = statuses(checks.suite_final(info, checks.CheckConfig(depth, 16, 0)))
+            assert got == {"membership": "pass", "unfold-equation": "fail", "bounded-uniqueness": uniqueness}
+
     def test_defined_off_the_offered_summand_fails_both(self, monkeypatch):
         info = proc_info()
         h, unfold = info.handle, info.handle.unfold
@@ -421,9 +584,12 @@ class TestSuiteFinal:
         assert h.offered not in walks
 
     def test_each_trie_node_steps_the_coalgebra_once(self, monkeypatch):
+        # an unfold's graph has a node per reachable seed, and each node is
+        # one coalgebra step: the canonical seeds are 0-6, so at any depth an
+        # unfold steps at most 7 times
         info = proc_info()
         h, unfold = info.handle, info.handle.unfold
-        calls = {"all": 0, "trie": 0}
+        calls = {"all": 0, "graph": 0}
         canonical = checks._canonical_coalgebra
 
         def counted(key, d):
@@ -436,25 +602,23 @@ class TestSuiteFinal:
         trees = []
 
         def recorded(d, z):
-            trees.append(unfold(counted("trie", d), z))
+            trees.append(unfold(counted("graph", d), z))
             return trees[-1]
 
         monkeypatch.setattr(checks, "_canonical_coalgebra", lambda *a: counted("all", canonical(*a)))
         monkeypatch.setattr(h, "unfold", recorded)
-        depth = 7
-        got = statuses(checks.suite_final(info, checks.CheckConfig(depth, 16, 0)))
+        got = statuses(checks.suite_final(info, checks.CheckConfig(12, 16, 0)))
         assert set(got.values()) == {"pass"}
-        nodes = sum(trie_nodes(t) for t in trees)
-        assert calls["trie"] == nodes
-        # the reference runs the coalgebra from the seed at each path of the
-        # two pruned walks, which visit the trie nodes of the first two trees
-        visited = trie_nodes(trees[0]) + trie_nodes(trees[1])
-        assert calls["all"] <= nodes + (depth + 1) * visited + 5
-
+        nodes = [graph_nodes(t) for t in trees]
+        assert calls["graph"] == sum(nodes)
+        assert max(nodes) <= 7
+        # the reference steps each seed once, and the suite steps the four
+        # root seeds and seed 0 itself
+        assert calls["all"] <= sum(nodes) + 7 + 5
 
     def test_a_view_walks_its_roots_trie(self, monkeypatch):
         # once the root's walk has run to depth + 1, a view one label down
-        # walks to depth through nodes that are there: no coalgebra step
+        # walks to depth through nodes of the root's graph: no coalgebra step
         # runs, and no path is observed from the root's top
         info = proc_info()
         h = info.handle
@@ -462,19 +626,20 @@ class TestSuiteFinal:
         steps = []
         u = h.unfold(lambda z: steps.append(z) or d(z), 0)
         depth = 4
-        list(h.walk(u, depth + 1))
+        above = {node for _p, (node,) in h.walk((root(u),), depth + 1)}
         ran = len(steps)
         i, _x, under = ext_unvalue(h.nf, h.structure_map(u))
-        paths = h.paths_up_to(depth)
         for y in h.exponent_values[i]:
             label = inject(i, h.n, y)
-            expected = [(p, h.observe(u, (label,) + p)) for p in paths]
             view = apply_pval(under, y)
             observed = []
             monkeypatch.setattr(h, "observe", lambda t, p: observed.append(p))
-            walked = list(h.walk(view, depth))
+            walked = list(h.walk((root(view),), depth))
             monkeypatch.undo()
-            assert walked == expected
+            assert walked == first_reached(path_walk(h, (root(view),), depth))
+            assert {node for _p, (node,) in walked} <= above
+            for p, (node,) in walked:
+                assert node.value == h.observe(u, (label,) + p)
             assert observed == []
         assert len(steps) == ran
 
