@@ -19,9 +19,7 @@ from .kernel import (
     FALSE,
     TRUE,
     UNDEF,
-    Bool,
     InlV,
-    Nat,
     PVal,
     QuasiError,
     Record,
@@ -307,23 +305,19 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
         lemma_ok = False
     out.append(check("cpo.partial-chain-lemma", lemma_ok))
 
-    for desc in (
-        cpo_mod.NAT_FLAT,
-        cpo_mod.BOOL_FLAT,
-        cpo_mod.pfun_cpo(Bool(), cpo_mod.NAT_FLAT),
-        cpo_mod.sum_cpo(cpo_mod.VERT, cpo_mod.NAT_FLAT),
-    ):
+    for desc in (cpo_mod.NAT_FLAT, cpo_mod.BOOL_FLAT, cpo_mod.BOOL_TO_NAT, cpo_mod.VERT_PLUS_NAT):
         out.append(
             check(f"cpo.order-axioms.{desc.name}", not cpo_mod.order_axiom_failures(desc))
         )
 
-    carrier = cpo_mod.pfun_cpo(Nat(), cpo_mod.NAT_FLAT, nat_bound=9)
+    carrier = cpo_mod.FACTORIAL_CARRIER
 
     def step(f):
+        at = dict(f.entries)  # the chain and the candidates are tables
         table = {nat(0): nat(1)}
         for n in range(1, 9):
-            prev = apply_pval(f, nat(n - 1))
-            if prev.defined():
+            prev = at.get(nat(n - 1))
+            if prev is not None:
                 table[nat(n)] = nat(n * prev.n)
         return finmap(table)
 
@@ -340,10 +334,9 @@ def suite_cpo(cfg: CheckConfig) -> list[CheckResult]:
         out.append(CheckResult("cpo.lfp-factorial", "fail", str(e)))
         out.append(CheckResult("cpo.lfp-minimality", "skip", f"no fixed point to test: {e}"))
 
-    s = cpo_mod.sum_cpo(cpo_mod.VERT, cpo_mod.NAT_FLAT)
     try:
         sup = cpo_mod.chain_sup(
-            s, lambda i: InlV(FALSE) if i < 2 else InlV(TRUE), 6
+            cpo_mod.VERT_PLUS_NAT, lambda i: InlV(FALSE) if i < 2 else InlV(TRUE), 6
         )
         out.append(check("cpo.sum-stability", sup == InlV(TRUE)))
     except cpo_mod.QuasiError as e:  # pragma: no cover

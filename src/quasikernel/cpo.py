@@ -111,11 +111,6 @@ def flat_cpo(carrier: Ty, name: str) -> CpoDescriptor:
     return CpoDescriptor(name, le=lambda a, b: a == b, sample=sample)
 
 
-NAT_FLAT = flat_cpo(Nat(), "Nat")
-BOOL_FLAT = flat_cpo(Bool(), "Bool")
-UNIT_CPO = flat_cpo(Unit(), "Unit")
-
-
 def pfun_cpo(domain: Ty, b: CpoDescriptor, nat_bound: int = 6) -> CpoDescriptor:
     """Partial maps out of a sampled domain, pointwise; pointed by the
     everywhere-undefined map.
@@ -164,6 +159,23 @@ def sum_cpo(a: CpoDescriptor, b: CpoDescriptor) -> CpoDescriptor:
         [InlV(v) for v in a.sample[:3]] + [InrV(v) for v in b.sample[:3]]
     )
     return CpoDescriptor(f"({a.name} + {b.name})", le, sample)
+
+
+NAT_FLAT = flat_cpo(Nat(), "Nat")
+BOOL_FLAT = flat_cpo(Bool(), "Bool")
+UNIT_CPO = flat_cpo(Unit(), "Unit")
+# a tiny non-flat order for exercising the domain layer
+VERT = CpoDescriptor(
+    "vert",
+    le=lambda a, b: a == b or (a == FALSE and b == TRUE),
+    sample=(FALSE, TRUE),
+    bottom=FALSE,
+)
+# the other fixed carriers of the cpo suite: its ordered samples, the
+# sum whose chains settle, and the factorial's partial maps
+BOOL_TO_NAT = pfun_cpo(Bool(), NAT_FLAT)
+VERT_PLUS_NAT = sum_cpo(VERT, NAT_FLAT)
+FACTORIAL_CARRIER = pfun_cpo(Nat(), NAT_FLAT, nat_bound=9)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +385,3 @@ class DomainFinal(Record):
             sup = self.chain_sup(chain, depth)
             out.extend(self.handle.membership_failures(sup, depth))
         return out
-
-
-# ---------------------------------------------------------------------------
-# A tiny non-flat order for exercising the domain layer
-
-VERT = CpoDescriptor(
-    "vert",
-    le=lambda a, b: a == b or (a == FALSE and b == TRUE),
-    sample=(FALSE, TRUE),
-    bottom=FALSE,
-)

@@ -3,13 +3,13 @@
 Values are immutable and undefinedness is a first-class result (the
 ``UNDEF`` singleton), never nontermination; running out of evaluation
 budget raises ``FuelExhausted`` instead, so the two can never be
-confused.  Pairs, injections and tables on tree paths (``PathTrie``)
-are hash-consed: equal ones are one object, so they compare by identity
-and hash in constant time however deep they are.  Function values come
-in two flavours: procedural partial maps (``PFunV``) and finite tables
-(``FinMapV``).  Equality on finite tables is exact; equality on
-procedural maps is bounded-extensional over a canonical sample set and
-is therefore an approximation.
+confused.  Every value but a procedural map is hash-consed: equal ones
+are one object, so they compare by identity and hash in constant time
+however deep they are.  Function values come in two flavours:
+procedural partial maps (``PFunV``) and finite tables (``FinMapV``).
+Equality on finite tables is exact; equality on procedural maps is
+bounded-extensional over a canonical sample set and is therefore an
+approximation.
 """
 
 from __future__ import annotations
@@ -246,76 +246,37 @@ def ty_card(ty: Ty) -> int:
 class PVal(Record):
     """A partial value; ``UNDEF`` is the only undefined one.
 
-    Pairs and injections are interned (``_Interned``): building one returns
-    the live value with the same class and parts if there is one, so equal
-    ones are one object, and ``==`` is identity.  The other value classes
-    write out ``__init__`` and ``__eq__`` by hand and share one hash,
-    ``_value_hash``.
+    Every value but a procedural map is hash-consed: ``UNIT`` and ``UNDEF``
+    are the one instance of their classes, and naturals, pairs, injections
+    and tables are interned (``_Interned``), so that building one returns
+    the live value with the same class and parts if there is one.  Equal
+    values are therefore one object, and ``==`` and ``hash`` are object
+    identity, run in C however deep the value is.
     """
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def defined(self) -> bool:
-        return not isinstance(self, Undef)
-
-
-def _value_hash(v: PVal) -> int:
-    """The hash of a value that is not interned: its ``_sort_key`` order tag
-    with its payload.
-
-    The tag keeps payload-equal values of different constructors apart
-    (``UNIT``/``UNDEF``, ``inl x``/``inr x``), and being a plain integer it
-    hashes the same in every process.  A flat table caches its hash on
-    first use; procedural maps hash by identity, as they compare.  An
-    interned value is hashed the same way once, by ``_intern``, from its
-    tag and its parts' hashes: no call recurses.
-    """
-    cls = type(v)  # dispatch by class test: a class pattern costs several times more
-    if cls is NatV:
-        return hash((2, v.n))
-    if cls is UnitV:
-        return hash((1,))
-    if cls is FinMapV:
-        if v._hash is None:
-            set_field(v, "_hash", hash((6, v.entries)))
-        return v._hash
-    if cls is Undef:
-        return hash((0,))
-    if cls is PFunV:
-        return hash((7, id(v.fn)))
-    raise TypeMismatch(f"unknown value {v!r}")
-
-
-def _same_class(a: PVal, b) -> bool:
-    """``==`` of two fieldless values."""
-    return True if b.__class__ is a.__class__ else NotImplemented
+        return True
 
 
 class Undef(PVal):
     __slots__ = ()
-    __eq__ = _same_class
-    __hash__ = _value_hash
+
+    def __new__(cls):
+        return UNDEF
+
+    def defined(self) -> bool:
+        return False
 
 
 class UnitV(PVal):
     __slots__ = ()
-    __eq__ = _same_class
-    __hash__ = _value_hash
 
-
-class NatV(PVal):
-    __slots__ = __match_args__ = ("n",)
-    __hash__ = _value_hash
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise TypeMismatch("naturals are nonnegative")
-        set_field(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is NatV:
-            return self.n == other.n
-        return NotImplemented
+    def __new__(cls):
+        return UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +300,11 @@ class _Ref(weakref.ref):
 
 def _intern(cls: type, key: tuple):
     """The live ``cls`` node with the parts ``key[1:]``, in the fields named
-    by ``cls._parts`` (one or two), hashed as ``key``.  A hit is one dict
-    probe and one weak-reference call; a miss enters its node under a lock
-    unless an equal one got there first, so equal nodes are one object."""
+    by ``cls._parts`` (one or two).  The parts are integers, hash-consed
+    values or tuples of them, so the key hashes and compares in C without
+    walking any value.  A hit is one dict probe and one weak-reference
+    call; a miss enters its node under a lock unless an equal one got
+    there first, so equal nodes are one object."""
     ref = _interned.get(key)
     if ref is not None:
         node = ref()
@@ -351,7 +314,6 @@ def _intern(cls: type, key: tuple):
     set_field(node, cls._parts[0], key[1])
     if len(key) == 3:
         set_field(node, cls._parts[1], key[2])
-    set_field(node, "_hash", hash(key))
     ref = _Ref(node, _Ref.drop)
     ref.key = key
     with _intern_lock:
@@ -365,11 +327,16 @@ def _intern(cls: type, key: tuple):
 class _Interned(PVal):
     """A hash-consed value: made only by ``_intern``, so equal is identical."""
 
-    __slots__ = ("_hash", "__weakref__")
-    __eq__ = object.__eq__
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self) -> int:
-        return self._hash
+
+class NatV(_Interned):
+    __slots__ = __match_args__ = _parts = ("n",)
+
+    def __new__(cls, n: int):
+        if n < 0:
+            raise TypeMismatch("naturals are nonnegative")
+        return _intern(cls, (2, n))
 
 
 class PairV(_Interned):
@@ -396,18 +363,14 @@ class InrV(_Interned):
 class PFunV(PVal):
     """Procedural partial map.  Must be pure: equal arguments, equal results.
 
-    Equal and hashed by identity; extensional comparison goes through
-    ``eq_*``.  ``final`` keeps the graph of a process tree in the map's
-    ``__dict__``.
+    Not interned, but equal and hashed by identity as every value is;
+    extensional comparison goes through ``eq_*``.  ``final`` keeps the
+    graph of a process tree in the map's ``__dict__``.
     """
 
     __slots__ = ("fn", "dom", "__dict__")
     __match_args__ = ("fn", "dom")
     _defaults = {"dom": None}
-    __hash__ = _value_hash
-
-    def __eq__(self, other):
-        return self is other
 
 
 def _sort_key(v: PVal) -> tuple:
@@ -451,21 +414,14 @@ def _sort_key(v: PVal) -> tuple:
     return tuple(out)
 
 
-class FinMapV(PVal):
-    """Finite-table partial map; keys sorted canonically so equality is exact."""
+class FinMapV(_Interned):
+    """Finite-table partial map, interned on its entries, whose keys are
+    sorted canonically, so equal tables are one object."""
 
-    __slots__ = ("entries", "_hash")
-    __match_args__ = ("entries",)
-    __hash__ = _value_hash
+    __slots__ = __match_args__ = _parts = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[PVal, PVal], ...]):
-        set_field(self, "entries", entries)
-        set_field(self, "_hash", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
+    def __new__(cls, entries: tuple[tuple[PVal, PVal], ...]):
+        return _intern(cls, (6, entries))
 
     @staticmethod
     def of(table: Mapping[PVal, PVal] | Iterable[tuple[PVal, PVal]]) -> "FinMapV":
@@ -492,8 +448,8 @@ class FinMapV(PVal):
         return [k for k, _ in self.entries]
 
 
-UNDEF = Undef()
-UNIT = UnitV()
+UNDEF = object.__new__(Undef)
+UNIT = object.__new__(UnitV)
 TRUE = InlV(UNIT)
 FALSE = InrV(UNIT)
 
@@ -519,10 +475,8 @@ class PathTrie(FinMapV):
     the destructed root of a tree on its label trie, in ``__dict__``.
     """
 
-    __slots__ = ("root", "children", "__dict__", "__weakref__")  # _hash is FinMapV's
+    __slots__ = ("root", "children", "__dict__")
     _parts = ("root", "children")
-    __eq__ = object.__eq__
-    __hash__ = _Interned.__hash__
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[PVal, PVal], ...]:
@@ -623,8 +577,7 @@ def _path_key(path: tuple[int, ...], keys: dict) -> PVal:
     return key
 
 
-def nat(n: int) -> NatV:
-    return NatV(n)
+nat = NatV
 
 
 def pair(a: PVal, b: PVal) -> PVal:
@@ -962,7 +915,7 @@ def show_pval(v: PVal) -> str:
     stack: list[PVal | str] = [v]
     while stack:
         item = stack.pop()
-        cls = type(item)  # dispatch by class test, as in _value_hash
+        cls = type(item)  # dispatch by class test: a class pattern costs several times more
         if cls is str:
             out.append(item)
         elif cls is InlV or cls is InrV:

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from quasikernel.kernel import (
     Lit,
     Named,
     Nat,
+    PVal,
     PairE,
     PairV,
     Partial,
@@ -42,6 +44,7 @@ from quasikernel.kernel import (
     UnboundName,
     Var,
     Zero,
+    _sort_key,
     apply_pval,
     encode_path,
     enumerate_ty,
@@ -121,6 +124,24 @@ pval_strategy = st.recursive(
         kids.map(inr),
     ),
     max_leaves=6,
+)
+
+
+# values of every hash-consed class, flat tables and naturals above the
+# interpreter's small-int cache among them; each large natural is a fresh
+# int object, so equal ones are built apart
+hashconsed_strategy = st.recursive(
+    st.one_of(
+        st.sampled_from([UNDEF, UNIT, TRUE, FALSE]),
+        st.sampled_from([0, 2, 1000, 1001]).map(lambda n: nat(int(str(n)))),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: pair(*ab)),
+        kids.map(inl),
+        kids.map(inr),
+        st.dictionaries(kids, kids, max_size=3).map(finmap),
+    ),
+    max_leaves=8,
 )
 
 
@@ -217,10 +238,12 @@ class TestEquality:
         assert is_true(eq_strong(a, copy.deepcopy(a), depth))
 
     def test_equal_tables_compare_without_lookups(self, monkeypatch):
-        # entries are zipped in their canonical order: one pass, no lookup
+        # a table is interned on its canonical entries, so two built apart
+        # are one object; other tables are zipped in that order: one pass,
+        # no lookup
         a = finmap({nat(i): nat(i % 7) for i in range(2000)})
         b = finmap([(nat(i), nat(i % 7)) for i in reversed(range(2000))])
-        assert a is not b
+        assert a is b
         lookups = []
         real = FinMapV.lookup
 
@@ -230,9 +253,10 @@ class TestEquality:
 
         monkeypatch.setattr(FinMapV, "lookup", counting)
         assert eq_strong(a, b) == TRUE
-        assert lookups == []
         changed = finmap({**dict(b.entries), nat(1000): nat(7)})
+        assert changed is not a
         assert eq_strong(a, changed) == FALSE
+        assert lookups == []
 
     def test_deep_values_compare_without_recursion(self):
         # pairs and injections are interned: equal values built apart are one
@@ -391,8 +415,8 @@ class TestRecords:
         assert len({one, other}) == 2
         twin = copy.deepcopy(one)
         assert twin == one and hash(twin) == hash(one)
-        # an injection is interned, so its copy is the value itself
-        assert (twin is one) == isinstance(one, (InlV, InrV))
+        # every value is hash-consed, so its copy is the value itself
+        assert (twin is one) == isinstance(one, PVal)
 
     def test_equal_fields_are_equal_and_hash_equal(self):
         built = [Named("L", (Nat(),)), Named("L", (Nat(),))]
@@ -594,20 +618,13 @@ class TestShow:
         assert text.startswith("inr (1, inr (1, ") and text.endswith("(1, 0)" + ")" * (n - 1))
 
 
-# a tree of the corpus type Tagged, with both Bool labels and a Nat parameter
-HASH_SCRIPT = """
-from quasikernel.kernel import FALSE, TRUE, nat
-from quasikernel.surface import elaborate, parse
-h = elaborate(parse("free type Tagged ::= leaf(Bool) | node(Nat; Tagged; Tagged)")).freetypes["Tagged"].handle
-t = h.construct(1, nat(1), [h.construct(0, TRUE, []), h.construct(0, FALSE, [])])
-print(hash(t))
-"""
-
-
 class TestHashing:
     def test_constructors_hash_apart_on_equal_payloads(self):
         for x in (UNIT, nat(0), PairV(nat(1), TRUE), finmap({UNIT: nat(2)})):
-            assert hash(InlV(x)) != hash(InrV(x))
+            # both kept alive: a value hashes by identity, and a dead one's
+            # address may be reused
+            left, right = InlV(x), InrV(x)
+            assert left != right and hash(left) != hash(right)
         assert hash(TRUE) != hash(FALSE)
         assert hash(UNIT) != hash(UNDEF)
         assert hash(nat(0)) != hash(UNIT)
@@ -619,7 +636,16 @@ class TestHashing:
 
         a, b = build(), build()
         assert a is b  # interned
-        assert hash(a) == hash(b) == hash((5, a.fst, a.snd))  # fixed from the parts
+        assert hash(a) == hash(b)
+
+    @given(
+        st.one_of(pval_strategy, hashconsed_strategy),
+        st.one_of(pval_strategy, hashconsed_strategy),
+    )
+    def test_hash_consing_is_canonical(self, a, b):
+        # equal is identical, and both are equal in the canonical order
+        assert (a == b) == (a is b) == (_sort_key(a) == _sort_key(b))
+        assert copy.deepcopy(a) is a
 
     def test_concurrent_interning_keeps_one_object(self):
         # threads build the same values at once while those of earlier rounds
@@ -635,7 +661,12 @@ class TestHashing:
                 for r in range(rounds):
                     v = nat(r % 3)
                     for i in range(300):
-                        v = InrV(PairV(NatV(i % 5), v)) if i % 2 else InlV(PairV(v, UNIT))
+                        if i % 3 == 0:  # naturals above 1,000 are fresh ints each time
+                            v = InrV(PairV(NatV(1000 + i % 5), v))
+                        elif i % 3 == 1:
+                            v = InlV(PairV(v, UNIT))
+                        else:  # a flat table
+                            v = finmap({NatV(i): v, UNIT: nat(i % 4)})
                     built[k] = v
                     barrier.wait()
                     if any(b is not v for b in built):
@@ -669,23 +700,36 @@ class TestHashing:
         assert len(trees) == len(set(trees)) == 202
         assert len({hash(t) for t in trees}) == 202
 
-    def test_hash_is_the_same_in_every_process(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        hashes = set()
+    def test_reports_are_the_same_in_every_process(self):
+        # values hash by identity, so no order a report prints may follow a
+        # hash: the reports are the same under any string hash seed
+        root = Path(__file__).resolve().parents[1]
+        argvs = [
+            ["check", "corpus/mixed.qk", "--obs-depth", "2", "--format", "json"],
+            ["eval", "corpus/lists.qk", "-e", "[3,1,2]", "--format", "json"],
+        ]
+        reports = {}
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
             )
-            proc = subprocess.run(
-                [sys.executable, "-c", HASH_SCRIPT],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            hashes.add(proc.stdout.strip())
-        assert len(hashes) == 1
+            for argv in argvs:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "quasikernel.cli", *argv],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                    cwd=root,
+                )
+                assert proc.returncode == 0, proc.stdout + proc.stderr
+                report = json.loads(proc.stdout)
+                assert report.pop("elapsed_ms") >= 0
+                reports.setdefault(seed, []).append(report)
+        assert reports["0"] == reports["1"]
+        check, value = reports["0"]
+        assert [c["status"] for c in check["checks"]] == ["pass"] * 18
+        assert value["checks"][0]["detail"].startswith("({true -> inr false, inr (0, true) -> inr inl 3")
 
 
 # ---------------------------------------------------------------------------
