@@ -171,8 +171,9 @@ VERT = CpoDescriptor(
     sample=(FALSE, TRUE),
     bottom=FALSE,
 )
-# the other fixed carriers of the cpo suite: its ordered samples, the
-# sum whose chains settle, and the factorial's partial maps
+# the cpo suite's other fixed carriers, built once: two whose order
+# axioms it checks (the second also for sum stability) and the
+# factorial's partial maps on naturals below 9
 BOOL_TO_NAT = pfun_cpo(Bool(), NAT_FLAT)
 VERT_PLUS_NAT = sum_cpo(VERT, NAT_FLAT)
 FACTORIAL_CARRIER = pfun_cpo(Nat(), NAT_FLAT, nat_bound=9)
