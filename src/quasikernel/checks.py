@@ -13,8 +13,8 @@ import random
 from typing import Sequence
 
 from .final import _OFF, _Node, root
-from .functors import PolyNF, ext_unvalue, inject, project
-from .initial import InitialAlgebra, tree_depth, tree_parts
+from .functors import PolyNF, ext_unvalue, inject, poly_value, project
+from .initial import InitialAlgebra, tree_anchor, tree_depth, tree_parts
 from .kernel import (
     FALSE,
     TRUE,
@@ -48,12 +48,9 @@ def sample_algebras(nf: PolyNF, size: int, count: int, rng: random.Random) -> li
     Each entry is one ``rng.choice``, drawn per algebra, summand, ``w`` and
     entry, in that order.
     """
-    members = range(size)
+    members, params = range(size), [(enumerate_ty(a, 2), size**k) for a, k in nf.summands]
     return [
-        [
-            {w: [rng.choice(members) for _ in range(size**k)] for w in enumerate_ty(a, 2)}
-            for a, k in nf.summands
-        ]
+        [{w: [rng.choice(members) for _ in range(entries)] for w in ws} for ws, entries in params]
         for _ in range(count)
     ]
 
@@ -83,29 +80,31 @@ def product_algebra(nf: PolyNF, algebras: Sequence[list], size: int) -> list:
 
 
 def fold_equation_failures(
-    handle: InitialAlgebra, algebras: Sequence[list], trees: Sequence[PVal], carrier: Sequence[PVal]
+    handle: InitialAlgebra, algebras: Sequence[list], trees: Sequence[PVal], rows: list, carrier: Sequence[PVal]
 ) -> list[str]:
     """Instances of the fold equation whose two sides differ: every one of
-    algebra 0, then of algebra 1, and so on.
+    algebra 0, then of algebra 1, and so on, each in tree order.
 
-    A side is a carrier index, and a failure prints both sides' members as
-    ``eval`` prints values.  A fold result of another shape, which only a
-    broken fold gives, is a failure like any other (for every algebra, if
-    it is the whole product fold).  Trees are processed shallowest first
-    so each side is computed by the real fold, into the product of the
-    algebras, exactly once per tree.
+    ``rows`` are the trees' rows ``(i, w, child indices)``, children listed
+    first, as ``enumerate_trees`` gives them.  The left side is a tree's
+    fold into the product of the algebras, from one walk of all the trees
+    through ``_f`` that folds each distinct node once; the right side is the
+    product's summand i on w and the children's left sides.  Where they
+    agree on a tree of depth at most 2, its fold alone, by ``fold``, is the
+    left side: a witness that shares nothing.  A side is a carrier index,
+    and a failure prints both sides' members as ``eval`` prints values.  A
+    fold result of another shape, which only a broken fold gives, is a
+    failure like any other (for every algebra, if it is the whole product).
     """
     product = product_algebra(handle.nf, algebras, len(carrier))
     shown = lambda j: show_pval(carrier[j] if type(j) is int else j)
+    tupled = lambda r: r if type(r) is tuple and len(r) == len(algebras) else (r,) * len(algebras)
+    results = [tupled(r) for r in handle._f(None, trees, product)]
     failures: list[tuple[int, str]] = []
-    results: dict = {}
-    for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
-        i, w, children = handle.destruct(t)
-        lhs = handle.fold(product, t)
-        if type(lhs) is not tuple or len(lhs) != len(algebras):
-            lhs = (lhs,) * len(algebras)
-        results[_shape_key(t)] = lhs
-        rhs = product[i](w, [results[_shape_key(c)] for c in children])
+    for t, lhs, (i, w, at) in zip(trees, results, rows):
+        rhs = product[i](w, [results[m] for m in at])
+        if lhs == rhs and tree_depth(t) <= 2:
+            lhs = tupled(handle.fold(product, t))
         if lhs != rhs:
             failures += [
                 (k, f"summand {i}: {shown(l)} != {shown(r)}")
@@ -116,28 +115,32 @@ def fold_equation_failures(
     return [f for _, f in failures]
 
 
-def _shape_key(t: PVal):
-    l, d, _ = tree_parts(t)
-    return (l, d)
-
-
-def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal]) -> list[str]:
-    """The premise of uniqueness, by induction on depth: the trees,
-    shallowest first, that have a child outside the set.
+def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], rows: list, read: list) -> list[str]:
+    """The premise of uniqueness, by induction on depth: the trees, in
+    order, that have a child which is not a tree listed before them.
 
     On a subtree-closed set each tree's value under any solution of the fold
     equation is forced by its children's, so the fold is the only solution
     (the universal property of fold); the depth law checks that the
     induction is well-founded.  A child outside the set is unconstrained,
-    so its parent's value is not forced.  Children are matched by path maps,
-    since a subtree read by ``destruct`` carries its parent's anchor.
+    so its parent's value is not forced.  Each tree is read by one
+    ``destruct``, and a child it reads, which carries its parent's anchor,
+    is found by path maps: at the index its row names, else by a search.
+    ``read`` gets per tree ``destruct``'s answer and the children's indices.
     """
-    keys = {_shape_key(t) for t in trees}
+    tables = [tree_parts(t)[:2] for t in trees]
+    where: dict = {}  # path maps -> first index, made at the first search
     failures = []
-    for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
-        i, _, children = handle.destruct(t)
-        if any(_shape_key(c) not in keys for c in children):
-            failures.append(f"summand {i} at depth {tree_depth(t)}: a subtree is not in the set")
+    for n, t in enumerate(trees):
+        i, w, children = handle.destruct(t)
+        keys = [tree_parts(c)[:2] for c in children]
+        at = rows[n][2]
+        if max(at, default=-1) >= n or keys != [tables[m] for m in at]:
+            where = where or {key: m for m, key in reversed(list(enumerate(tables)))}
+            at = tuple(where.get(key, n) for key in keys)
+            if max(at, default=-1) >= n:
+                failures.append(f"summand {i} at depth {tree_depth(t)}: a subtree is not in the set")
+        read.append((i, w, children, at))
     return failures
 
 
@@ -153,13 +156,15 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     """Bounded certification of one installed free type."""
     prefix = f"initial.{info.display}"
     handle = info.handle
+    rows: list = []
     try:
-        trees = handle.enumerate_trees(cfg.obs_depth)
+        trees = handle.enumerate_trees(cfg.obs_depth, rows)
     except QuasiError as e:
         return [CheckResult(f"{prefix}.enumerable", "skip", str(e))]
-    # the other checks read each tree's children's results, so they run
-    # only on a subtree-closed set; the depth law reads the trees alone
-    unclosed = fold_uniqueness_solutions(handle, trees)
+    # one destruct per tree, compared with its row; the checks that read the
+    # children's results run only on a closed set, the depth law always
+    read: list = []
+    unclosed = fold_uniqueness_solutions(handle, trees, rows, read)
     closed = not unclosed
 
     def gated(name, ok, detail=""):
@@ -171,40 +176,33 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     if closed:
         carrier = [nat(i) for i in range(3)]
         algebras = sample_algebras(handle.nf, len(carrier), 20, random.Random(cfg.seed))
-        failures = fold_equation_failures(handle, algebras, trees, carrier)
-    out = [
-        gated("fold-equation", not failures, "; ".join(failures[:1])),
-        check(f"{prefix}.fold-uniqueness", closed, "; ".join(unclosed[:1])),
-    ]
+        failures = fold_equation_failures(handle, algebras, trees, rows, carrier)
 
-    # Lambek's lemma, the depth law and membership in one pass, one node per
-    # tree: the trees come in depth order, so a tree's inverse is the Lambek
-    # algebra on its children's, already computed and checked.  That is the
-    # fold of the tree when the fold equation holds, which ``fold-equation``
-    # tests with real folds.  A tree is a member if the constructor gives it
-    # back from its children, which are members already.  Both read the
-    # children by path maps: a subtree read by ``destruct`` carries its
-    # parent's anchor, so membership rebuilds from the enumerated trees.
-    lambek = handle.lambek_algebra()
-    members = {_shape_key(t): t for t in trees}
-    inverses: dict = {}
+    # One step per row from what ``destruct`` read.  A tree's inverse is F
+    # alpha on its children's inverses, by index, whose images under alpha
+    # are kept from their own checks: the tree's fold, if the fold equation
+    # holds.  A tree is a member if ``destruct`` reads back its row, with the
+    # anchor ``construct`` gives, the leftmost constant's parameter.
+    images: list = []
     lambek_ok = member_ok = closed
     depth_ok = True
-    for t in trees:
-        i, w, children = handle.destruct(t)
-        keys = [_shape_key(c) for c in children]
+    for t, row, (i, w, children, at) in zip(trees, rows, read):
         if lambek_ok:
-            inv = lambek[i](w, [inverses[k] for k in keys])
-            inverses[_shape_key(t)] = inv
-            lambek_ok = handle.structure_map(inv) == t
+            inverse = poly_value(handle.nf, i, w, [images[m] for m in at])
+            images.append(handle.structure_map(inverse))
+            lambek_ok = images[-1] == t
         if member_ok:
-            member_ok = handle.construct(i, w, [members[k] for k in keys]) == t
-        want = 1 + max((tree_depth(c) or 0 for c in children), default=0)
+            anchor = tree_anchor(trees[at[0]]) if at else w
+            member_ok = (i, w, at) == row and tree_anchor(t) == anchor
+        want = 1 + max([tree_depth(c) or 0 for c in children], default=0)
         depth_ok = depth_ok and tree_depth(t) == want
-    out.append(gated("lambek", lambek_ok))
-    out.append(check(f"{prefix}.depth-law", depth_ok))
-    out.append(gated("membership", member_ok))
-    return out
+    return [
+        gated("fold-equation", not failures, "; ".join(failures[:1])),
+        check(f"{prefix}.fold-uniqueness", closed, "; ".join(unclosed[:1])),
+        gated("lambek", lambek_ok),
+        check(f"{prefix}.depth-law", depth_ok),
+        gated("membership", member_ok),
+    ]
 
 
 def _canonical_coalgebra(info, cfg: CheckConfig):

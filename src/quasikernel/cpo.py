@@ -64,9 +64,9 @@ class CpoDescriptor(Record):
 
 def lifted_le(cpo: CpoDescriptor, x: PVal, y: PVal) -> bool:
     """Order on partial elements: if x is defined then y is, and below it."""
-    if not x.defined():
+    if x is UNDEF:
         return True
-    return y.defined() and cpo.le(x, y)
+    return y is not UNDEF and cpo.le(x, y)
 
 
 PartialChain = Callable[[int], PVal]
@@ -85,11 +85,11 @@ def chain_sup_info(cpo: CpoDescriptor, ch: PartialChain, bound: int) -> tuple[PV
     index from which every element equals the last, each compared with it
     once."""
     xs = check_chain(cpo, ch, bound)
-    if not any(x.defined() for x in xs):
+    if all(x is UNDEF for x in xs):
         return UNDEF, bound
     idx = len(xs) - 1
     last = xs[idx]
-    while idx > 0 and xs[idx - 1].defined() and cpo.equal(xs[idx - 1], last):
+    while idx > 0 and xs[idx - 1] is not UNDEF and cpo.equal(xs[idx - 1], last):
         idx -= 1
     if idx == len(xs) - 1:
         raise NotStabilized(f"chain still moving at bound {bound}")

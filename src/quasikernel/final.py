@@ -68,10 +68,10 @@ class _Node:
     costs at most one coalgebra step, and a step that raises leaves no child
     behind."""
 
-    __slots__ = ("value", "succ", "kids")
+    __slots__ = ("value", "succ", "kids", "view")
 
     def __init__(self, value: PVal, succ: Callable[[PVal], "_Node"]):
-        self.value, self.succ, self.kids = value, succ, {}
+        self.value, self.succ, self.kids, self.view = value, succ, {}, None
 
     def child(self, label: PVal) -> "_Node":
         if self is _OFF:  # shared by every tree, so it keeps no children
@@ -143,15 +143,20 @@ def _top(tree: PVal) -> _Node:
 
 
 def root(tree: PVal) -> _Node:
-    """The node at the root of ``tree``; the bounded checks walk from it."""
-    return _top(tree).child(None)
+    """The node at the root of ``tree``; the bounded checks walk from it.
+    A node first read through ``tree`` keeps it as its view."""
+    node = _top(tree).child(None)
+    node.view = node.view or tree
+    return node
 
 
 def subtree(tree: PVal, label: PVal) -> PVal:
-    """The subtree of ``tree`` under one more label: it shares the graph
-    from the node under the label."""
-    above = _top(tree)
-    return _graph_tree(_Node(UNDEF, lambda _root: above.child(None).child(label)))
+    """The subtree of ``tree`` under one more label: the view of the node
+    under the label, which shares the graph from it.  A node has one view,
+    so a coalgebra whose seeds are subtrees steps once per node."""
+    node = root(tree).child(label)
+    node.view = node.view or _graph_tree(_Node(UNDEF, lambda _root: node))
+    return node.view
 
 
 class FinalCoalgebra:

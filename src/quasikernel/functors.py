@@ -179,13 +179,12 @@ def to_extpoly_nf(f: SigFunctor) -> ExtPolyNF:
 def inject(i: int, n: int, payload: PVal) -> PVal:
     if not 0 <= i < n:
         raise TagOutOfRange(f"tag {i} of {n}")
-    if not payload.defined():
+    if payload is UNDEF:
         return UNDEF
-    if n == 1:
-        return payload
-    if i == 0:
-        return InlV(payload)
-    return InrV(inject(i - 1, n - 1, payload))
+    out = payload if i == n - 1 else InlV(payload)
+    for _ in range(i):
+        out = InrV(out)
+    return out
 
 
 def project(v: PVal, n: int) -> tuple[int, PVal]:
@@ -208,7 +207,7 @@ def poly_value(nf: PolyNF, i: int, param: PVal, children: list[PVal]) -> PVal:
     a, k = nf.summands[i]
     if len(children) != k:
         raise TagOutOfRange(f"summand {i} expects {k} children")
-    if not all(c.defined() for c in children):
+    if UNDEF in children:
         return UNDEF
     return inject(i, len(nf.summands), pair(param, tuple_of(children)))
 

@@ -27,6 +27,7 @@ tree table equals the flat ``finmap`` with the same entries.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .functors import (
@@ -204,7 +205,7 @@ class InitialAlgebra:
         a_i, k = self.nf.summands[i]
         if len(children) != k:
             raise TagOutOfRange(f"constructor {i} expects {k} subtrees")
-        if not param.defined():
+        if param is UNDEF:
             return UNDEF
         labels = [(0, trie(self.leaf_label(i, param)))]
         depths = [(0, _SLOT_DEPTH)]
@@ -236,9 +237,9 @@ class InitialAlgebra:
 
         The result is kept on the (interned) label table, with the handle
         and, when there are subtrees, the interned (depth table, anchor) pair
-        it was read with: destructing the same tree again, as each further
-        fold of it does, returns the same values.  A leaf's result depends
-        on neither, so every tree holding that leaf shares it.
+        it was read with: reading the same tree again, as the shared fold
+        does after the initial suite's closure pass, returns the same values.
+        A leaf's result depends on neither, so every tree holding it shares it.
         """
         lt, _, _ = tree_parts(t)
         kept = getattr(lt, "_destructed", None)
@@ -251,19 +252,15 @@ class InitialAlgebra:
         return out
 
     def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:
-        root = lt.root
-        if not root.defined():
+        if lt.root is UNDEF:
             raise NotInCarrier("no label at the root")
         try:
-            i, z = project(root, self.n)
-        except TagOutOfRange as e:
-            raise NotInCarrier(str(e))
-        if z != InrV(UNIT):
-            raise NotInCarrier("root is not a constructor node")
-        slot = lt.child(0).root
-        if not slot.defined():
-            raise NotInCarrier("no parameter in the leaf slot")
-        try:
+            i, _ = project(lt.root, self.n)
+            if lt.root is not self._node_labels[i]:
+                raise NotInCarrier("root is not a constructor node")
+            slot = lt.child(0).root
+            if slot is UNDEF:
+                raise NotInCarrier("no parameter in the leaf slot")
             i2, y = project(slot, self.n)
         except TagOutOfRange as e:
             raise NotInCarrier(str(e))
@@ -285,48 +282,53 @@ class InitialAlgebra:
             raise NotInCarrier("tree has no depth at the root")
         return self._f(dep, t, algebra)
 
-    def _f(self, n: int, t: PVal, algebra):
+    def _f(self, n: Optional[int], t, algebra):
         """Post-order walk over an explicit stack, one ``destruct`` per node:
-        a node's subtrees are folded left to right, then its algebra runs."""
+        a node's subtrees are folded left to right, then its algebra runs.
+
+        With ``n`` None, ``t`` is a list of trees, each with its depth as its
+        budget, and one walk returns their results as a list.  It folds each
+        distinct node once: a node met again, by its label table, takes the
+        result of its first combine from a memo that lasts for this call."""
+        memo = None if n is not None else {}
+        key = None
         results: list = []
-        # (tree, depth budget) to visit, or ((i, w, k), None) to combine
-        todo: list = [(t, n)]
+        # (tree, depth budget) to visit, or ((i, w, k, label table), None) to combine
+        todo: list = [(t, n)] if memo is None else [(u, tree_depth(u) or 0) for u in reversed(t)]
         while todo:
             t, n = todo.pop()
             if n is None:
-                i, w, k = t
+                i, w, k, key = t
                 args = results[len(results) - k:]
                 del results[len(results) - k:]
                 results.append(algebra[i](w, args))
+                if memo is not None:
+                    memo[key] = results[-1]
                 continue
+            if memo is not None:
+                key = t.fst  # roots were read by tree_depth, children made by sel
+                if key in memo:
+                    results.append(memo[key])
+                    continue
             if n <= 0:
                 raise NotInCarrier("depth budget exhausted below the structure")
             i, w, children = self.destruct(t)
-            todo.append(((i, w, len(children)), None))
+            todo.append(((i, w, len(children), key), None))
             for c in reversed(children):
                 todo.append((c, n - 1))
-        return results[0]
+        return results if memo is not None else results[0]
 
     def primrec(self, body: Sequence[Callable[[PVal, list], object]]):
         """Primitive recursion derived from fold by pairing with the identity."""
         g = self.primrec_pairing(body)
-
-        def run(t: PVal):
-            return g(t)[1]
-
-        return run
+        return lambda t: g(t)[1]
 
     def primrec_pairing(self, body):
         """The simultaneous definition g : T -> T x B; its first component is id."""
-
-        def alg_for(i):
-            def alg(w, pairs):
-                rebuilt = self.construct(i, w, [p[0] for p in pairs])
-                return (rebuilt, body[i](w, pairs))
-
-            return alg
-
-        palg = [alg_for(i) for i in range(self.n)]
+        palg = [
+            lambda w, pairs, i=i: (self.construct(i, w, [p[0] for p in pairs]), body[i](w, pairs))
+            for i in range(self.n)
+        ]
         return lambda t: self.fold(palg, t)
 
     # ---- Lambek's lemma and case ------------------------------------------
@@ -336,23 +338,14 @@ class InitialAlgebra:
         i, w, children = poly_unvalue(self.nf, fv)
         return self.construct(i, w, children)
 
-    def lambek_algebra(self) -> list[Callable[[PVal, list], PVal]]:
-        """The algebra ``F alpha : F F T -> F T``, per summand: the children's
-        results are mapped back into T by the structure map."""
-
-        def alg_for(i):
-            def alg(w, results):
-                return poly_value(
-                    self.nf, i, w, [self.structure_map(r) for r in results]
-                )
-
-            return alg
-
-        return [alg_for(i) for i in range(self.n)]
-
     def lambek_inverse(self) -> Callable[[PVal], PVal]:
-        """The two-sided inverse of the structure map, obtained as a fold."""
-        alg = self.lambek_algebra()
+        """The two-sided inverse of the structure map, obtained as the fold
+        of the algebra ``F alpha : F F T -> F T``: per summand, the children's
+        results are mapped back into T by the structure map."""
+        alg = [
+            lambda w, results, i=i: poly_value(self.nf, i, w, [self.structure_map(r) for r in results])
+            for i in range(self.n)
+        ]
         return lambda t: self.fold(alg, t)
 
     # ---- membership and enumeration ----------------------------------------
@@ -374,26 +367,36 @@ class InitialAlgebra:
         except QuasiError:
             return False
 
-    def enumerate_trees(self, max_depth: int) -> list[PVal]:
+    def enumerate_trees(self, max_depth: int, rows: Optional[list] = None) -> list[PVal]:
         """All carrier elements of depth at most ``max_depth`` (at least 1),
         with the parameters' naturals below 2, in order of depth: the
         constants first, and then round r adds exactly the trees of depth
-        r + 2, so ``max_depth - 1`` rounds reach the bound and no further."""
+        r + 2, so ``max_depth - 1`` rounds reach the bound and no further.
+
+        Each tree is ``construct(i, w, children)`` of trees listed before it;
+        ``rows``, when given, gets its row ``(i, w, child indices)``."""
         params = [enumerate_ty(a, nat_bound=2) for a, _ in self.nf.summands]
+        rows = [] if rows is None else rows
+        rows.extend((0, y, ()) for y in params[0])
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
-        seen = {t for t in layers}
+        seen = set(layers)
+        last = -1  # the last round's first tree: one above none of them is seen
         for _ in range(max_depth - 1):
             new = []
             for i in range(1, self.n):
                 _, k = self.nf.summands[i]
                 for y in params[i]:
-                    for combo in product_choices(layers, k):
-                        t = self.construct(i, y, list(combo))
+                    for combo in product_choices(range(len(layers)), k):
+                        if max(combo) < last:
+                            continue
+                        t = self.construct(i, y, [layers[c] for c in combo])
                         if t not in seen:
                             seen.add(t)
                             new.append(t)
+                            rows.append((i, y, combo))
             if not new:
                 break
+            last = len(layers)
             layers.extend(new)
         return layers
 
@@ -462,17 +465,13 @@ def subtype_fold(
     closed under the subtype and raises ``SubtypeEscape``.
     """
 
-    def lifted_for(i):
-        def alg(w, wrapped):
-            vals = [apply_pval(r, UNIT) for r in wrapped]
-            if any(not v.defined() or not phi(v) for v in vals):
-                return finmap({})
-            return finmap({UNIT: algebra[i](w, vals)})
+    def lifted(i, w, wrapped):
+        vals = [apply_pval(r, UNIT) for r in wrapped]
+        if any(not v.defined() or not phi(v) for v in vals):
+            return finmap({})
+        return finmap({UNIT: algebra[i](w, vals)})
 
-        return alg
-
-    lifted = [lifted_for(i) for i in range(handle.n)]
-    out = apply_pval(handle.fold(lifted, t), UNIT)
+    out = apply_pval(handle.fold([partial(lifted, i) for i in range(handle.n)], t), UNIT)
     if not out.defined() or not phi(out):
         raise SubtypeEscape("algebra left the subtype")
     return out
@@ -502,7 +501,5 @@ def param_map(
         mapped = [f(p) if is_param else p for p, is_param in zip(parts, factors)]
         return inject(j, len(groups), tuple_of(mapped))
 
-    def alg_for(i):
-        return lambda w, results: dst.construct(i, map_param(i, w), results)
-
-    return src.fold([alg_for(i) for i in range(src.n)], t)
+    alg = [lambda w, results, i=i: dst.construct(i, map_param(i, w), results) for i in range(src.n)]
+    return src.fold(alg, t)

@@ -428,7 +428,7 @@ class FinMapV(_Interned):
         """The defined entries as a table: the interned ``PathTrie`` when every
         key is a tree path (the empty table too), else flat and sorted."""
         items = table.items() if isinstance(table, Mapping) else table
-        kept = [(k, v) for k, v in items if v.defined()]
+        kept = [(k, v) for k, v in items if v is not UNDEF]
         paths = [_path_steps(k) for k, _ in kept]
         if None not in paths:
             return trie_of_paths(zip(paths, (v for _, v in kept)))
@@ -582,17 +582,17 @@ nat = NatV
 
 def pair(a: PVal, b: PVal) -> PVal:
     # tupling is strict
-    if not a.defined() or not b.defined():
+    if a is UNDEF or b is UNDEF:
         return UNDEF
     return PairV(a, b)
 
 
 def inl(v: PVal) -> PVal:
-    return InlV(v) if v.defined() else UNDEF
+    return UNDEF if v is UNDEF else InlV(v)
 
 
 def inr(v: PVal) -> PVal:
-    return InrV(v) if v.defined() else UNDEF
+    return UNDEF if v is UNDEF else InrV(v)
 
 
 def finmap(table) -> FinMapV:
@@ -666,7 +666,7 @@ def is_true(v: PVal) -> bool:
 
 def apply_pval(f: PVal, x: PVal) -> PVal:
     """Strict application of a function-like value."""
-    if not f.defined() or not x.defined():
+    if f is UNDEF or x is UNDEF:
         return UNDEF
     match f:
         case FinMapV():

@@ -118,11 +118,12 @@ def test_criterion_1_fold_equation():
     ok = True
     rng = random.Random(0)
     for name, handle in corpus_handles():
-        trees = handle.enumerate_trees(4)
+        rows = []
+        trees = handle.enumerate_trees(4, rows)
         if name == "ProcType":
             ok = ok and trees == [] and ty_card(handle.nf.summands[0][0]) == 0
             continue
-        if fold_equation_failures(handle, algebras_for(handle.nf, rng), trees, CARRIER3) != []:
+        if fold_equation_failures(handle, algebras_for(handle.nf, rng), trees, rows, CARRIER3) != []:
             ok = False
     report(1, "fold-equation suite", ok)
 
@@ -153,8 +154,9 @@ def test_criterion_2_fold_uniqueness():
     ok = True
     rng = random.Random(1)
     for name, handle in corpus_handles():
-        trees = handle.enumerate_trees(4)
-        if fold_uniqueness_solutions(handle, trees) != []:
+        rows = []
+        trees = handle.enumerate_trees(4, rows)
+        if fold_uniqueness_solutions(handle, trees, rows, []) != []:
             ok = False
         for size in (2, 3):
             carrier = [nat(i) for i in range(size)]

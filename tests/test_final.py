@@ -194,6 +194,22 @@ class TestUnfoldLaws:
 
         assert h.tree_eq(h.unfold(as_coalgebra, t), t, 4)
 
+        # a subtree is its node's one view, so the unfold of the structure
+        # map steps once per node: processes.qk's canonical tree has 7
+        info = proc_info()
+        h = info.handle
+        t = h.unfold(checks._canonical_coalgebra(info, checks.CheckConfig(4, 8, 0)), 0)
+        for depth in (4, 6, 8):
+            seeds = []
+
+            def as_coalgebra(tree):
+                seeds.append(tree)
+                i, x, fn = ext_unvalue(h.nf, h.structure_map(tree))
+                return i, x, lambda y: apply_pval(fn, y)
+
+            assert h.tree_eq(h.unfold(as_coalgebra, t), t, depth)
+            assert len(seeds) <= 7, (depth, len(seeds))
+
     def test_a_cyclic_unfold_steps_once_per_seed(self):
         # seeds 0 and 1 alternate, so every path goes back to the root's seed
         h = FinalCoalgebra(STREAM_NF)

@@ -1,16 +1,20 @@
+import inspect
 import itertools
 import os
 import random
 import re
 import sys
+import textwrap
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasikernel import initial
 from quasikernel.checks import (
     fold_equation_failures,
     fold_uniqueness_solutions,
+    product_algebra,
     sample_algebras,
 )
 from quasikernel.functors import PolyNF, poly_value
@@ -370,45 +374,55 @@ class TestFold:
     @pytest.mark.parametrize("nf", [None, LIST_NF])
     def test_fold_equation_exhaustive(self, nf):
         h = nat_algebra() if nf is None else InitialAlgebra(nf)
-        trees = h.enumerate_trees(4)
+        rows = []
+        trees = h.enumerate_trees(4, rows)
         carrier = [nat(i) for i in range(3)]
         algebras = enumerate_algebras(h.nf, len(carrier))
-        assert fold_equation_failures(h, algebras, trees, carrier) == []
+        assert fold_equation_failures(h, algebras, trees, rows, carrier) == []
 
     def test_fold_equation_sampled_mixed(self):
         h = InitialAlgebra(MIXED_NF)
-        trees = h.enumerate_trees(4)
+        rows = []
+        trees = h.enumerate_trees(4, rows)
         carrier = [nat(i) for i in range(3)]
         rng = random.Random(0)
         algebras = sample_algebras(h.nf, len(carrier), 25, rng)
-        assert fold_equation_failures(h, algebras, trees, carrier) == []
+        assert fold_equation_failures(h, algebras, trees, rows, carrier) == []
 
     def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
         # a fold result of another shape is an unequal side like any other,
         # not an incomparable pair; only component k of the product fold is
         # replaced, and the failure is algebra k's, whose fold is the
         # constant carrier index k
+        # The tampering is at the walk, ``_f``, which gives the shared
+        # fold a list of results and ``fold`` one.
         h = list_handle()
-        trees = h.enumerate_trees(3)
+        rows = []
+        trees = h.enumerate_trees(3, rows)
         odd = max(trees, key=tree_depth)  # no tree of the set has it as a child
         carrier = [nat(i) for i in range(3)]
         algebras = [constant_algebra(h.nf, 3, k) for k in range(3)]
         k = 1
-        real = h.fold
+        real = h._f
 
-        def tampered(alg, t):
-            out = real(alg, t)
-            return out[:k] + (UNIT,) + out[k + 1:] if t == odd else out
+        def tampering(change):
+            def walk(n, t, alg):
+                out = real(n, t, alg)
+                if n is None:
+                    return [change(r) if u == odd else r for u, r in zip(t, out)]
+                return change(out) if t == odd else out
 
-        monkeypatch.setattr(h, "fold", tampered)
-        failures = fold_equation_failures(h, algebras, trees, carrier)
+            return walk
+
+        monkeypatch.setattr(h, "_f", tampering(lambda out: out[:k] + (UNIT,) + out[k + 1:]))
+        failures = fold_equation_failures(h, algebras, trees, rows, carrier)
         i = h.destruct(odd)[0]
         assert failures == [f"summand {i}: () != {k}"]
 
         # a whole product fold of another shape fails once for every
         # algebra, in algebra order, and raises no TypeError
-        monkeypatch.setattr(h, "fold", lambda alg, t: UNIT if t == odd else real(alg, t))
-        failures = fold_equation_failures(h, algebras, trees, carrier)
+        monkeypatch.setattr(h, "_f", tampering(lambda out: UNIT))
+        failures = fold_equation_failures(h, algebras, trees, rows, carrier)
         assert failures == [f"summand {i}: () != {k}" for k in range(3)]
 
     def test_fold_uniqueness(self):
@@ -416,8 +430,9 @@ class TestFold:
         # algebra's fold equation, counted one tree at a time, has one solution
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
-            trees = h.enumerate_trees(4)
-            assert fold_uniqueness_solutions(h, trees) == []
+            rows = []
+            trees = h.enumerate_trees(4, rows)
+            assert fold_uniqueness_solutions(h, trees, rows, []) == []
             for alg in sample_algebras(h.nf, len(carrier), 10, random.Random(1)):
                 assert _uniqueness_one_by_one(h, index_algebra(alg, 3), trees, carrier) == 1
 
@@ -426,17 +441,19 @@ class TestFold:
         from quasikernel.surface import elaborate, parse
 
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
-        trees = h.enumerate_trees(4)
+        rows = []
+        trees = h.enumerate_trees(4, rows)
         assert len(trees) == 1446
-        assert fold_uniqueness_solutions(h, trees) == []
-        # one depth-2 tree removed: each tree that has it as a child fails,
-        # shallowest first, named by its summand and depth
+        assert fold_uniqueness_solutions(h, trees, rows, []) == []
+        # one depth-2 tree removed with its row: each tree that has it as a
+        # child fails, shallowest first, named by its summand and depth; the
+        # rows' indices past it go stale, so the other children are searched
         gone = next(t for t in trees if tree_depth(t) == 2)
-        rest = [t for t in trees if t is not gone]
+        rest, rest_rows = zip(*[(t, row) for t, row in zip(trees, rows) if t is not gone])
         parents = [
             t for t in rest if tree_parts(gone)[:2] in [tree_parts(c)[:2] for c in h.destruct(t)[2]]
         ]
-        failures = fold_uniqueness_solutions(h, rest)
+        failures = fold_uniqueness_solutions(h, rest, rest_rows, [])
         assert failures == [
             f"summand {h.destruct(t)[0]} at depth {tree_depth(t)}: a subtree is not in the set"
             for t in parents
@@ -479,16 +496,28 @@ def _uniqueness_one_by_one(handle, algebra, trees, carrier):
 
 class _Bumped(InitialAlgebra):
     """A fold that is wrong on the trees in ``bad``: each result there, or
-    each component of a product's result, is moved to the next of 0, 1, 2."""
+    each component of a product's result, is moved to the next of 0, 1, 2.
+    The walk ``_f`` is wrong, for ``fold`` and for the shared fold alike."""
 
     bad: frozenset = frozenset()
 
-    def fold(self, algebra, t):
-        out = super().fold(algebra, t)
-        if t not in self.bad:
-            return out
+    def _f(self, n, t, algebra):
+        out = super()._f(n, t, algebra)
+        if n is None:
+            return [self._bump(r) if u in self.bad else r for u, r in zip(t, out)]
+        return self._bump(out) if t in self.bad else out
+
+    @staticmethod
+    def _bump(out):
         bump = lambda j: (j + 1) % 3
         return tuple(map(bump, out)) if type(out) is tuple else bump(out)
+
+
+def rows_of(h, trees):
+    """The construction rows of a subtree-closed set listed children first,
+    as ``destruct`` reads them, each child by the index of its path maps."""
+    at = {tree_parts(t)[:2]: n for n, t in enumerate(trees)}
+    return [(i, w, tuple(at[tree_parts(c)[:2]] for c in cs)) for i, w, cs in map(h.destruct, trees)]
 
 
 _summand = st.tuples(st.sampled_from([Unit(), Bool()]), st.integers(1, 2))
@@ -511,7 +540,8 @@ class TestProductFold:
         enumerated = h.enumerate_trees(depth)
         if len(enumerated) > 300:
             enumerated = enumerated[:300]
-        # a random subtree-closed set, in a random order
+        # a random subtree-closed set, in a random order within each depth,
+        # with its rows: every child is listed before its parent
         todo = rng.sample(enumerated, min(len(enumerated), 8))
         trees = []
         while todo:
@@ -520,6 +550,7 @@ class TestProductFold:
                 trees.append(t)
                 todo.extend(h.destruct(t)[2])
         rng.shuffle(trees)
+        trees.sort(key=tree_depth)
         h.bad = frozenset(t for t in trees if rng.random() < 0.3)
         carrier = [nat(i) for i in range(3)]
         algebras = sample_algebras(h.nf, 3, count, rng)
@@ -528,16 +559,19 @@ class TestProductFold:
             for alg in algebras
             for f in _equation_failures_one_by_one(h, index_algebra(alg, 3), trees, carrier)
         ]
-        assert fold_equation_failures(h, algebras, trees, carrier) == expected
-        assert fold_uniqueness_solutions(h, trees) == []
+        rows = rows_of(h, trees)
+        assert fold_equation_failures(h, algebras, trees, rows, carrier) == expected
+        assert fold_uniqueness_solutions(h, trees, rows, []) == []
 
 
 class TestFoldCount:
     def test_check_folds_each_tree_at_most_once(self, monkeypatch):
-        # one product fold for the equation, not one per sampled algebra.
-        # Uniqueness, Lambek's lemma and membership read each tree's
-        # children and call no fold.  The file's two ``let`` folds run while
-        # it is elaborated, before any tree is enumerated, and are not counted.
+        # one product fold for the equation, not one per sampled algebra: the
+        # shared walk runs through ``_f``, and ``fold`` only for the witness
+        # on trees of depth at most 2.  Uniqueness, Lambek's lemma and
+        # membership read each tree's row and call no fold.  The file's two
+        # ``let`` folds run while it is elaborated, before any tree is
+        # enumerated, and are not counted.
         from quasikernel.cli import run
 
         folds, trees = [], []
@@ -552,7 +586,8 @@ class TestFoldCount:
         monkeypatch.setattr(
             InitialAlgebra,
             "enumerate_trees",
-            lambda self, d: trees.extend(enumerate_trees(self, d)) or enumerate_trees(self, d),
+            lambda self, d, rows=None: trees.extend(enumerate_trees(self, d))
+            or enumerate_trees(self, d, rows),
         )
         lists = os.path.join(CORPUS, "lists.qk")
         report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
@@ -606,8 +641,8 @@ class TestLambekCheck:
                 calls.append(fv)
             return structure_map(self, fv)
 
-        def enumerated(self, d):
-            out = enumerate_trees(self, d)
+        def enumerated(self, d, rows=None):
+            out = enumerate_trees(self, d, rows)
             trees.extend((self, t) for t in out)
             return out
 
@@ -729,14 +764,18 @@ class TestFoldCheckMutants:
         assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
 
     def test_a_missing_subtree_fails_uniqueness_and_skips_the_rest(self, monkeypatch):
-        # the second tree, a constant, left out of the set: the checks that
-        # read the children's results do not run, and nothing raises
+        # the second tree, a constant, left out of the set with its row: the
+        # other rows' indices past it go stale, the checks that read the
+        # children's results do not run, and nothing raises
         enumerate_trees = InitialAlgebra.enumerate_trees
-        monkeypatch.setattr(
-            InitialAlgebra,
-            "enumerate_trees",
-            lambda self, d: (lambda ts: ts[:1] + ts[2:])(enumerate_trees(self, d)),
-        )
+
+        def enumerated(self, d, rows=None):
+            trees = enumerate_trees(self, d, rows)
+            if rows is not None:
+                del rows[1]
+            return trees[:1] + trees[2:]
+
+        monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
         code, checks = self._report()
         assert code == 1
         skipped = ("skip", "not run: fold-uniqueness failed")
@@ -752,12 +791,12 @@ class TestFoldCheckMutants:
     def test_a_wrong_anchor_fails_membership(self, monkeypatch):
         # one depth-2 tree of Shape carries another anchor.  Its path maps
         # are those of an enumerated tree, so the set is still closed; the
-        # subtrees ``destruct`` reads carry the wrong anchor too, so only a
-        # rebuild from the enumerated trees tells it apart.
+        # subtrees ``destruct`` reads carry the wrong anchor too, so only the
+        # anchor read from the enumerated first child tells it apart.
         enumerate_trees = InitialAlgebra.enumerate_trees
 
-        def enumerated(self, d):
-            trees = enumerate_trees(self, d)
+        def enumerated(self, d, rows=None):
+            trees = enumerate_trees(self, d, rows)
             at = next(n for n, t in enumerate(trees) if tree_depth(t) == 2)
             label, depth_map = tree_tables(trees[at])
             trees[at] = make_tree(label, depth_map, nat(42))
@@ -811,6 +850,55 @@ class TestFoldCheckMutants:
             )
         failed = sorted(n for n, (status, _) in checks.items() if status != "pass")
         assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
+
+    def test_a_memo_blind_to_the_parameter_fails_the_fold_equation(self, monkeypatch):
+        # The shared fold's memo keyed by a node's label table without its
+        # parameter slot: nodes that differ only in their parameter share a
+        # result.  The mutant is made from the source of ``_f`` itself.
+        source = textwrap.dedent(inspect.getsource(InitialAlgebra._f))
+        line = "key = t.fst"
+        assert source.count(line) == 1
+        blind = "key = (t.fst.root, t.fst.children[1:])"
+        scope: dict = {}
+        exec(compile(source.replace(line, blind), initial.__file__, "exec"), vars(initial), scope)
+        monkeypatch.setattr(InitialAlgebra, "_f", scope["_f"])
+        code, checks = self._report()
+        assert code == 1
+        failed = sorted(n for n, (status, _) in checks.items() if status != "pass")
+        assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
+
+
+class TestRows:
+    """``enumerate_trees``' rows: each builds its tree from trees listed
+    before it, and the shared fold over the trees is the per-tree fold."""
+
+    @staticmethod
+    def check_rows(h, depth, rng):
+        rows = []
+        trees = h.enumerate_trees(depth, rows)
+        assert len(rows) == len(trees)
+        for n, (t, (i, w, at)) in enumerate(zip(trees, rows)):
+            assert all(m < n for m in at)
+            assert h.construct(i, w, [trees[m] for m in at]) is t
+        product = product_algebra(h.nf, sample_algebras(h.nf, 3, 5, rng), 3)
+        assert h._f(None, trees, product) == [h.fold(product, t) for t in trees]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
+    def test_corpus_types(self, name):
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
+        self.check_rows(h, CORPUS_DEPTHS[name], random.Random(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([Unit(), Bool(), Nat()]),
+        st.lists(st.tuples(st.sampled_from([Unit(), Bool(), Nat()]), st.integers(1, 2)), max_size=2),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_normal_forms(self, a0, rest, depth, rng):
+        self.check_rows(InitialAlgebra(PolyNF(((a0, 0), *rest))), depth, rng)
 
 
 class TestEnumerateTrees:
