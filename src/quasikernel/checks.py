@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .final import _OFF, _Node, root
 from .functors import PolyNF, ext_unvalue, inject, poly_value, project
-from .initial import InitialAlgebra, tree_anchor, tree_depth, tree_parts
+from .initial import InitialAlgebra, tree_depth, tree_parts
 from .kernel import (
     FALSE,
     TRUE,
@@ -48,7 +48,8 @@ def sample_algebras(nf: PolyNF, size: int, count: int, rng: random.Random) -> li
     Each entry is one ``rng.choice``, drawn per algebra, summand, ``w`` and
     entry, in that order.
     """
-    members, params = range(size), [(enumerate_ty(a, 2), size**k) for a, k in nf.summands]
+    members = range(size)
+    params = [(enumerate_ty(a, 2), size**k) for a, k in nf.summands]
     return [
         [{w: [rng.choice(members) for _ in range(entries)] for w in ws} for ws, entries in params]
         for _ in range(count)
@@ -101,7 +102,7 @@ def fold_equation_failures(
     tupled = lambda r: r if type(r) is tuple and len(r) == len(algebras) else (r,) * len(algebras)
     results = [tupled(r) for r in handle._f(None, trees, product)]
     failures: list[tuple[int, str]] = []
-    for t, lhs, (i, w, at) in zip(trees, results, rows):
+    for t, lhs, (i, w, at) in zip(trees, results, rows, strict=True):
         rhs = product[i](w, [results[m] for m in at])
         if lhs == rhs and tree_depth(t) <= 2:
             lhs = tupled(handle.fold(product, t))
@@ -115,9 +116,10 @@ def fold_equation_failures(
     return [f for _, f in failures]
 
 
-def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], rows: list, read: list) -> list[str]:
+def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], rows: list) -> tuple[list[str], list]:
     """The premise of uniqueness, by induction on depth: the trees, in
-    order, that have a child which is not a tree listed before them.
+    order, that have a child which is not a tree listed before them, and
+    per tree ``destruct``'s answer with the children's indices.
 
     On a subtree-closed set each tree's value under any solution of the fold
     equation is forced by its children's, so the fold is the only solution
@@ -126,22 +128,21 @@ def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], row
     so its parent's value is not forced.  Each tree is read by one
     ``destruct``, and a child it reads, which carries its parent's anchor,
     is found by path maps: at the index its row names, else by a search.
-    ``read`` gets per tree ``destruct``'s answer and the children's indices.
     """
     tables = [tree_parts(t)[:2] for t in trees]
     where: dict = {}  # path maps -> first index, made at the first search
-    failures = []
-    for n, t in enumerate(trees):
+    failures, read = [], []
+    for n, (t, row) in enumerate(zip(trees, rows, strict=True)):
         i, w, children = handle.destruct(t)
         keys = [tree_parts(c)[:2] for c in children]
-        at = rows[n][2]
+        at = row[2]
         if max(at, default=-1) >= n or keys != [tables[m] for m in at]:
             where = where or {key: m for m, key in reversed(list(enumerate(tables)))}
             at = tuple(where.get(key, n) for key in keys)
             if max(at, default=-1) >= n:
                 failures.append(f"summand {i} at depth {tree_depth(t)}: a subtree is not in the set")
         read.append((i, w, children, at))
-    return failures
+    return failures, read
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +164,7 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
         return [CheckResult(f"{prefix}.enumerable", "skip", str(e))]
     # one destruct per tree, compared with its row; the checks that read the
     # children's results run only on a closed set, the depth law always
-    read: list = []
-    unclosed = fold_uniqueness_solutions(handle, trees, rows, read)
+    unclosed, read = fold_uniqueness_solutions(handle, trees, rows)
     closed = not unclosed
 
     def gated(name, ok, detail=""):
@@ -181,19 +181,18 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     # One step per row from what ``destruct`` read.  A tree's inverse is F
     # alpha on its children's inverses, by index, whose images under alpha
     # are kept from their own checks: the tree's fold, if the fold equation
-    # holds.  A tree is a member if ``destruct`` reads back its row, with the
-    # anchor ``construct`` gives, the leftmost constant's parameter.
+    # holds.  A tree is a member if ``construct`` gives it back from what
+    # ``destruct`` read, on the enumerated children, which are members already.
     images: list = []
     lambek_ok = member_ok = closed
     depth_ok = True
-    for t, row, (i, w, children, at) in zip(trees, rows, read):
+    for t, (i, w, children, at) in zip(trees, read):
         if lambek_ok:
             inverse = poly_value(handle.nf, i, w, [images[m] for m in at])
             images.append(handle.structure_map(inverse))
             lambek_ok = images[-1] == t
         if member_ok:
-            anchor = tree_anchor(trees[at[0]]) if at else w
-            member_ok = (i, w, at) == row and tree_anchor(t) == anchor
+            member_ok = handle.construct(i, w, [trees[m] for m in at]) is t
         want = 1 + max([tree_depth(c) or 0 for c in children], default=0)
         depth_ok = depth_ok and tree_depth(t) == want
     return [

@@ -27,7 +27,6 @@ tree table equals the flat ``finmap`` with the same entries.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .functors import (
@@ -252,15 +251,19 @@ class InitialAlgebra:
         return out
 
     def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:
-        if lt.root is UNDEF:
+        root = lt.root
+        if not root.defined():
             raise NotInCarrier("no label at the root")
         try:
-            i, _ = project(lt.root, self.n)
-            if lt.root is not self._node_labels[i]:
-                raise NotInCarrier("root is not a constructor node")
-            slot = lt.child(0).root
-            if slot is UNDEF:
-                raise NotInCarrier("no parameter in the leaf slot")
+            i, z = project(root, self.n)
+        except TagOutOfRange as e:
+            raise NotInCarrier(str(e))
+        if z != InrV(UNIT):
+            raise NotInCarrier("root is not a constructor node")
+        slot = lt.child(0).root
+        if not slot.defined():
+            raise NotInCarrier("no parameter in the leaf slot")
+        try:
             i2, y = project(slot, self.n)
         except TagOutOfRange as e:
             raise NotInCarrier(str(e))
@@ -321,14 +324,23 @@ class InitialAlgebra:
     def primrec(self, body: Sequence[Callable[[PVal, list], object]]):
         """Primitive recursion derived from fold by pairing with the identity."""
         g = self.primrec_pairing(body)
-        return lambda t: g(t)[1]
+
+        def run(t: PVal):
+            return g(t)[1]
+
+        return run
 
     def primrec_pairing(self, body):
         """The simultaneous definition g : T -> T x B; its first component is id."""
-        palg = [
-            lambda w, pairs, i=i: (self.construct(i, w, [p[0] for p in pairs]), body[i](w, pairs))
-            for i in range(self.n)
-        ]
+
+        def alg_for(i):
+            def alg(w, pairs):
+                rebuilt = self.construct(i, w, [p[0] for p in pairs])
+                return (rebuilt, body[i](w, pairs))
+
+            return alg
+
+        palg = [alg_for(i) for i in range(self.n)]
         return lambda t: self.fold(palg, t)
 
     # ---- Lambek's lemma and case ------------------------------------------
@@ -339,9 +351,9 @@ class InitialAlgebra:
         return self.construct(i, w, children)
 
     def lambek_inverse(self) -> Callable[[PVal], PVal]:
-        """The two-sided inverse of the structure map, obtained as the fold
-        of the algebra ``F alpha : F F T -> F T``: per summand, the children's
-        results are mapped back into T by the structure map."""
+        """The two-sided inverse of the structure map, obtained as the fold of
+        ``F alpha : F F T -> F T``: per summand, the children's results are
+        mapped back into T by the structure map."""
         alg = [
             lambda w, results, i=i: poly_value(self.nf, i, w, [self.structure_map(r) for r in results])
             for i in range(self.n)
@@ -379,7 +391,7 @@ class InitialAlgebra:
         rows = [] if rows is None else rows
         rows.extend((0, y, ()) for y in params[0])
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
-        seen = set(layers)
+        seen = {t for t in layers}
         last = -1  # the last round's first tree: one above none of them is seen
         for _ in range(max_depth - 1):
             new = []
@@ -465,13 +477,17 @@ def subtype_fold(
     closed under the subtype and raises ``SubtypeEscape``.
     """
 
-    def lifted(i, w, wrapped):
-        vals = [apply_pval(r, UNIT) for r in wrapped]
-        if any(not v.defined() or not phi(v) for v in vals):
-            return finmap({})
-        return finmap({UNIT: algebra[i](w, vals)})
+    def lifted_for(i):
+        def alg(w, wrapped):
+            vals = [apply_pval(r, UNIT) for r in wrapped]
+            if any(not v.defined() or not phi(v) for v in vals):
+                return finmap({})
+            return finmap({UNIT: algebra[i](w, vals)})
 
-    out = apply_pval(handle.fold([partial(lifted, i) for i in range(handle.n)], t), UNIT)
+        return alg
+
+    lifted = [lifted_for(i) for i in range(handle.n)]
+    out = apply_pval(handle.fold(lifted, t), UNIT)
     if not out.defined() or not phi(out):
         raise SubtypeEscape("algebra left the subtype")
     return out
@@ -501,5 +517,7 @@ def param_map(
         mapped = [f(p) if is_param else p for p, is_param in zip(parts, factors)]
         return inject(j, len(groups), tuple_of(mapped))
 
-    alg = [lambda w, results, i=i: dst.construct(i, map_param(i, w), results) for i in range(src.n)]
-    return src.fold(alg, t)
+    def alg_for(i):
+        return lambda w, results: dst.construct(i, map_param(i, w), results)
+
+    return src.fold([alg_for(i) for i in range(src.n)], t)

@@ -432,7 +432,7 @@ class TestFold:
         for h in (nat_algebra(), list_handle()):
             rows = []
             trees = h.enumerate_trees(4, rows)
-            assert fold_uniqueness_solutions(h, trees, rows, []) == []
+            assert fold_uniqueness_solutions(h, trees, rows)[0] == []
             for alg in sample_algebras(h.nf, len(carrier), 10, random.Random(1)):
                 assert _uniqueness_one_by_one(h, index_algebra(alg, 3), trees, carrier) == 1
 
@@ -444,7 +444,7 @@ class TestFold:
         rows = []
         trees = h.enumerate_trees(4, rows)
         assert len(trees) == 1446
-        assert fold_uniqueness_solutions(h, trees, rows, []) == []
+        assert fold_uniqueness_solutions(h, trees, rows)[0] == []
         # one depth-2 tree removed with its row: each tree that has it as a
         # child fails, shallowest first, named by its summand and depth; the
         # rows' indices past it go stale, so the other children are searched
@@ -453,7 +453,7 @@ class TestFold:
         parents = [
             t for t in rest if tree_parts(gone)[:2] in [tree_parts(c)[:2] for c in h.destruct(t)[2]]
         ]
-        failures = fold_uniqueness_solutions(h, rest, rest_rows, [])
+        failures = fold_uniqueness_solutions(h, rest, rest_rows)[0]
         assert failures == [
             f"summand {h.destruct(t)[0]} at depth {tree_depth(t)}: a subtree is not in the set"
             for t in parents
@@ -561,39 +561,52 @@ class TestProductFold:
         ]
         rows = rows_of(h, trees)
         assert fold_equation_failures(h, algebras, trees, rows, carrier) == expected
-        assert fold_uniqueness_solutions(h, trees, rows, []) == []
+        assert fold_uniqueness_solutions(h, trees, rows)[0] == []
 
 
 class TestFoldCount:
     def test_check_folds_each_tree_at_most_once(self, monkeypatch):
-        # one product fold for the equation, not one per sampled algebra: the
-        # shared walk runs through ``_f``, and ``fold`` only for the witness
-        # on trees of depth at most 2.  Uniqueness, Lambek's lemma and
-        # membership read each tree's row and call no fold.  The file's two
-        # ``let`` folds run while it is elaborated, before any tree is
-        # enumerated, and are not counted.
+        # one product fold for the equation, not one per sampled algebra: one
+        # shared walk through ``_f`` per free type, which combines each
+        # distinct node once, so no more often than there are label tables
+        # among the trees.  ``fold`` runs only for the witness on trees of
+        # depth at most 2.  Uniqueness, Lambek's lemma and membership read
+        # each tree's row and call no fold.  The file's two ``let`` folds run
+        # while it is elaborated, before any tree is enumerated, and are not
+        # counted.
         from quasikernel.cli import run
 
-        folds, trees = [], []
-        fold, enumerate_trees = InitialAlgebra.fold, InitialAlgebra.enumerate_trees
+        folds, walks, enumerated = [], [], []
+        fold, walk, enumerate_trees = InitialAlgebra.fold, InitialAlgebra._f, InitialAlgebra.enumerate_trees
 
-        def counted(self, alg, t):
-            if trees:
+        def counted_fold(self, alg, t):
+            if enumerated:
                 folds.append(t)
             return fold(self, alg, t)
 
-        monkeypatch.setattr(InitialAlgebra, "fold", counted)
-        monkeypatch.setattr(
-            InitialAlgebra,
-            "enumerate_trees",
-            lambda self, d, rows=None: trees.extend(enumerate_trees(self, d))
-            or enumerate_trees(self, d, rows),
-        )
+        def counted_walk(self, n, t, alg):
+            if n is None:
+                combines = []
+                walks.append((list(t), combines))
+                alg = [lambda w, rs, a=a: combines.append(w) or a(w, rs) for a in alg]
+            return walk(self, n, t, alg)
+
+        def enumerating(self, d, rows=None):
+            out = enumerate_trees(self, d, rows)
+            enumerated.append(list(out))
+            return out
+
+        monkeypatch.setattr(InitialAlgebra, "fold", counted_fold)
+        monkeypatch.setattr(InitialAlgebra, "_f", counted_walk)
+        monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerating)
         lists = os.path.join(CORPUS, "lists.qk")
         report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
         assert code == 0, report
-        assert trees
-        assert len(folds) <= len(trees)
+        assert enumerated
+        assert [trees for trees, _ in walks] == enumerated
+        for trees, combines in walks:
+            assert len(combines) <= len({tree_parts(t)[0] for t in trees})
+        assert len(folds) <= sum(tree_depth(t) <= 2 for trees in enumerated for t in trees)
 
 
 _real_destruct, _real_sel, _real_f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
@@ -805,6 +818,32 @@ class TestFoldCheckMutants:
         monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
         _, checks = _initial_report("Shape", 3)
         assert checks["fold-uniqueness"].status == "pass"
+        assert checks["membership"].status == "fail"
+
+    @pytest.mark.parametrize("table", ["label", "depth"])
+    def test_junk_outside_the_child_slots_fails_membership(self, monkeypatch, table):
+        # the last tree of Shape, a child of no other, gets an entry at the
+        # child index past its last child.  ``destruct`` reads only the root,
+        # the slot and the children, so the set is still closed; rebuilt
+        # from what it read, the tree has no such entry.
+        enumerate_trees = InitialAlgebra.enumerate_trees
+
+        def enumerated(self, d, rows=None):
+            trees = enumerate_trees(self, d, rows)
+            at = len(trees) - 1
+            label, depth_map = tree_tables(trees[at])
+            past = (len(self.destruct(trees[at])[2]) + 1,)
+            if table == "label":
+                label[past] = label[()]
+            else:
+                depth_map[past] = 1
+            trees[at] = make_tree(label, depth_map, tree_anchor(trees[at]))
+            return trees
+
+        monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
+        _, checks = _initial_report("Shape", 3)
+        assert checks["fold-uniqueness"].status == "pass"
+        assert checks["depth-law"].status == "pass"
         assert checks["membership"].status == "fail"
 
     @pytest.mark.parametrize("summand", [0, 1])
