@@ -1,19 +1,18 @@
 """Reusable bounded verification helpers behind the check suites.
 
-These quantify universal properties over finite enumerations: algebras
-over small carriers, trees up to a depth bound, paths up to a length
-bound.  The CLI assembles their outcomes into reports; the test suite
-calls them directly.  The cpo suite imports its module when it runs, so
-``check --suite initial`` does not load it.
+These quantify universal properties over finite enumerations: trees up
+to a depth bound, paths up to a length bound.  The CLI assembles their
+outcomes into reports; the test suite calls them directly.  The cpo
+suite imports its module when it runs, so ``check --suite initial`` does
+not load it.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .final import _OFF, _Node, root
-from .functors import PolyNF, ext_unvalue, inject, poly_value, project
+from .functors import ext_unvalue, inject, poly_value, project
 from .initial import InitialAlgebra, tree_depth, tree_parts
 from .kernel import (
     FALSE,
@@ -28,92 +27,34 @@ from .kernel import (
     eq_strong,  # noqa: F401  not called; the benchmark's tracer test reads it
     finmap,
     nat,
-    show_pval,
 )
 from .report import CheckResult, check
-
-
-# ---------------------------------------------------------------------------
-# Sampled algebras over finite carriers
-
-
-def sample_algebras(nf: PolyNF, size: int, count: int, rng: random.Random) -> list:
-    """Seeded random algebras over a carrier of ``size`` members, for
-    signatures whose full space is too large.
-
-    An algebra is a table per summand, from the parameter ``w`` (naturals
-    below 2, as ``enumerate_trees`` builds them) to a list of carrier
-    indices: entry n is the result on the children whose indices, read as
-    a base-``size`` number with the first child most significant, are n.
-    Each entry is one ``rng.choice``, drawn per algebra, summand, ``w`` and
-    entry, in that order.
-    """
-    members = range(size)
-    params = [(enumerate_ty(a, 2), size**k) for a, k in nf.summands]
-    return [
-        [{w: [rng.choice(members) for _ in range(entries)] for w in ws} for ws, entries in params]
-        for _ in range(count)
-    ]
 
 
 # ---------------------------------------------------------------------------
 # Fold equation and uniqueness
 
 
-def product_algebra(nf: PolyNF, algebras: Sequence[list], size: int) -> list:
-    """Summand i maps ``(w, rows)``, the children's results as tuples of
-    carrier indices, to the tuple of each algebra's entry for ``w`` at its
-    column of the rows, so a fold into it is the tuple of the folds into
-    the algebras, made in one walk of the tree ("banana split")."""
-
-    def summand(i, a_ty):
-        tables = {w: [a[i][w] for a in algebras] for w in enumerate_ty(a_ty, 2)}
-
-        def apply(w, rows):
-            at = rows[0] if rows else [0] * len(algebras)
-            for row in rows[1:]:
-                at = [x * size + y for x, y in zip(at, row)]
-            return tuple(map(list.__getitem__, tables[w], at))
-
-        return apply
-
-    return [summand(i, a) for i, (a, _) in enumerate(nf.summands)]
+def _named(i: int, t: PVal) -> str:
+    return f"summand {i} at depth {tree_depth(t)}"
 
 
-def fold_equation_failures(
-    handle: InitialAlgebra, algebras: Sequence[list], trees: Sequence[PVal], rows: list, carrier: Sequence[PVal]
-) -> list[str]:
-    """Instances of the fold equation whose two sides differ: every one of
-    algebra 0, then of algebra 1, and so on, each in tree order.
-
-    ``rows`` are the trees' rows ``(i, w, child indices)``, children listed
-    first, as ``enumerate_trees`` gives them.  The left side is a tree's
-    fold into the product of the algebras, from one walk of all the trees
-    through ``_f`` that folds each distinct node once; the right side is the
-    product's summand i on w and the children's left sides.  Where they
-    agree on a tree of depth at most 2, its fold alone, by ``fold``, is the
-    left side: a witness that shares nothing.  A side is a carrier index,
-    and a failure prints both sides' members as ``eval`` prints values.  A
-    fold result of another shape, which only a broken fold gives, is a
-    failure like any other (for every algebra, if it is the whole product).
+def fold_equation_failures(handle: InitialAlgebra, trees: Sequence[PVal], rows: list) -> list[str]:
+    """The trees, in order, whose fold into the constructors is not the
+    tree itself.  With membership and ``fold-uniqueness`` this makes the
+    fold T's only endomorphism, and since ``_f`` never inspects a result,
+    its fold into any algebra is then the unique morphism (Wadler, "Theorems
+    for free!", 1989).  One walk of all the trees through ``_f`` folds each
+    distinct node once; on the trees of depth at most 2, ``is_in_T``, a
+    ``fold`` of the tree alone, is a witness that shares nothing.
     """
-    product = product_algebra(handle.nf, algebras, len(carrier))
-    shown = lambda j: show_pval(carrier[j] if type(j) is int else j)
-    tupled = lambda r: r if type(r) is tuple and len(r) == len(algebras) else (r,) * len(algebras)
-    results = [tupled(r) for r in handle._f(None, trees, product)]
-    failures: list[tuple[int, str]] = []
-    for t, lhs, (i, w, at) in zip(trees, results, rows, strict=True):
-        rhs = product[i](w, [results[m] for m in at])
-        if lhs == rhs and tree_depth(t) <= 2:
-            lhs = tupled(handle.fold(product, t))
-        if lhs != rhs:
-            failures += [
-                (k, f"summand {i}: {shown(l)} != {shown(r)}")
-                for k, (l, r) in enumerate(zip(lhs, rhs))
-                if l != r
-            ]
-    failures.sort(key=lambda f: f[0])  # stable, so each algebra's stay in tree order
-    return [f for _, f in failures]
+    constructors = [lambda w, cs, i=i: handle.construct(i, w, cs) for i in range(handle.n)]
+    folds = handle._f(None, trees, constructors)
+    return [
+        f"{_named(i, t)}: its fold into the constructors is another tree"
+        for t, u, (i, _, _) in zip(trees, folds, rows, strict=True)
+        if u is not t or (tree_depth(t) <= 2 and not handle.is_in_T(t))
+    ]
 
 
 def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], rows: list) -> tuple[list[str], list]:
@@ -140,7 +81,7 @@ def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], row
             where = where or {key: m for m, key in reversed(list(enumerate(tables)))}
             at = tuple(where.get(key, n) for key in keys)
             if max(at, default=-1) >= n:
-                failures.append(f"summand {i} at depth {tree_depth(t)}: a subtree is not in the set")
+                failures.append(f"{_named(i, t)}: a subtree is not in the set")
         read.append((i, w, children, at))
     return failures, read
 
@@ -167,16 +108,12 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     unclosed, read = fold_uniqueness_solutions(handle, trees, rows)
     closed = not unclosed
 
-    def gated(name, ok, detail=""):
+    def gated(name, failure):
         if closed:
-            return check(f"{prefix}.{name}", ok, detail)
+            return check(f"{prefix}.{name}", not failure, failure)
         return CheckResult(f"{prefix}.{name}", "skip", "not run: fold-uniqueness failed")
 
-    failures = []
-    if closed:
-        carrier = [nat(i) for i in range(3)]
-        algebras = sample_algebras(handle.nf, len(carrier), 20, random.Random(cfg.seed))
-        failures = fold_equation_failures(handle, algebras, trees, rows, carrier)
+    failures = fold_equation_failures(handle, trees, rows) if closed else []
 
     # One step per row from what ``destruct`` read.  A tree's inverse is F
     # alpha on its children's inverses, by index, whose images under alpha
@@ -184,23 +121,24 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
     # holds.  A tree is a member if ``construct`` gives it back from what
     # ``destruct`` read, on the enumerated children, which are members already.
     images: list = []
-    lambek_ok = member_ok = closed
+    lambek = member = ""  # the first failure of each, named by its tree
     depth_ok = True
     for t, (i, w, children, at) in zip(trees, read):
-        if lambek_ok:
+        if closed and not lambek:
             inverse = poly_value(handle.nf, i, w, [images[m] for m in at])
             images.append(handle.structure_map(inverse))
-            lambek_ok = images[-1] == t
-        if member_ok:
-            member_ok = handle.construct(i, w, [trees[m] for m in at]) is t
+            if images[-1] != t:
+                lambek = f"{_named(i, t)}: the structure map of its inverse is another tree"
+        if closed and not member and handle.construct(i, w, [trees[m] for m in at]) is not t:
+            member = f"{_named(i, t)}: construct on its parts is another tree"
         want = 1 + max([tree_depth(c) or 0 for c in children], default=0)
         depth_ok = depth_ok and tree_depth(t) == want
     return [
-        gated("fold-equation", not failures, "; ".join(failures[:1])),
+        gated("fold-equation", "; ".join(failures[:1])),
         check(f"{prefix}.fold-uniqueness", closed, "; ".join(unclosed[:1])),
-        gated("lambek", lambek_ok),
+        gated("lambek", lambek),
         check(f"{prefix}.depth-law", depth_ok),
-        gated("membership", member_ok),
+        gated("membership", member),
     ]
 
 

@@ -192,13 +192,11 @@ def project(v: PVal, n: int) -> tuple[int, PVal]:
         raise TagOutOfRange("empty sum has no values")
     i = 0
     while n > 1:
-        match v:
-            case InlV(x):
-                return i, x
-            case InrV(x):
-                v, i, n = x, i + 1, n - 1
-            case _:
-                raise TagOutOfRange(f"not a {n}-ary injection: {show_pval(v)}")
+        if type(v) is InlV:
+            return i, v.value
+        if type(v) is not InrV:
+            raise TagOutOfRange(f"not a {n}-ary injection: {show_pval(v)}")
+        v, i, n = v.value, i + 1, n - 1
     return i, v
 
 

@@ -289,6 +289,10 @@ class InitialAlgebra:
         """Post-order walk over an explicit stack, one ``destruct`` per node:
         a node's subtrees are folded left to right, then its algebra runs.
 
+        It never inspects a result, only hands it to the algebra, so its fold
+        into the constructors decides its fold into every algebra, as
+        ``checks.fold_equation_failures`` relies on.
+
         With ``n`` None, ``t`` is a list of trees, each with its depth as its
         budget, and one walk returns their results as a list.  It folds each
         distinct node once: a node met again, by its label table, takes the
@@ -370,12 +374,9 @@ class InitialAlgebra:
         root tables match only if every level does, and the rebuilt anchor is
         the leftmost constant's parameter.
         """
-        dep = tree_depth(t)
-        if dep is None:
-            return False
         rebuild = [lambda w, cs, i=i: self.construct(i, w, cs) for i in range(self.n)]
         try:
-            return self._f(dep, t, rebuild) == t
+            return self.fold(rebuild, t) == t
         except QuasiError:
             return False
 

@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasikernel import initial
-from quasikernel.checks import (
-    fold_equation_failures,
-    fold_uniqueness_solutions,
-    product_algebra,
-    sample_algebras,
-)
+from quasikernel.checks import fold_equation_failures, fold_uniqueness_solutions
 from quasikernel.functors import PolyNF, poly_value
 from quasikernel.initial import (
     InvariantViolation,
@@ -100,8 +95,9 @@ def label_at(t, path):
 
 def enumerate_algebras(nf, size):
     """Every algebra structure on a carrier of ``size`` members, as tables
-    of carrier indices (the layout of ``sample_algebras``), with the
-    parameters' naturals below 2."""
+    of carrier indices, with the parameters' naturals below 2: per summand,
+    each parameter maps to a list indexed by the children's indices read as
+    a base-``size`` number, first child most significant."""
 
     def tables(a, k):
         ws, entries = enumerate_ty(a, 2), size**k
@@ -109,6 +105,25 @@ def enumerate_algebras(nf, size):
             yield {w: list(values[j * entries:(j + 1) * entries]) for j, w in enumerate(ws)}
 
     return [list(combo) for combo in itertools.product(*(list(tables(a, k)) for a, k in nf.summands))]
+
+
+def sample_algebras(nf, size, count, rng):
+    """``count`` seeded algebras in the layout of ``enumerate_algebras``,
+    for signatures whose every algebra is too many."""
+    params = [(enumerate_ty(a, 2), size**k) for a, k in nf.summands]
+    return [
+        [{w: [rng.randrange(size) for _ in range(entries)] for w in ws} for ws, entries in params]
+        for _ in range(count)
+    ]
+
+
+def algebras_for(nf, rng, samples=30, limit=3000):
+    """Every algebra on three members when there are at most ``limit`` of
+    them, else ``samples`` seeded ones."""
+    space = 1
+    for a, k in nf.summands:
+        space *= 3 ** (len(enumerate_ty(a, 2)) * 3**k)
+    return enumerate_algebras(nf, 3) if space <= limit else sample_algebras(nf, 3, samples, rng)
 
 
 def constant_algebra(nf, size, j):
@@ -373,67 +388,61 @@ class TestFold:
 
     @pytest.mark.parametrize("nf", [None, LIST_NF])
     def test_fold_equation_exhaustive(self, nf):
+        # the check folds into the constructors; the reference folds into
+        # every algebra on three members, one tree at a time
         h = nat_algebra() if nf is None else InitialAlgebra(nf)
         rows = []
         trees = h.enumerate_trees(4, rows)
-        carrier = [nat(i) for i in range(3)]
-        algebras = enumerate_algebras(h.nf, len(carrier))
-        assert fold_equation_failures(h, algebras, trees, rows, carrier) == []
+        assert fold_equation_failures(h, trees, rows) == []
+        algebras = algebras_for(h.nf, random.Random(0))
+        assert len(algebras) == len(enumerate_algebras(h.nf, 3))
+        for alg in algebras:
+            assert _equation_failures_one_by_one(h, index_algebra(alg, 3), trees) == []
 
     def test_fold_equation_sampled_mixed(self):
         h = InitialAlgebra(MIXED_NF)
         rows = []
         trees = h.enumerate_trees(4, rows)
-        carrier = [nat(i) for i in range(3)]
-        rng = random.Random(0)
-        algebras = sample_algebras(h.nf, len(carrier), 25, rng)
-        assert fold_equation_failures(h, algebras, trees, rows, carrier) == []
+        assert fold_equation_failures(h, trees, rows) == []
+        for alg in algebras_for(h.nf, random.Random(0), samples=25):
+            assert _equation_failures_one_by_one(h, index_algebra(alg, 3), trees) == []
 
     def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
-        # a fold result of another shape is an unequal side like any other,
-        # not an incomparable pair; only component k of the product fold is
-        # replaced, and the failure is algebra k's, whose fold is the
-        # constant carrier index k
-        # The tampering is at the walk, ``_f``, which gives the shared
-        # fold a list of results and ``fold`` one.
+        # a fold result of another shape is another tree like any other, on
+        # either path of the walk ``_f``: the shared fold's list, or the
+        # single-tree fold of the witness on the trees of depth at most 2
         h = list_handle()
         rows = []
         trees = h.enumerate_trees(3, rows)
-        odd = max(trees, key=tree_depth)  # no tree of the set has it as a child
-        carrier = [nat(i) for i in range(3)]
-        algebras = [constant_algebra(h.nf, 3, k) for k in range(3)]
-        k = 1
         real = h._f
 
-        def tampering(change):
+        def tampering(odd, shared):
             def walk(n, t, alg):
                 out = real(n, t, alg)
-                if n is None:
-                    return [change(r) if u == odd else r for u, r in zip(t, out)]
-                return change(out) if t == odd else out
+                if n is None and shared:
+                    return [UNIT if u is odd else r for u, r in zip(t, out)]
+                return UNIT if n is not None and not shared and t is odd else out
 
             return walk
 
-        monkeypatch.setattr(h, "_f", tampering(lambda out: out[:k] + (UNIT,) + out[k + 1:]))
-        failures = fold_equation_failures(h, algebras, trees, rows, carrier)
-        i = h.destruct(odd)[0]
-        assert failures == [f"summand {i}: () != {k}"]
-
-        # a whole product fold of another shape fails once for every
-        # algebra, in algebra order, and raises no TypeError
-        monkeypatch.setattr(h, "_f", tampering(lambda out: UNIT))
-        failures = fold_equation_failures(h, algebras, trees, rows, carrier)
-        assert failures == [f"summand {i}: () != {k}" for k in range(3)]
+        # the deepest tree is a child of no tree of the set
+        for odd, shared in ((max(trees, key=tree_depth), True), (trees[1], False)):
+            monkeypatch.setattr(h, "_f", tampering(odd, shared))
+            assert fold_equation_failures(h, trees, rows) == [
+                f"summand {h.destruct(odd)[0]} at depth {tree_depth(odd)}: "
+                "its fold into the constructors is another tree"
+            ]
 
     def test_fold_uniqueness(self):
-        # the enumerated set is subtree-closed, and on it each sampled
-        # algebra's fold equation, counted one tree at a time, has one solution
+        # the enumerated set is subtree-closed, and on it the fold equation of
+        # every algebra on three members, counted one tree at a time, has one
+        # solution
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
             rows = []
             trees = h.enumerate_trees(4, rows)
             assert fold_uniqueness_solutions(h, trees, rows)[0] == []
-            for alg in sample_algebras(h.nf, len(carrier), 10, random.Random(1)):
+            for alg in algebras_for(h.nf, random.Random(1)):
                 assert _uniqueness_one_by_one(h, index_algebra(alg, 3), trees, carrier) == 1
 
     def test_fold_uniqueness_on_many_trees(self):
@@ -465,18 +474,17 @@ class TestFold:
         assert _uniqueness_one_by_one(h, index_algebra(solo, 2), trees, [nat(0), nat(1)]) == 1
 
 
-def _equation_failures_one_by_one(handle, algebra, trees, carrier):
-    """The fold equation checked for one algebra on carrier indices, one
-    fold per tree."""
+def _equation_failures_one_by_one(handle, algebra, trees):
+    """The trees, by depth, on which one algebra's fold equation fails:
+    ``fold(algebra, t) == algebra[i](w, [fold(algebra, c) ...])``, one fold
+    per tree, each child's looked up by its path maps."""
     failures = []
     results = {}
     for t in sorted(trees, key=lambda t: tree_depth(t) or 0):
         i, w, children = handle.destruct(t)
-        lhs = handle.fold(algebra, t)
-        results[tree_parts(t)[:2]] = lhs
-        rhs = algebra[i](w, [results[tree_parts(c)[:2]] for c in children])
-        if lhs != rhs:
-            failures.append(f"summand {i}: {show_pval(carrier[lhs])} != {show_pval(carrier[rhs])}")
+        results[tree_parts(t)[:2]] = lhs = handle.fold(algebra, t)
+        if lhs != algebra[i](w, [results[tree_parts(c)[:2]] for c in children]):
+            failures.append(t)
     return failures
 
 
@@ -494,90 +502,21 @@ def _uniqueness_one_by_one(handle, algebra, trees, carrier):
     return total
 
 
-class _Bumped(InitialAlgebra):
-    """A fold that is wrong on the trees in ``bad``: each result there, or
-    each component of a product's result, is moved to the next of 0, 1, 2.
-    The walk ``_f`` is wrong, for ``fold`` and for the shared fold alike."""
-
-    bad: frozenset = frozenset()
-
-    def _f(self, n, t, algebra):
-        out = super()._f(n, t, algebra)
-        if n is None:
-            return [self._bump(r) if u in self.bad else r for u, r in zip(t, out)]
-        return self._bump(out) if t in self.bad else out
-
-    @staticmethod
-    def _bump(out):
-        bump = lambda j: (j + 1) % 3
-        return tuple(map(bump, out)) if type(out) is tuple else bump(out)
-
-
-def rows_of(h, trees):
-    """The construction rows of a subtree-closed set listed children first,
-    as ``destruct`` reads them, each child by the index of its path maps."""
-    at = {tree_parts(t)[:2]: n for n, t in enumerate(trees)}
-    return [(i, w, tuple(at[tree_parts(c)[:2]] for c in cs)) for i, w, cs in map(h.destruct, trees)]
-
-
-_summand = st.tuples(st.sampled_from([Unit(), Bool()]), st.integers(1, 2))
-
-
-class TestProductFold:
-    """One fold into the product of the algebras gives what one fold into
-    each gives, in the same order."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from([Unit(), Bool()]),
-        st.lists(_summand, max_size=2),
-        st.integers(1, 3),
-        st.randoms(use_true_random=False),
-        st.integers(0, 4),
-    )
-    def test_agrees_with_one_fold_per_algebra(self, a0, rest, depth, rng, count):
-        h = _Bumped(PolyNF(((a0, 0), *rest)))
-        enumerated = h.enumerate_trees(depth)
-        if len(enumerated) > 300:
-            enumerated = enumerated[:300]
-        # a random subtree-closed set, in a random order within each depth,
-        # with its rows: every child is listed before its parent
-        todo = rng.sample(enumerated, min(len(enumerated), 8))
-        trees = []
-        while todo:
-            t = todo.pop()
-            if t not in trees:
-                trees.append(t)
-                todo.extend(h.destruct(t)[2])
-        rng.shuffle(trees)
-        trees.sort(key=tree_depth)
-        h.bad = frozenset(t for t in trees if rng.random() < 0.3)
-        carrier = [nat(i) for i in range(3)]
-        algebras = sample_algebras(h.nf, 3, count, rng)
-        expected = [
-            f
-            for alg in algebras
-            for f in _equation_failures_one_by_one(h, index_algebra(alg, 3), trees, carrier)
-        ]
-        rows = rows_of(h, trees)
-        assert fold_equation_failures(h, algebras, trees, rows, carrier) == expected
-        assert fold_uniqueness_solutions(h, trees, rows)[0] == []
-
-
 class TestFoldCount:
     def test_check_folds_each_tree_at_most_once(self, monkeypatch):
-        # one product fold for the equation, not one per sampled algebra: one
-        # shared walk through ``_f`` per free type, which combines each
-        # distinct node once, so no more often than there are label tables
-        # among the trees.  ``fold`` runs only for the witness on trees of
+        # fold-equation is one shared walk through ``_f`` per free type, into
+        # the constructors, which combines each distinct node once, so no more
+        # often than there are label tables among the trees, and gives each
+        # tree back; its witness is ``is_in_T``, one ``fold`` of each tree of
         # depth at most 2.  Uniqueness, Lambek's lemma and membership read
-        # each tree's row and call no fold.  The file's two ``let`` folds run
-        # while it is elaborated, before any tree is enumerated, and are not
-        # counted.
+        # each tree's row and call no fold.  The file's two
+        # ``let`` folds run while it is elaborated, before any tree is
+        # enumerated, and are not counted.
         from quasikernel.cli import run
 
-        folds, walks, enumerated = [], [], []
-        fold, walk, enumerate_trees = InitialAlgebra.fold, InitialAlgebra._f, InitialAlgebra.enumerate_trees
+        folds, walks, witnesses, enumerated = [], [], [], []
+        fold, walk, is_in_T = InitialAlgebra.fold, InitialAlgebra._f, InitialAlgebra.is_in_T
+        enumerate_trees = InitialAlgebra.enumerate_trees
 
         def counted_fold(self, alg, t):
             if enumerated:
@@ -587,9 +526,14 @@ class TestFoldCount:
         def counted_walk(self, n, t, alg):
             if n is None:
                 combines = []
-                walks.append((list(t), combines))
-                alg = [lambda w, rs, a=a: combines.append(w) or a(w, rs) for a in alg]
+                out = walk(self, n, t, [lambda w, rs, a=a: combines.append(w) or a(w, rs) for a in alg])
+                walks.append((list(t), combines, out))
+                return out
             return walk(self, n, t, alg)
+
+        def counted_is_in_T(self, t):
+            witnesses.append(t)
+            return is_in_T(self, t)
 
         def enumerating(self, d, rows=None):
             out = enumerate_trees(self, d, rows)
@@ -598,15 +542,18 @@ class TestFoldCount:
 
         monkeypatch.setattr(InitialAlgebra, "fold", counted_fold)
         monkeypatch.setattr(InitialAlgebra, "_f", counted_walk)
+        monkeypatch.setattr(InitialAlgebra, "is_in_T", counted_is_in_T)
         monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerating)
         lists = os.path.join(CORPUS, "lists.qk")
         report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
         assert code == 0, report
         assert enumerated
-        assert [trees for trees, _ in walks] == enumerated
-        for trees, combines in walks:
+        assert [trees for trees, _, _ in walks] == enumerated
+        for trees, combines, out in walks:
             assert len(combines) <= len({tree_parts(t)[0] for t in trees})
-        assert len(folds) <= sum(tree_depth(t) <= 2 for trees in enumerated for t in trees)
+            assert all(u is t for u, t in zip(out, trees, strict=True))
+        assert witnesses == [t for trees in enumerated for t in trees if tree_depth(t) <= 2]
+        assert folds == witnesses
 
 
 _real_destruct, _real_sel, _real_f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
@@ -693,64 +640,8 @@ class TestLambekCheck:
         assert code == 1
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["initial.Shape.fold-equation"]["status"] == "fail"
-        assert checks["initial.Shape.fold-equation"]["detail"].startswith("summand 1: ")
+        assert checks["initial.Shape.fold-equation"]["detail"].startswith("summand 1 at depth 2: ")
         assert checks["initial.Shape.lambek"]["status"] == "pass"
-
-    def test_a_failed_fold_equation_prints_values_as_eval_does(self, monkeypatch):
-        from quasikernel.cli import run
-
-        monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
-        mixed = os.path.join(CORPUS, "mixed.qk")
-        report, code = run(["check", mixed, "--suite", "initial", "--obs-depth", "3"])
-        assert code == 1
-        failed = [c for c in report["checks"] if c["name"].endswith(".fold-equation")]
-        assert failed and all(c["status"] == "fail" for c in failed)
-        for c in failed:
-            assert re.fullmatch(r"summand \d+: \d+ != \d+", c["detail"]), c["detail"]
-            assert "NatV(" not in c["detail"]
-
-
-def _value_keyed_algebras(nf, carrier, count, rng):
-    """The sampler as it drew before its tables held carrier indices: per
-    algebra and summand a dict from ``(w, children's values)`` to a member,
-    one ``rng.choice(carrier)`` per key, keys in ``itertools.product`` order."""
-    domains = [
-        [(w, combo) for w in enumerate_ty(a, 2) for combo in itertools.product(carrier, repeat=k)]
-        for a, k in nf.summands
-    ]
-    return [[{key: rng.choice(carrier) for key in d} for d in domains] for _ in range(count)]
-
-
-class TestSampledTables:
-    """``sample_algebras`` makes the draws the value-keyed sampler made, in
-    the same order, and keeps each as a carrier index."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
-    def test_tables_hold_the_value_keyed_draws(self, name, seed):
-        from quasikernel.surface import elaborate, parse
-
-        nf = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle.nf
-        carrier = [nat(i) for i in range(3)]
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        # the suite's 20 fold-equation draws, then 3 more from the same
-        # generator, which the suite no longer draws: later draws keep the layout
-        for count in (20, 3):
-            got = sample_algebras(nf, len(carrier), count, rng)
-            want = _value_keyed_algebras(nf, carrier, count, ref_rng)
-            as_values = [
-                [
-                    {
-                        (w, combo): carrier[j]
-                        for w, entries in table.items()
-                        for combo, j in zip(itertools.product(carrier, repeat=k), entries, strict=True)
-                    }
-                    for table, (_, k) in zip(algebra, nf.summands, strict=True)
-                ]
-                for algebra in got
-            ]
-            assert as_values == want
-        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestFoldCheckMutants:
@@ -764,12 +655,14 @@ class TestFoldCheckMutants:
         return code, {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
 
     def test_reversed_results_fail_only_the_fold_equation(self, monkeypatch):
-        # the details are those the value-keyed tables gave; uniqueness and
-        # membership read each tree's children and call no fold, so they pass
+        # each names the first tree whose fold is another tree: glue and node
+        # on two different children; uniqueness and membership read each
+        # tree's children and call no fold, so they pass
         monkeypatch.setattr(InitialAlgebra, "_f", _reversed_f)
         code, checks = self._report()
         assert code == 1
-        for name, equation in (("Shape", "summand 1: 0 != 2"), ("Tagged", "summand 1: 1 != 2")):
+        equation = "summand 1 at depth 2: its fold into the constructors is another tree"
+        for name in ("Shape", "Tagged"):
             assert checks[f"initial.{name}.fold-equation"] == ("fail", equation)
             assert checks[f"initial.{name}.fold-uniqueness"] == ("pass", "")
             assert checks[f"initial.{name}.membership"] == ("pass", "")
@@ -846,50 +739,6 @@ class TestFoldCheckMutants:
         assert checks["depth-law"].status == "pass"
         assert checks["membership"].status == "fail"
 
-    @pytest.mark.parametrize("summand", [0, 1])
-    def test_one_flipped_entry_fails_the_fold_equation(self, monkeypatch, summand):
-        # While the fold-equation product is folded, algebra 0 reads one
-        # entry of its table for ``summand`` moved to the next index; the
-        # equation's side reads the sampled entry.  The entry is the one
-        # read at the root of the first tree of that summand: the first
-        # constant, or the first parameter above copies of that constant.
-        from quasikernel import checks as checks_mod
-        from quasikernel.surface import elaborate, parse
-
-        sampled, sample, fold = [], checks_mod.sample_algebras, InitialAlgebra.fold
-        monkeypatch.setattr(
-            checks_mod, "sample_algebras", lambda *a: sampled.append(sample(*a)) or sampled[-1]
-        )
-        flipped = {}
-
-        def flipping_fold(self, algebra, t):
-            if len(sampled[-1]) != 20:
-                return fold(self, algebra, t)
-            tables = sampled[-1][0]
-            leaf = next(iter(tables[0].values()))[0]
-            entries = next(iter(tables[summand].values()))
-            k = self.nf.summands[summand][1]
-            at = sum(leaf * 3**e for e in range(k))
-            flipped[self.nf] = entries[at]
-            entries[at] = (entries[at] + 1) % 3
-            try:
-                return fold(self, algebra, t)
-            finally:
-                entries[at] = flipped[self.nf]
-
-        monkeypatch.setattr(InitialAlgebra, "fold", flipping_fold)
-        code, checks = self._report()
-        assert code == 1
-        env = elaborate(parse(CORPUS_SIGNATURES))
-        for name in ("Shape", "Tagged"):
-            entry = flipped[env.freetypes[name].handle.nf]
-            assert checks[f"initial.{name}.fold-equation"] == (
-                "fail",
-                f"summand {summand}: {(entry + 1) % 3} != {entry}",
-            )
-        failed = sorted(n for n, (status, _) in checks.items() if status != "pass")
-        assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
-
     def test_a_memo_blind_to_the_parameter_fails_the_fold_equation(self, monkeypatch):
         # The shared fold's memo keyed by a node's label table without its
         # parameter slot: nodes that differ only in their parameter share a
@@ -907,37 +756,101 @@ class TestFoldCheckMutants:
         assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
 
 
+class Inspected(Exception):
+    """A fold asked a result about its value."""
+
+
+class _Opaque:
+    """A fold result that answers no question about its value: equality,
+    hashing, truth, length and iteration all raise.  It keeps the summand,
+    the parameter and the children's results it was made from."""
+
+    __slots__ = ("i", "w", "args")
+
+    def __init__(self, i, w, args):
+        self.i, self.w, self.args = i, w, args
+
+    def _refuse(self, *_):
+        raise Inspected(f"a fold inspected the result of summand {self.i}")
+
+    __eq__ = __hash__ = __bool__ = __len__ = __iter__ = _refuse
+
+
+def opaque_algebra(h):
+    return [lambda w, rs, i=i: _Opaque(i, w, rs) for i in range(h.n)]
+
+
+def check_parametric(h, trees):
+    """Both paths of ``_f``, the shared walk and a single tree's ``fold``,
+    fold into the opaque algebra without inspecting a result, and each
+    result is made the way the tree is: ``_f`` is natural in the algebra,
+    the premise of ``fold-equation``."""
+
+    def term(o):
+        return h.construct(o.i, o.w, [term(c) for c in o.args])
+
+    algebra = opaque_algebra(h)
+    for results in (h._f(None, trees, algebra), [h.fold(algebra, t) for t in trees]):
+        assert [term(o) for o in results] == trees
+
+
 class TestRows:
     """``enumerate_trees``' rows: each builds its tree from trees listed
-    before it, and the shared fold over the trees is the per-tree fold."""
+    before it; the shared fold over the trees and the per-tree fold are
+    both parametric, and give each tree back as its term."""
 
     @staticmethod
-    def check_rows(h, depth, rng):
+    def check_rows(h, depth):
         rows = []
         trees = h.enumerate_trees(depth, rows)
         assert len(rows) == len(trees)
         for n, (t, (i, w, at)) in enumerate(zip(trees, rows)):
             assert all(m < n for m in at)
             assert h.construct(i, w, [trees[m] for m in at]) is t
-        product = product_algebra(h.nf, sample_algebras(h.nf, 3, 5, rng), 3)
-        assert h._f(None, trees, product) == [h.fold(product, t) for t in trees]
+        check_parametric(h, trees)
 
     @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
     def test_corpus_types(self, name):
         from quasikernel.surface import elaborate, parse
 
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
-        self.check_rows(h, CORPUS_DEPTHS[name], random.Random(name))
+        self.check_rows(h, CORPUS_DEPTHS[name])
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([Unit(), Bool(), Nat()]),
         st.lists(st.tuples(st.sampled_from([Unit(), Bool(), Nat()]), st.integers(1, 2)), max_size=2),
         st.integers(1, 3),
-        st.randoms(use_true_random=False),
     )
-    def test_normal_forms(self, a0, rest, depth, rng):
-        self.check_rows(InitialAlgebra(PolyNF(((a0, 0), *rest))), depth, rng)
+    def test_normal_forms(self, a0, rest, depth):
+        self.check_rows(InitialAlgebra(PolyNF(((a0, 0), *rest))), depth)
+
+    def test_a_fold_that_branches_on_a_result_is_not_parametric(self, monkeypatch):
+        # A copy of ``_f`` that hands a node's results over reversed when two
+        # of them are equal.  Equal results from the constructors are equal
+        # subtrees, whose order does not matter, so ``check`` passes; only
+        # the opaque results show that it asks about a value.
+        from quasikernel.cli import run
+
+        source = textwrap.dedent(inspect.getsource(InitialAlgebra._f))
+        line = "results.append(algebra[i](w, args))"
+        assert source.count(line) == 1
+        branching = "results.append(algebra[i](w, args if len(set(args)) == len(args) else args[::-1]))"
+        scope: dict = {}
+        exec(compile(source.replace(line, branching), initial.__file__, "exec"), vars(initial), scope)
+        monkeypatch.setattr(InitialAlgebra, "_f", scope["_f"])
+        report, code = run(["check", os.path.join(CORPUS, "mixed.qk"), "--suite", "initial", "--obs-depth", "3"])
+        assert code == 0, report
+        from quasikernel.surface import elaborate, parse
+
+        h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
+        trees = h.enumerate_trees(3)
+        with pytest.raises(Inspected):
+            h._f(None, trees, opaque_algebra(h))
+        with pytest.raises(Inspected):
+            h.fold(opaque_algebra(h), trees[-1])
+        with pytest.raises(Inspected):
+            check_parametric(h, trees)
 
 
 class TestEnumerateTrees:

@@ -34,9 +34,6 @@ ALLOWED = {
         "cpo.DomainFinal.unfold_monotone_failures",
         "cpo.DomainFinal.closure_failures",
     ),
-    "membership in T, the tests' reference (perfbench/tracing.py wraps it by name)": (
-        "initial.InitialAlgebra.is_in_T",
-    ),
     "criterion 3, Lambek's lemma": ("initial.InitialAlgebra.lambek_inverse",),
     "partial case on a cotype's summand domains": ("final.FinalCoalgebra.cotype_case",),
     "M-types": (
