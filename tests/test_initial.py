@@ -2,7 +2,6 @@ import inspect
 import itertools
 import os
 import random
-import re
 import sys
 import textwrap
 import threading
@@ -56,7 +55,6 @@ from quasikernel.kernel import (
     finmap,
     is_true,
     nat,
-    show_pval,
     trie_of_paths,
 )
 
@@ -509,9 +507,9 @@ class TestFoldCount:
         # often than there are label tables among the trees, and gives each
         # tree back; its witness is ``is_in_T``, one ``fold`` of each tree of
         # depth at most 2.  Uniqueness, Lambek's lemma and membership read
-        # each tree's row and call no fold.  The file's two
-        # ``let`` folds run while it is elaborated, before any tree is
-        # enumerated, and are not counted.
+        # each tree's row and call no fold.  The file's two ``let`` folds run
+        # while it is elaborated, before any tree is enumerated, and are not
+        # counted.
         from quasikernel.cli import run
 
         folds, walks, witnesses, enumerated = [], [], [], []
