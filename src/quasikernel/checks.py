@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .final import _OFF, _Node, root
 from .functors import ext_unvalue, inject, poly_value, project
-from .initial import InitialAlgebra, tree_depth, tree_parts
+from .initial import InitialAlgebra, tree_depth
 from .kernel import (
     FALSE,
     TRUE,
@@ -39,7 +39,7 @@ def _named(i: int, t: PVal) -> str:
     return f"summand {i} at depth {tree_depth(t)}"
 
 
-def fold_equation_failures(handle: InitialAlgebra, trees: Sequence[PVal], rows: list) -> list[str]:
+def fold_equation_failures(handle: InitialAlgebra, trees: Sequence[PVal]) -> list[str]:
     """The trees, in order, whose fold into the constructors is not the
     tree itself.  With membership and ``fold-uniqueness`` this makes the
     fold T's only endomorphism, and since ``_f`` never inspects a result,
@@ -51,38 +51,32 @@ def fold_equation_failures(handle: InitialAlgebra, trees: Sequence[PVal], rows: 
     constructors = [lambda w, cs, i=i: handle.construct(i, w, cs) for i in range(handle.n)]
     folds = handle._f(None, trees, constructors)
     return [
-        f"{_named(i, t)}: its fold into the constructors is another tree"
-        for t, u, (i, _, _) in zip(trees, folds, rows, strict=True)
+        f"{_named(handle.destruct(t)[0], t)}: its fold into the constructors is another tree"
+        for t, u in zip(trees, folds)
         if u is not t or (tree_depth(t) <= 2 and not handle.is_in_T(t))
     ]
 
 
-def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal], rows: list) -> tuple[list[str], list]:
+def fold_uniqueness_solutions(handle: InitialAlgebra, trees: Sequence[PVal]) -> tuple[list[str], list]:
     """The premise of uniqueness, by induction on depth: the trees, in
     order, that have a child which is not a tree listed before them, and
-    per tree ``destruct``'s answer with the children's indices.
+    per tree ``destruct``'s answer.
 
     On a subtree-closed set each tree's value under any solution of the fold
     equation is forced by its children's, so the fold is the only solution
     (the universal property of fold); the depth law checks that the
     induction is well-founded.  A child outside the set is unconstrained,
     so its parent's value is not forced.  Each tree is read by one
-    ``destruct``, and a child it reads, which carries its parent's anchor,
-    is found by path maps: at the index its row names, else by a search.
+    ``destruct``, which gives back the trees it was built from, so a child
+    is looked up by identity.
     """
-    tables = [tree_parts(t)[:2] for t in trees]
-    where: dict = {}  # path maps -> first index, made at the first search
+    index = {t: m for m, t in enumerate(trees)}
     failures, read = [], []
-    for n, (t, row) in enumerate(zip(trees, rows, strict=True)):
-        i, w, children = handle.destruct(t)
-        keys = [tree_parts(c)[:2] for c in children]
-        at = row[2]
-        if max(at, default=-1) >= n or keys != [tables[m] for m in at]:
-            where = where or {key: m for m, key in reversed(list(enumerate(tables)))}
-            at = tuple(where.get(key, n) for key in keys)
-            if max(at, default=-1) >= n:
-                failures.append(f"{_named(i, t)}: a subtree is not in the set")
-        read.append((i, w, children, at))
+    for n, t in enumerate(trees):
+        i, w, children = parts = handle.destruct(t)
+        if any(index.get(c, n) >= n for c in children):
+            failures.append(f"{_named(i, t)}: a subtree is not in the set")
+        read.append(parts)
     return failures, read
 
 
@@ -95,17 +89,16 @@ class CheckConfig(Record):
 
 
 def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
-    """Bounded certification of one installed free type."""
+    """Bounded certification of one installed free type, in one ``destruct``
+    per tree: the checks that read the children's results run only on a
+    subtree-closed set, the depth law always."""
     prefix = f"initial.{info.display}"
     handle = info.handle
-    rows: list = []
     try:
-        trees = handle.enumerate_trees(cfg.obs_depth, rows)
+        trees = handle.enumerate_trees(cfg.obs_depth)
     except QuasiError as e:
         return [CheckResult(f"{prefix}.enumerable", "skip", str(e))]
-    # one destruct per tree, compared with its row; the checks that read the
-    # children's results run only on a closed set, the depth law always
-    unclosed, read = fold_uniqueness_solutions(handle, trees, rows)
+    unclosed, read = fold_uniqueness_solutions(handle, trees)
     closed = not unclosed
 
     def gated(name, failure):
@@ -113,31 +106,23 @@ def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
             return check(f"{prefix}.{name}", not failure, failure)
         return CheckResult(f"{prefix}.{name}", "skip", "not run: fold-uniqueness failed")
 
-    failures = fold_equation_failures(handle, trees, rows) if closed else []
+    failures = fold_equation_failures(handle, trees) if closed else []
 
-    # One step per row from what ``destruct`` read.  A tree's inverse is F
-    # alpha on its children's inverses, by index, whose images under alpha
-    # are kept from their own checks: the tree's fold, if the fold equation
-    # holds.  A tree is a member if ``construct`` gives it back from what
-    # ``destruct`` read, on the enumerated children, which are members already.
-    images: list = []
-    lambek = member = ""  # the first failure of each, named by its tree
-    depth_ok = True
-    for t, (i, w, children, at) in zip(trees, read):
-        if closed and not lambek:
-            inverse = poly_value(handle.nf, i, w, [images[m] for m in at])
-            images.append(handle.structure_map(inverse))
-            if images[-1] != t:
-                lambek = f"{_named(i, t)}: the structure map of its inverse is another tree"
-        if closed and not member and handle.construct(i, w, [trees[m] for m in at]) is not t:
+    # on what ``destruct`` read, whose children are enumerated trees, alpha
+    # gives the tree back (Lambek), and so does ``construct`` (membership)
+    lambek = member = depth = ""  # the first failure of each, named by its tree
+    for t, (i, w, children) in zip(trees, read):
+        if closed and not lambek and handle.structure_map(poly_value(handle.nf, i, w, children)) is not t:
+            lambek = f"{_named(i, t)}: the structure map of its inverse is another tree"
+        if closed and not member and handle.construct(i, w, children) is not t:
             member = f"{_named(i, t)}: construct on its parts is another tree"
-        want = 1 + max([tree_depth(c) or 0 for c in children], default=0)
-        depth_ok = depth_ok and tree_depth(t) == want
+        if not depth and tree_depth(t) != 1 + max([tree_depth(c) or 0 for c in children], default=0):
+            depth = f"{_named(i, t)}: its depth is not one more than its deepest subtree's"
     return [
         gated("fold-equation", "; ".join(failures[:1])),
         check(f"{prefix}.fold-uniqueness", closed, "; ".join(unclosed[:1])),
         gated("lambek", lambek),
-        check(f"{prefix}.depth-law", depth_ok),
+        check(f"{prefix}.depth-law", not depth, depth),
         gated("membership", member),
     ]
 

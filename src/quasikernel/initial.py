@@ -225,11 +225,26 @@ class InitialAlgebra:
         return PairV(label, PairV(depth, anchor))
 
     def sel(self, j: int, t: PVal) -> PVal:
-        """Generic selector: both path maps composed with cons j; anchor kept."""
+        """Generic selector: both path maps composed with cons j.  Subtree
+        j > 1 is anchored as ``construct`` anchors it, at the parameter of its
+        leftmost leaf, so on a member ``destruct`` inverts ``construct``;
+        subtree 1 keeps the tree's anchor, which on a member is that one, and
+        so does a subtree whose leftmost leaf has no constant's parameter slot."""
         if j < 1:
             raise TagOutOfRange("selectors are indexed from 1")
         lt, dt, anchor = tree_parts(t)
-        return PairV(lt.child(j), PairV(dt.child(j), anchor))
+        sub = lt.child(j)
+        if j > 1:
+            leaf = sub
+            while leaf.child(1) is not EMPTY_TRIE:
+                leaf = leaf.child(1)
+            try:
+                i, y = project(leaf.child(0).root, self.n)
+            except TagOutOfRange:
+                i = None
+            if i == 0 and type(y) is InlV:
+                anchor = y.value
+        return PairV(sub, PairV(dt.child(j), anchor))
 
     def destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
         """Read off constructor index, parameter, and immediate subtrees.
@@ -380,17 +395,15 @@ class InitialAlgebra:
         except QuasiError:
             return False
 
-    def enumerate_trees(self, max_depth: int, rows: Optional[list] = None) -> list[PVal]:
+    def enumerate_trees(self, max_depth: int) -> list[PVal]:
         """All carrier elements of depth at most ``max_depth`` (at least 1),
         with the parameters' naturals below 2, in order of depth: the
         constants first, and then round r adds exactly the trees of depth
         r + 2, so ``max_depth - 1`` rounds reach the bound and no further.
 
-        Each tree is ``construct(i, w, children)`` of trees listed before it;
-        ``rows``, when given, gets its row ``(i, w, child indices)``."""
+        Each tree is ``construct(i, w, children)`` of trees listed before
+        it, which ``destruct`` gives back."""
         params = [enumerate_ty(a, nat_bound=2) for a, _ in self.nf.summands]
-        rows = [] if rows is None else rows
-        rows.extend((0, y, ()) for y in params[0])
         layers: list[PVal] = [self.construct(0, y, []) for y in params[0]]
         seen = {t for t in layers}
         last = -1  # the last round's first tree: one above none of them is seen
@@ -406,7 +419,6 @@ class InitialAlgebra:
                         if t not in seen:
                             seen.add(t)
                             new.append(t)
-                            rows.append((i, y, combo))
             if not new:
                 break
             last = len(layers)

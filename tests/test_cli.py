@@ -322,6 +322,22 @@ class TestEval:
         detail = report["checks"][0]["detail"]
         assert detail.startswith("({true -> inr false, inr (0, true) -> inr inl 0, ")
 
+    @pytest.mark.parametrize(
+        "probe, built",
+        [
+            (r"Shape.case 1 2 (\l. \r. r) (glue circle square)", "square"),
+            (r"Tagged.case (\b. 0) (\n. \l. \r. r) (node 0 (leaf true) (leaf false))", "leaf false"),
+        ],
+    )
+    def test_case_gives_back_the_subtree_it_was_built_from(self, probe, built):
+        # the second subtree is anchored at its own leftmost leaf, not at
+        # the first subtree's, so it prints as the tree written out
+        mixed = str(CORPUS / "mixed.qk")
+        (got, code), (want, _) = run(["eval", mixed, "-e", probe]), run(["eval", mixed, "-e", built])
+        assert code == 0
+        assert got["checks"] == want["checks"]
+        assert got["checks"][0]["detail"].endswith(", false))")
+
 
 class TestCheck:
     def test_all_suites_pass(self, both_file):

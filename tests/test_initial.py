@@ -234,12 +234,11 @@ class TestConstructors:
         assert is_true(eq_strong(child, tree_list(h, [FALSE]), 4))
 
     def test_selector_shape_roundtrip(self):
-        # oracle: rebuild and compare path maps on paths of length <= 3
+        # each selector gives back the subtree the tree was built from
         h = InitialAlgebra(MIXED_NF)
         inner = tree_list_mixed(h)
         t = h.construct(2, UNIT, [inner, inner])
-        assert tree_parts(h.sel(1, t))[:2] == tree_parts(inner)[:2]
-        assert tree_parts(h.sel(2, t))[:2] == tree_parts(inner)[:2]
+        assert h.sel(1, t) is inner and h.sel(2, t) is inner
 
 
 # the corpus signatures, elaborated as the CLI elaborates them
@@ -288,11 +287,29 @@ def reference_construct(h, i, w, children):
     return flat_tree(label, depth_map, anchor)
 
 
-def reference_sel(j, t):
+def constant_slots(h):
+    """Each constant's parameter slot label, mapped to its parameter."""
+    return {h.leaf_label(0, w): w for w in enumerate_ty(h.nf.summands[0][0], 2)}
+
+
+def leftmost_anchor(slots, label, anchor):
+    """The parameter of the constant at the end of the spine of first
+    subtrees of an integer-path label dict; ``anchor`` if the spine ends in
+    none of the constants' parameter ``slots``."""
+    spine = ()
+    while any(p[: len(spine) + 1] == spine + (1,) for p in label):
+        spine += (1,)
+    return slots.get(label.get(spine + (0,)), anchor)
+
+
+def reference_sel(h, j, t):
+    """Subtree j of the flat tables; subtree 1 keeps the anchor, any other
+    is anchored at its leftmost leaf."""
     lt, dt = flat_tables(t)
     label = {p[1:]: v for p, v in lt.items() if p[:1] == (j,)}
     depth_map = {p[1:]: k for p, k in dt.items() if p[:1] == (j,)}
-    return flat_tree(label, depth_map, t.snd.snd)
+    anchor = t.snd.snd if j == 1 else leftmost_anchor(constant_slots(h), label, t.snd.snd)
+    return flat_tree(label, depth_map, anchor)
 
 
 def entries(t):
@@ -317,7 +334,7 @@ class TestCanonicalTables:
         )
         k = h.nf.summands[i][1]
         for j in range(1, k + 2):
-            assert entries(h.sel(j, t)) == entries(reference_sel(j, t))
+            assert entries(h.sel(j, t)) == entries(reference_sel(h, j, t))
 
     @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
     def test_corpus_signatures_match_reference(self, name):
@@ -389,9 +406,8 @@ class TestFold:
         # the check folds into the constructors; the reference folds into
         # every algebra on three members, one tree at a time
         h = nat_algebra() if nf is None else InitialAlgebra(nf)
-        rows = []
-        trees = h.enumerate_trees(4, rows)
-        assert fold_equation_failures(h, trees, rows) == []
+        trees = h.enumerate_trees(4)
+        assert fold_equation_failures(h, trees) == []
         algebras = algebras_for(h.nf, random.Random(0))
         assert len(algebras) == len(enumerate_algebras(h.nf, 3))
         for alg in algebras:
@@ -399,9 +415,8 @@ class TestFold:
 
     def test_fold_equation_sampled_mixed(self):
         h = InitialAlgebra(MIXED_NF)
-        rows = []
-        trees = h.enumerate_trees(4, rows)
-        assert fold_equation_failures(h, trees, rows) == []
+        trees = h.enumerate_trees(4)
+        assert fold_equation_failures(h, trees) == []
         for alg in algebras_for(h.nf, random.Random(0), samples=25):
             assert _equation_failures_one_by_one(h, index_algebra(alg, 3), trees) == []
 
@@ -410,8 +425,7 @@ class TestFold:
         # either path of the walk ``_f``: the shared fold's list, or the
         # single-tree fold of the witness on the trees of depth at most 2
         h = list_handle()
-        rows = []
-        trees = h.enumerate_trees(3, rows)
+        trees = h.enumerate_trees(3)
         real = h._f
 
         def tampering(odd, shared):
@@ -426,7 +440,7 @@ class TestFold:
         # the deepest tree is a child of no tree of the set
         for odd, shared in ((max(trees, key=tree_depth), True), (trees[1], False)):
             monkeypatch.setattr(h, "_f", tampering(odd, shared))
-            assert fold_equation_failures(h, trees, rows) == [
+            assert fold_equation_failures(h, trees) == [
                 f"summand {h.destruct(odd)[0]} at depth {tree_depth(odd)}: "
                 "its fold into the constructors is another tree"
             ]
@@ -437,9 +451,8 @@ class TestFold:
         # solution
         carrier = [nat(i) for i in range(3)]
         for h in (nat_algebra(), list_handle()):
-            rows = []
-            trees = h.enumerate_trees(4, rows)
-            assert fold_uniqueness_solutions(h, trees, rows)[0] == []
+            trees = h.enumerate_trees(4)
+            assert fold_uniqueness_solutions(h, trees)[0] == []
             for alg in algebras_for(h.nf, random.Random(1)):
                 assert _uniqueness_one_by_one(h, index_algebra(alg, 3), trees, carrier) == 1
 
@@ -448,19 +461,16 @@ class TestFold:
         from quasikernel.surface import elaborate, parse
 
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
-        rows = []
-        trees = h.enumerate_trees(4, rows)
+        trees = h.enumerate_trees(4)
         assert len(trees) == 1446
-        assert fold_uniqueness_solutions(h, trees, rows)[0] == []
-        # one depth-2 tree removed with its row: each tree that has it as a
-        # child fails, shallowest first, named by its summand and depth; the
-        # rows' indices past it go stale, so the other children are searched
+        assert fold_uniqueness_solutions(h, trees)[0] == []
+        # one depth-2 tree removed: each tree that has it as a child fails,
+        # shallowest first, named by its summand and depth; the other
+        # children are found by identity wherever they now stand
         gone = next(t for t in trees if tree_depth(t) == 2)
-        rest, rest_rows = zip(*[(t, row) for t, row in zip(trees, rows) if t is not gone])
-        parents = [
-            t for t in rest if tree_parts(gone)[:2] in [tree_parts(c)[:2] for c in h.destruct(t)[2]]
-        ]
-        failures = fold_uniqueness_solutions(h, rest, rest_rows)[0]
+        rest = [t for t in trees if t is not gone]
+        parents = [t for t in rest if any(c is gone for c in h.destruct(t)[2])]
+        failures = fold_uniqueness_solutions(h, rest)[0]
         assert failures == [
             f"summand {h.destruct(t)[0]} at depth {tree_depth(t)}: a subtree is not in the set"
             for t in parents
@@ -507,7 +517,7 @@ class TestFoldCount:
         # often than there are label tables among the trees, and gives each
         # tree back; its witness is ``is_in_T``, one ``fold`` of each tree of
         # depth at most 2.  Uniqueness, Lambek's lemma and membership read
-        # each tree's row and call no fold.  The file's two ``let`` folds run
+        # what ``destruct`` read of each tree and call no fold.  The file's two ``let`` folds run
         # while it is elaborated, before any tree is enumerated, and are not
         # counted.
         from quasikernel.cli import run
@@ -533,8 +543,8 @@ class TestFoldCount:
             witnesses.append(t)
             return is_in_T(self, t)
 
-        def enumerating(self, d, rows=None):
-            out = enumerate_trees(self, d, rows)
+        def enumerating(self, d):
+            out = enumerate_trees(self, d)
             enumerated.append(list(out))
             return out
 
@@ -599,8 +609,8 @@ class TestLambekCheck:
                 calls.append(fv)
             return structure_map(self, fv)
 
-        def enumerated(self, d, rows=None):
-            out = enumerate_trees(self, d, rows)
+        def enumerated(self, d):
+            out = enumerate_trees(self, d)
             trees.extend((self, t) for t in out)
             return out
 
@@ -668,15 +678,13 @@ class TestFoldCheckMutants:
         assert failed == ["initial.Shape.fold-equation", "initial.Tagged.fold-equation"]
 
     def test_a_missing_subtree_fails_uniqueness_and_skips_the_rest(self, monkeypatch):
-        # the second tree, a constant, left out of the set with its row: the
-        # other rows' indices past it go stale, the checks that read the
-        # children's results do not run, and nothing raises
+        # the second tree, a constant, left out of the set: the other trees
+        # are still found by identity, the checks that read the children's
+        # results do not run, and nothing raises
         enumerate_trees = InitialAlgebra.enumerate_trees
 
-        def enumerated(self, d, rows=None):
-            trees = enumerate_trees(self, d, rows)
-            if rows is not None:
-                del rows[1]
+        def enumerated(self, d):
+            trees = enumerate_trees(self, d)
             return trees[:1] + trees[2:]
 
         monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
@@ -692,15 +700,15 @@ class TestFoldCheckMutants:
                 assert checks[f"initial.{name}.{check}"] == skipped
             assert checks[f"initial.{name}.depth-law"] == ("pass", "")
 
-    def test_a_wrong_anchor_fails_membership(self, monkeypatch):
+    def test_a_wrong_anchor_fails_uniqueness_and_skips_the_rest(self, monkeypatch):
         # one depth-2 tree of Shape carries another anchor.  Its path maps
-        # are those of an enumerated tree, so the set is still closed; the
-        # subtrees ``destruct`` reads carry the wrong anchor too, so only the
-        # anchor read from the enumerated first child tells it apart.
+        # are those of an enumerated tree, but its first subtree, which
+        # ``destruct`` reads with the tree's anchor, is not an enumerated
+        # tree, so the set is not closed
         enumerate_trees = InitialAlgebra.enumerate_trees
 
-        def enumerated(self, d, rows=None):
-            trees = enumerate_trees(self, d, rows)
+        def enumerated(self, d):
+            trees = enumerate_trees(self, d)
             at = next(n for n, t in enumerate(trees) if tree_depth(t) == 2)
             label, depth_map = tree_tables(trees[at])
             trees[at] = make_tree(label, depth_map, nat(42))
@@ -708,8 +716,11 @@ class TestFoldCheckMutants:
 
         monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerated)
         _, checks = _initial_report("Shape", 3)
-        assert checks["fold-uniqueness"].status == "pass"
-        assert checks["membership"].status == "fail"
+        assert checks["fold-uniqueness"].detail == "summand 1 at depth 2: a subtree is not in the set"
+        assert checks["fold-uniqueness"].status == "fail"
+        for check in ("fold-equation", "lambek", "membership"):
+            assert checks[check].status == "skip"
+        assert checks["depth-law"].status == "pass"
 
     @pytest.mark.parametrize("table", ["label", "depth"])
     def test_junk_outside_the_child_slots_fails_membership(self, monkeypatch, table):
@@ -719,8 +730,8 @@ class TestFoldCheckMutants:
         # from what it read, the tree has no such entry.
         enumerate_trees = InitialAlgebra.enumerate_trees
 
-        def enumerated(self, d, rows=None):
-            trees = enumerate_trees(self, d, rows)
+        def enumerated(self, d):
+            trees = enumerate_trees(self, d)
             at = len(trees) - 1
             label, depth_map = tree_tables(trees[at])
             past = (len(self.destruct(trees[at])[2]) + 1,)
@@ -793,18 +804,20 @@ def check_parametric(h, trees):
 
 
 class TestRows:
-    """``enumerate_trees``' rows: each builds its tree from trees listed
-    before it; the shared fold over the trees and the per-tree fold are
-    both parametric, and give each tree back as its term."""
+    """Each enumerated tree's construction row, as ``destruct`` reads it:
+    its children are members listed before it, as the same objects, and
+    ``construct`` on the row gives the tree back; the shared fold over the
+    trees and the per-tree fold are both parametric, and give each tree
+    back as its term."""
 
     @staticmethod
     def check_rows(h, depth):
-        rows = []
-        trees = h.enumerate_trees(depth, rows)
-        assert len(rows) == len(trees)
-        for n, (t, (i, w, at)) in enumerate(zip(trees, rows)):
-            assert all(m < n for m in at)
-            assert h.construct(i, w, [trees[m] for m in at]) is t
+        trees = h.enumerate_trees(depth)
+        index = {t: n for n, t in enumerate(trees)}
+        for n, t in enumerate(trees):
+            i, w, children = h.destruct(t)
+            assert all(index.get(c, n) < n and h.is_in_T(c) for c in children)
+            assert h.construct(i, w, children) is t
         check_parametric(h, trees)
 
     @pytest.mark.parametrize("name", sorted(CORPUS_DEPTHS))
@@ -888,10 +901,19 @@ class TestLambek:
         assert inv(t) == poly_value(h.nf, 1, TRUE, [tree_list(h, [])])
 
     def test_mutually_inverse_on_enumerated_trees(self):
-        for nf in (LIST_NF, MIXED_NF):
-            h = InitialAlgebra(nf)
+        # the corpus types' constants carry distinct parameters, so a
+        # subtree read with another tree's anchor shows in the second half
+        from quasikernel.surface import elaborate, parse
+
+        corpus = elaborate(parse(CORPUS_SIGNATURES)).freetypes
+        for h, depth in (
+            (InitialAlgebra(LIST_NF), 4),
+            (InitialAlgebra(MIXED_NF), 4),
+            (corpus["Shape"].handle, 3),
+            (corpus["Tagged"].handle, 3),
+        ):
             inv = h.lambek_inverse()
-            for t in h.enumerate_trees(4):
+            for t in h.enumerate_trees(depth):
                 assert h.structure_map(inv(t)) == t
             for t in h.enumerate_trees(3):
                 i, w, children = h.destruct(t)
@@ -1134,6 +1156,7 @@ class TestMembership:
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes[name].handle
         trees = h.enumerate_trees(3)
         anchors = {tree_anchor(t) for t in trees}
+        slots = constant_slots(h)
         members = checked = 0
         for t in trees:
             for u in (t, *single_entry_mutations(t, anchors)):
@@ -1141,6 +1164,17 @@ class TestMembership:
                 assert h.is_in_T(u) == expected
                 members += expected
                 checked += 1
+                # a second or later subtree is anchored at its leftmost
+                # leaf's parameter, or keeps the anchor where that leaf has
+                # no parameter slot
+                label = tree_tables(u)[0]
+                for j in (2, 3):
+                    sub = {p[1:]: v for p, v in label.items() if p[:1] == (j,)}
+                    try:
+                        got = h.sel(j, u)
+                    except QuasiError:
+                        continue
+                    assert tree_anchor(got) == leftmost_anchor(slots, sub, tree_anchor(u))
         assert members >= len(trees) and checked > 2 * len(trees)
 
     def test_long_list_is_a_member(self):
@@ -1266,18 +1300,20 @@ class TestTrieTables:
             assert t.fst.child(j) is child.fst and t.snd.fst.child(j) is child.snd.fst
             assert parts[j - 1].fst is child.fst
 
-    def test_destruct_keeps_each_trees_anchor(self):
-        # a subtree read through sel keeps its parent's anchor, so the same
-        # label table is destructed under two anchors in turn
+    def test_destruct_gives_back_constructs_children_and_reuses_its_result(self):
+        # each subtree is anchored at its own leftmost leaf, as construct
+        # anchors it, so the second subtree of c, whose anchor differs from
+        # c's, comes back as the tree it was built from
         h = InitialAlgebra(PolyNF(((Bool(), 0), (Nat(), 2))))
-        s = h.construct(1, nat(2), [h.construct(0, FALSE, []), h.construct(0, TRUE, [])])
-        c = h.construct(1, nat(1), [h.construct(0, TRUE, []), s])
-        inner = h.sel(2, c)
-        assert inner.fst is s.fst and tree_anchor(inner) == TRUE != tree_anchor(s)
+        leaves = [h.construct(0, FALSE, []), h.construct(0, TRUE, [])]
+        s = h.construct(1, nat(2), leaves)
+        c = h.construct(1, nat(1), [leaves[1], s])
+        assert tree_anchor(s) == FALSE != tree_anchor(c)
         for _ in range(2):
-            for t, anchor in ((s, FALSE), (inner, TRUE), (c, TRUE)):
-                i, w, children = h.destruct(t)
-                assert i == 1 and all(tree_anchor(ch) == anchor for ch in children)
+            for t, w, built in ((s, nat(2), leaves), (c, nat(1), [leaves[1], s])):
+                i, param, children = h.destruct(t)
+                assert (i, param) == (1, w)
+                assert all(a is b for a, b in zip(children, built, strict=True))
                 assert h.destruct(t)[2] is children
 
     def test_concurrent_construction_agrees(self):

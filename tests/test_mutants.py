@@ -18,8 +18,8 @@ import pytest
 
 from quasikernel import initial
 from quasikernel.cli import run
-from quasikernel.initial import InitialAlgebra
-from quasikernel.kernel import enumerate_ty
+from quasikernel.initial import InitialAlgebra, tree_anchor
+from quasikernel.kernel import PairV, enumerate_ty
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -36,6 +36,13 @@ def _dropped_param_f(self, n, t, algebra):
     the node's."""
     firsts = [enumerate_ty(a, 2)[0] for a, _ in self.nf.summands]
     return _f(self, n, t, [lambda w, rs, a=a, w0=w0: a(w0, rs) for a, w0 in zip(algebra, firsts)])
+
+
+def _sel_keeps_anchor(self, j, t):
+    """A selector that gives every subtree the tree's anchor, not the
+    parameter of its own leftmost leaf."""
+    sub = _sel(self, j, t)
+    return PairV(sub.fst, PairV(sub.snd.fst, tree_anchor(t)))
 
 
 def _memo_blind_f():
@@ -59,6 +66,7 @@ MUTANTS = {
         lambda self, t: (lambda i, w, cs: (i, w, cs[::-1]))(*_destruct(self, t)),
     ),
     "sel-1": ("sel", lambda self, j, t: _sel(self, 1, t)),
+    "sel-keeps-anchor": ("sel", _sel_keeps_anchor),
     "memo-blind": ("_f", _memo_blind_f()),
 }
 
@@ -81,6 +89,8 @@ FAILED = {
         "f-dropped-param": _both("fold-equation"),
         "destruct-reversed": _both(*_READ_CHILDREN),
         "sel-1": _both(*_READ_CHILDREN),
+        # a second subtree is not the tree it was built from
+        "sel-keeps-anchor": _both("fold-uniqueness"),
         "memo-blind": _both("fold-equation"),
     },
 }
@@ -112,14 +122,15 @@ def test_unmutated_passes(name, depth):
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_a_failed_check_names_its_first_tree(monkeypatch, mutant):
-    # fold-equation, lambek and membership name the first tree that fails,
-    # shallowest first, by its summand and depth
+    # a failed check names the first tree that fails, shallowest first, by
+    # its summand and depth; a passing check has no detail
     monkeypatch.setattr(InitialAlgebra, *MUTANTS[mutant])
     failed, report = _failed(os.path.join(CORPUS, "mixed.qk"), 3)
-    details = {c["name"]: c["detail"] for c in report["checks"] if c["name"] in failed}
-    for name, detail in details.items():
-        if not name.endswith(".depth-law"):
-            assert re.fullmatch(r"summand \d+ at depth \d+: .+", detail), (name, detail)
+    for c in report["checks"]:
+        if c["name"] in failed:
+            assert re.fullmatch(r"summand \d+ at depth \d+: .+", c["detail"]), c
+        elif c["status"] == "pass":
+            assert c["detail"] == "", c
 
 
 def test_the_details_under_reversed_children(monkeypatch):
@@ -133,3 +144,4 @@ def test_the_details_under_reversed_children(monkeypatch):
         "summand 1 at depth 2: the structure map of its inverse is another tree"
     )
     assert details["initial.Shape.membership"] == "summand 1 at depth 2: construct on its parts is another tree"
+
