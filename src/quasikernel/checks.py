@@ -44,16 +44,14 @@ def fold_equation_failures(handle: InitialAlgebra, trees: Sequence[PVal]) -> lis
     tree itself.  With membership and ``fold-uniqueness`` this makes the
     fold T's only endomorphism, and since ``_f`` never inspects a result,
     its fold into any algebra is then the unique morphism (Wadler, "Theorems
-    for free!", 1989).  One walk of all the trees through ``_f`` folds each
-    distinct node once; on the trees of depth at most 2, ``is_in_T``, a
-    ``fold`` of the tree alone, is a witness that shares nothing.
+    for free!", 1989).  One walk of all the trees through ``_f``, the walk
+    every ``fold`` takes, folds each distinct node once.
     """
-    constructors = [lambda w, cs, i=i: handle.construct(i, w, cs) for i in range(handle.n)]
-    folds = handle._f(None, trees, constructors)
+    folds = handle._f(trees, handle.constructors)
     return [
         f"{_named(handle.destruct(t)[0], t)}: its fold into the constructors is another tree"
         for t, u in zip(trees, folds)
-        if u is not t or (tree_depth(t) <= 2 and not handle.is_in_T(t))
+        if u is not t
     ]
 
 
@@ -89,8 +87,10 @@ class CheckConfig(Record):
 
 
 def suite_initial(info, cfg: CheckConfig) -> list[CheckResult]:
-    """Bounded certification of one installed free type, in one ``destruct``
-    per tree: the checks that read the children's results run only on a
+    """Bounded certification of one installed free type, in one pass over
+    the enumerated trees and one walk of ``_f``: each tree is read by one
+    ``destruct`` in the closure pass and again, once per distinct node, by
+    the walk.  The checks that read the children's results run only on a
     subtree-closed set, the depth law always."""
     prefix = f"initial.{info.display}"
     handle = info.handle

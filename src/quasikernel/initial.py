@@ -185,6 +185,8 @@ class InitialAlgebra:
         self.param_shape = param_shape
         # one object per summand, so interning a root hits by identity
         self._node_labels = [inject(i, self.n, InrV(UNIT)) for i in range(self.n)]
+        # the term algebra: its operations are the constructors
+        self.constructors = [lambda w, cs, i=i: self.construct(i, w, cs) for i in range(self.n)]
 
     # A = sum over summands of (A_i + 1)
     def node_label(self, i: int) -> PVal:
@@ -247,23 +249,12 @@ class InitialAlgebra:
         return PairV(sub, PairV(dt.child(j), anchor))
 
     def destruct(self, t: PVal) -> tuple[int, PVal, list[PVal]]:
-        """Read off constructor index, parameter, and immediate subtrees.
-
-        The result is kept on the (interned) label table, with the handle
-        and, when there are subtrees, the interned (depth table, anchor) pair
-        it was read with: reading the same tree again, as the shared fold
-        does after the initial suite's closure pass, returns the same values.
-        A leaf's result depends on neither, so every tree holding it shares it.
-        """
-        lt, _, _ = tree_parts(t)
-        kept = getattr(lt, "_destructed", None)
-        if kept is not None and kept[0] is self and (kept[1] is None or kept[1] is t.snd):
-            return kept[2]
-        i, w = self._decode_root(lt)
-        k = self.nf.summands[i][1]
-        out = (i, w, [self.sel(j, t) for j in range(1, k + 1)])
-        object.__setattr__(lt, "_destructed", (self, t.snd if k else None, out))
-        return out
+        """Read off constructor index, parameter, and immediate subtrees: the
+        root, the slot and one ``sel`` per subtree, each time it is called.
+        A walk of ``_f`` reads each distinct node once, its memo answering a
+        node met again."""
+        i, w = self._decode_root(tree_parts(t)[0])
+        return i, w, [self.sel(j, t) for j in range(1, self.nf.summands[i][1] + 1)]
 
     def _decode_root(self, lt: PathTrie) -> tuple[int, PVal]:
         root = lt.root
@@ -289,34 +280,33 @@ class InitialAlgebra:
     # ---- fold -------------------------------------------------------------
 
     def fold(self, algebra: Sequence[Callable[[PVal, list], object]], t: PVal):
-        """Unique algebra morphism, total on the carrier.
+        """Unique algebra morphism, total on the carrier: one walk of ``_f``.
 
         ``algebra[i]`` receives the parameter and the list of recursive
         results for summand i.  Reaching an exceptional branch means the
         input was not constructor-generated and raises ``NotInCarrier``.
         """
-        dep = tree_depth(t)
-        if dep is None:
-            raise NotInCarrier("tree has no depth at the root")
-        return self._f(dep, t, algebra)
+        return self._f([t], algebra)[0]
 
-    def _f(self, n: Optional[int], t, algebra):
-        """Post-order walk over an explicit stack, one ``destruct`` per node:
-        a node's subtrees are folded left to right, then its algebra runs.
+    def _f(self, trees: Sequence[PVal], algebra):
+        """The results of folding ``trees``, as a list, from one post-order
+        walk over an explicit stack: a node's subtrees are folded left to
+        right, then its algebra runs.  Each root's depth is its budget.
+
+        It folds each distinct node once: a node met again, by its label
+        table, takes the result of its first combine from a memo that lasts
+        for this call, so ``destruct`` runs once per distinct node and a tree
+        whose subtrees are shared costs one combine per distinct node.
 
         It never inspects a result, only hands it to the algebra, so its fold
         into the constructors decides its fold into every algebra, as
-        ``checks.fold_equation_failures`` relies on.
-
-        With ``n`` None, ``t`` is a list of trees, each with its depth as its
-        budget, and one walk returns their results as a list.  It folds each
-        distinct node once: a node met again, by its label table, takes the
-        result of its first combine from a memo that lasts for this call."""
-        memo = None if n is not None else {}
-        key = None
-        results: list = []
+        ``checks.fold_equation_failures`` relies on."""
         # (tree, depth budget) to visit, or ((i, w, k, label table), None) to combine
-        todo: list = [(t, n)] if memo is None else [(u, tree_depth(u) or 0) for u in reversed(t)]
+        todo: list = [(t, tree_depth(t)) for t in reversed(trees)]
+        if any(n is None for _, n in todo):
+            raise NotInCarrier("tree has no depth at the root")
+        memo: dict = {}
+        results: list = []
         while todo:
             t, n = todo.pop()
             if n is None:
@@ -324,21 +314,19 @@ class InitialAlgebra:
                 args = results[len(results) - k:]
                 del results[len(results) - k:]
                 results.append(algebra[i](w, args))
-                if memo is not None:
-                    memo[key] = results[-1]
+                memo[key] = results[-1]
                 continue
-            if memo is not None:
-                key = t.fst  # roots were read by tree_depth, children made by sel
-                if key in memo:
-                    results.append(memo[key])
-                    continue
+            key = t.fst  # roots were read by tree_depth, children made by sel
+            if key in memo:
+                results.append(memo[key])
+                continue
             if n <= 0:
                 raise NotInCarrier("depth budget exhausted below the structure")
             i, w, children = self.destruct(t)
             todo.append(((i, w, len(children), key), None))
             for c in reversed(children):
                 todo.append((c, n - 1))
-        return results if memo is not None else results[0]
+        return results
 
     def primrec(self, body: Sequence[Callable[[PVal, list], object]]):
         """Primitive recursion derived from fold by pairing with the identity."""
@@ -389,9 +377,8 @@ class InitialAlgebra:
         root tables match only if every level does, and the rebuilt anchor is
         the leftmost constant's parameter.
         """
-        rebuild = [lambda w, cs, i=i: self.construct(i, w, cs) for i in range(self.n)]
         try:
-            return self.fold(rebuild, t) == t
+            return self.fold(self.constructors, t) == t
         except QuasiError:
             return False
 

@@ -471,8 +471,8 @@ class PathTrie(FinMapV):
     It is a ``FinMapV``: ``entries`` is derived on first use, in the
     canonical key order (the root first, then each child j's block by j
     as a number).  ``FinMapV.of`` returns a trie for every table keyed by
-    tree paths, so a trie is compared only with tries.  ``initial`` keeps
-    the destructed root of a tree on its label trie, in ``__dict__``.
+    tree paths, so a trie is compared only with tries.  ``__dict__`` holds
+    the derived ``entries``.
     """
 
     __slots__ = ("root", "children", "__dict__")

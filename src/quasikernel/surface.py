@@ -617,6 +617,10 @@ class FreeTypeInfo(Record):
             )
         consts = [a for a, k in zip(args, info.arg_kinds) if k == "const"]
         recs = [a for a, k in zip(args, info.arg_kinds) if k == "rec"]
+        for a, ty in zip(consts, info.const_tys):
+            if a is not UNDEF and not _has_type(a, ty):
+                shown = kernel.show_pval(a)
+                raise TypeMismatch(f"{name} expects a value of {pretty_ty(ty)}, got {shown}")
         param = _build_param(info.const_tys, consts)
         if info.summand == 0 and self.n_consts > 1:
             param = inject(info.const_index, self.n_consts, param)
@@ -717,6 +721,31 @@ class CotypeInfo(Record):
             return final_mod.subtree(tree, label)
 
         return pfun(at, dom=info.exponent)
+
+
+def _has_type(v: PVal, ty: Ty) -> bool:
+    """Whether a defined value is one of a resolved constant type's, by its
+    shape: any table or procedural map is a value of a function type, and
+    any value of a ``Named`` type."""
+    todo = [(v, ty)]
+    while todo:
+        v, ty = todo.pop()
+        match ty, v:
+            case (Named(), _) | (Unit(), kernel.UnitV()) | (Nat(), kernel.NatV()):
+                pass
+            case Bool(), kernel.InlV(kernel.UnitV()) | kernel.InrV(kernel.UnitV()):
+                pass
+            case TySum(l, _), kernel.InlV(x):
+                todo.append((x, l))
+            case TySum(_, r), kernel.InrV(x):
+                todo.append((x, r))
+            case TyProd(l, r), PairV(a, b):
+                todo += ((a, l), (b, r))
+            case TyTotal() | kernel.Partial(), kernel.FinMapV() | kernel.PFunV():
+                pass
+            case _:
+                return False
+    return True
 
 
 def _build_param(tys: tuple[Ty, ...], values: Sequence[PVal]) -> PVal:

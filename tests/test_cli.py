@@ -338,6 +338,50 @@ class TestEval:
         assert got["checks"] == want["checks"]
         assert got["checks"][0]["detail"].endswith(", false))")
 
+    def test_a_fold_over_shared_subtrees_combines_each_once(self):
+        # glue doubles its argument 25 times: 2^25 paths, but equal subtrees
+        # are one object, so the fold combines 26 distinct nodes
+        doubled = "d (" * 24 + "d circle" + ")" * 24
+        expr = rf"Shape.fold 1 1 plus ((\d. {doubled}) (\t. glue t t))"
+        report, code = run(["eval", str(CORPUS / "mixed.qk"), "-e", expr])
+        assert code == 0
+        assert report["checks"] == [{"name": "eval", "status": "pass", "detail": "33554432"}]
+
+    @pytest.mark.parametrize(
+        "expr, detail",
+        [
+            ("leaf 3", "leaf expects a value of Bool, got 3"),
+            ("node true circle circle", "node expects a value of Nat, got true"),
+            ("Tagged.node (1, 2) circle circle", "node expects a value of Nat, got (1, 2)"),
+        ],
+    )
+    def test_constructors_check_their_constant_arguments(self, expr, detail):
+        report, code = run(["eval", str(CORPUS / "mixed.qk"), "-e", expr])
+        assert code == 1
+        assert report["checks"] == [{"name": "eval", "status": "fail", "detail": detail}]
+
+    @pytest.mark.parametrize(
+        "expr, detail",
+        [
+            ("a (1, true)", None),
+            ("a (true, 1)", "a expects a value of Nat * Bool, got (true, 1)"),
+            ("b (inl 3)", None),
+            ("b (inr ())", None),
+            ("b (inr 3)", "b expects a value of Nat + Unit, got inr 3"),
+            (r"c (\x. 3)", None),
+            ("c 3", "c expects a value of Bool -> Nat, got 3"),
+            ("d ()", None),
+            ("d false", "d expects a value of Unit, got false"),
+        ],
+    )
+    def test_constant_arguments_are_checked_by_shape(self, tmp_path, expr, detail):
+        p = tmp_path / "consts.qk"
+        p.write_text("free type A ::= a(Nat * Bool) | b(Nat + Unit) | c(Bool -> Nat) | d(Unit) | s(A)\n")
+        report, code = run(["eval", str(p), "-e", expr])
+        assert code == (0 if detail is None else 1)
+        if detail is not None:
+            assert report["checks"] == [{"name": "eval", "status": "fail", "detail": detail}]
+
 
 class TestCheck:
     def test_all_suites_pass(self, both_file):

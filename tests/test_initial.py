@@ -421,25 +421,18 @@ class TestFold:
             assert _equation_failures_one_by_one(h, index_algebra(alg, 3), trees) == []
 
     def test_fold_of_another_shape_is_a_failure(self, monkeypatch):
-        # a fold result of another shape is another tree like any other, on
-        # either path of the walk ``_f``: the shared fold's list, or the
-        # single-tree fold of the witness on the trees of depth at most 2
+        # a fold result of another shape is another tree like any other,
+        # whether the tree is a child of no tree of the set (the deepest) or
+        # of many (the second constant)
         h = list_handle()
         trees = h.enumerate_trees(3)
         real = h._f
 
-        def tampering(odd, shared):
-            def walk(n, t, alg):
-                out = real(n, t, alg)
-                if n is None and shared:
-                    return [UNIT if u is odd else r for u, r in zip(t, out)]
-                return UNIT if n is not None and not shared and t is odd else out
+        def tampering(odd):
+            return lambda ts, alg: [UNIT if u is odd else r for u, r in zip(ts, real(ts, alg))]
 
-            return walk
-
-        # the deepest tree is a child of no tree of the set
-        for odd, shared in ((max(trees, key=tree_depth), True), (trees[1], False)):
-            monkeypatch.setattr(h, "_f", tampering(odd, shared))
+        for odd in (max(trees, key=tree_depth), trees[1]):
+            monkeypatch.setattr(h, "_f", tampering(odd))
             assert fold_equation_failures(h, trees) == [
                 f"summand {h.destruct(odd)[0]} at depth {tree_depth(odd)}: "
                 "its fold into the constructors is another tree"
@@ -512,45 +505,33 @@ def _uniqueness_one_by_one(handle, algebra, trees, carrier):
 
 class TestFoldCount:
     def test_check_folds_each_tree_at_most_once(self, monkeypatch):
-        # fold-equation is one shared walk through ``_f`` per free type, into
-        # the constructors, which combines each distinct node once, so no more
+        # fold-equation is one walk through ``_f`` per free type, into the
+        # constructors, which combines each distinct node once, so no more
         # often than there are label tables among the trees, and gives each
-        # tree back; its witness is ``is_in_T``, one ``fold`` of each tree of
-        # depth at most 2.  Uniqueness, Lambek's lemma and membership read
-        # what ``destruct`` read of each tree and call no fold.  The file's two ``let`` folds run
-        # while it is elaborated, before any tree is enumerated, and are not
-        # counted.
+        # tree back.  Uniqueness, Lambek's lemma and membership read what
+        # ``destruct`` read of each tree and call no fold, and ``fold`` is a
+        # walk of ``_f`` too, so no other walk runs.  The file's two ``let``
+        # folds run while it is elaborated, before any tree is enumerated,
+        # and are not counted.
         from quasikernel.cli import run
 
-        folds, walks, witnesses, enumerated = [], [], [], []
-        fold, walk, is_in_T = InitialAlgebra.fold, InitialAlgebra._f, InitialAlgebra.is_in_T
-        enumerate_trees = InitialAlgebra.enumerate_trees
+        walks, enumerated = [], []
+        walk, enumerate_trees = InitialAlgebra._f, InitialAlgebra.enumerate_trees
 
-        def counted_fold(self, alg, t):
-            if enumerated:
-                folds.append(t)
-            return fold(self, alg, t)
-
-        def counted_walk(self, n, t, alg):
-            if n is None:
-                combines = []
-                out = walk(self, n, t, [lambda w, rs, a=a: combines.append(w) or a(w, rs) for a in alg])
-                walks.append((list(t), combines, out))
-                return out
-            return walk(self, n, t, alg)
-
-        def counted_is_in_T(self, t):
-            witnesses.append(t)
-            return is_in_T(self, t)
+        def counted_walk(self, trees, alg):
+            if not enumerated:
+                return walk(self, trees, alg)
+            combines = []
+            out = walk(self, trees, [lambda w, rs, a=a: combines.append(w) or a(w, rs) for a in alg])
+            walks.append((list(trees), combines, out))
+            return out
 
         def enumerating(self, d):
             out = enumerate_trees(self, d)
             enumerated.append(list(out))
             return out
 
-        monkeypatch.setattr(InitialAlgebra, "fold", counted_fold)
         monkeypatch.setattr(InitialAlgebra, "_f", counted_walk)
-        monkeypatch.setattr(InitialAlgebra, "is_in_T", counted_is_in_T)
         monkeypatch.setattr(InitialAlgebra, "enumerate_trees", enumerating)
         lists = os.path.join(CORPUS, "lists.qk")
         report, code = run(["check", lists, "--suite", "initial", "--obs-depth", "6"])
@@ -560,8 +541,28 @@ class TestFoldCount:
         for trees, combines, out in walks:
             assert len(combines) <= len({tree_parts(t)[0] for t in trees})
             assert all(u is t for u, t in zip(out, trees, strict=True))
-        assert witnesses == [t for trees in enumerated for t in trees if tree_depth(t) <= 2]
-        assert folds == witnesses
+
+    def test_a_shared_subtree_is_combined_once(self):
+        # glue applied 12 times to circle, both subtrees equal: equal
+        # subtrees are one object, and a fold combines each distinct node
+        # once, 12 glues, not the 4,095 of the unshared tree
+        from quasikernel.surface import elaborate, parse
+
+        info = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"]
+        t = info.make("circle", [])
+        for _ in range(12):
+            t = info.make("glue", [t, t])
+        glued = []
+
+        def glue(a, b):
+            glued.append(a)
+            return nat(a.n + b.n)
+
+        assert info.fold([nat(1), nat(1), glue], t) == nat(4096)
+        assert len(glued) == 12
+        glued.clear()
+        assert info.primrec([nat(1), nat(1), lambda _l, a, _r, b: glue(a, b)], t) == nat(4096)
+        assert len(glued) == 12
 
 
 _real_destruct, _real_sel, _real_f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
@@ -576,9 +577,9 @@ MUTANTS = {
 }
 
 
-def _reversed_f(self, n, t, algebra):
+def _reversed_f(self, trees, algebra):
     """A walk that hands each algebra its results reversed."""
-    return _real_f(self, n, t, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
+    return _real_f(self, trees, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
 
 
 def _initial_report(name, depth, monkeypatch=None, mutant=None):
@@ -790,25 +791,21 @@ def opaque_algebra(h):
 
 
 def check_parametric(h, trees):
-    """Both paths of ``_f``, the shared walk and a single tree's ``fold``,
-    fold into the opaque algebra without inspecting a result, and each
-    result is made the way the tree is: ``_f`` is natural in the algebra,
-    the premise of ``fold-equation``."""
+    """``_f`` folds the trees into the opaque algebra without inspecting a
+    result, and each result is made the way the tree is: ``_f`` is natural
+    in the algebra, the premise of ``fold-equation``."""
 
     def term(o):
         return h.construct(o.i, o.w, [term(c) for c in o.args])
 
-    algebra = opaque_algebra(h)
-    for results in (h._f(None, trees, algebra), [h.fold(algebra, t) for t in trees]):
-        assert [term(o) for o in results] == trees
+    assert [term(o) for o in h._f(trees, opaque_algebra(h))] == trees
 
 
 class TestRows:
     """Each enumerated tree's construction row, as ``destruct`` reads it:
     its children are members listed before it, as the same objects, and
-    ``construct`` on the row gives the tree back; the shared fold over the
-    trees and the per-tree fold are both parametric, and give each tree
-    back as its term."""
+    ``construct`` on the row gives the tree back; the fold over the trees
+    is parametric, and gives each tree back as its term."""
 
     @staticmethod
     def check_rows(h, depth):
@@ -857,7 +854,7 @@ class TestRows:
         h = elaborate(parse(CORPUS_SIGNATURES)).freetypes["Shape"].handle
         trees = h.enumerate_trees(3)
         with pytest.raises(Inspected):
-            h._f(None, trees, opaque_algebra(h))
+            h._f(trees, opaque_algebra(h))
         with pytest.raises(Inspected):
             h.fold(opaque_algebra(h), trees[-1])
         with pytest.raises(Inspected):
@@ -1300,7 +1297,7 @@ class TestTrieTables:
             assert t.fst.child(j) is child.fst and t.snd.fst.child(j) is child.snd.fst
             assert parts[j - 1].fst is child.fst
 
-    def test_destruct_gives_back_constructs_children_and_reuses_its_result(self):
+    def test_destruct_gives_back_constructs_children(self):
         # each subtree is anchored at its own leftmost leaf, as construct
         # anchors it, so the second subtree of c, whose anchor differs from
         # c's, comes back as the tree it was built from
@@ -1309,12 +1306,10 @@ class TestTrieTables:
         s = h.construct(1, nat(2), leaves)
         c = h.construct(1, nat(1), [leaves[1], s])
         assert tree_anchor(s) == FALSE != tree_anchor(c)
-        for _ in range(2):
-            for t, w, built in ((s, nat(2), leaves), (c, nat(1), [leaves[1], s])):
-                i, param, children = h.destruct(t)
-                assert (i, param) == (1, w)
-                assert all(a is b for a, b in zip(children, built, strict=True))
-                assert h.destruct(t)[2] is children
+        for t, w, built in ((s, nat(2), leaves), (c, nat(1), [leaves[1], s])):
+            i, param, children = h.destruct(t)
+            assert (i, param) == (1, w)
+            assert all(a is b for a, b in zip(children, built, strict=True))
 
     def test_concurrent_construction_agrees(self):
         # threads intern the same nodes at once; each equal tree must still be

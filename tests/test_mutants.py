@@ -26,16 +26,16 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 _destruct, _sel, _f = InitialAlgebra.destruct, InitialAlgebra.sel, InitialAlgebra._f
 
 
-def _reversed_f(self, n, t, algebra):
+def _reversed_f(self, trees, algebra):
     """A walk that hands each algebra its results reversed."""
-    return _f(self, n, t, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
+    return _f(self, trees, [lambda w, rs, a=a: a(w, rs[::-1]) for a in algebra])
 
 
-def _dropped_param_f(self, n, t, algebra):
+def _dropped_param_f(self, trees, algebra):
     """A walk that hands each algebra its summand's first parameter, not
     the node's."""
     firsts = [enumerate_ty(a, 2)[0] for a, _ in self.nf.summands]
-    return _f(self, n, t, [lambda w, rs, a=a, w0=w0: a(w0, rs) for a, w0 in zip(algebra, firsts)])
+    return _f(self, trees, [lambda w, rs, a=a, w0=w0: a(w0, rs) for a, w0 in zip(algebra, firsts)])
 
 
 def _sel_keeps_anchor(self, j, t):

@@ -27,6 +27,7 @@ ALLOWED = {
     ),
     "criterion 8, bounded induction": ("initial.induction_via_fold", "initial.subtype_fold"),
     "criterion 10, datatypes and process types as cpos": (
+        "initial.InitialAlgebra.is_in_T",
         "cpo.DomainInitial",
         "cpo.DomainInitial.constructor_monotone_failures",
         "cpo.DomainInitial.fold_continuity_failures",
