@@ -730,21 +730,29 @@ def _has_type(v: PVal, ty: Ty) -> bool:
     todo = [(v, ty)]
     while todo:
         v, ty = todo.pop()
-        match ty, v:
-            case (Named(), _) | (Unit(), kernel.UnitV()) | (Nat(), kernel.NatV()):
-                pass
-            case Bool(), kernel.InlV(kernel.UnitV()) | kernel.InrV(kernel.UnitV()):
-                pass
-            case TySum(l, _), kernel.InlV(x):
-                todo.append((x, l))
-            case TySum(_, r), kernel.InrV(x):
-                todo.append((x, r))
-            case TyProd(l, r), PairV(a, b):
-                todo += ((a, l), (b, r))
-            case TyTotal() | kernel.Partial(), kernel.FinMapV() | kernel.PFunV():
-                pass
+        match ty:
+            case Named():
+                ok = True
+            case Unit():
+                ok = v is UNIT
+            case Nat():
+                ok = type(v) is kernel.NatV
+            case Bool():
+                ok = v is kernel.TRUE or v is kernel.FALSE
+            case TySum(l, r):
+                ok = type(v) is kernel.InlV or type(v) is kernel.InrV
+                if ok:
+                    todo.append((v.value, l if type(v) is kernel.InlV else r))
+            case TyProd(l, r):
+                ok = type(v) is PairV
+                if ok:
+                    todo += ((v.fst, l), (v.snd, r))
+            case TyTotal() | kernel.Partial():
+                ok = isinstance(v, (kernel.FinMapV, kernel.PFunV))
             case _:
-                return False
+                ok = False
+        if not ok:
+            return False
     return True
 
 
