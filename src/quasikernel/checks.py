@@ -27,6 +27,7 @@ from .kernel import (
     eq_strong,  # noqa: F401  not called; the benchmark's tracer test reads it
     finmap,
     nat,
+    show_pval,
 )
 from .report import CheckResult, check
 
@@ -184,29 +185,31 @@ def suite_final(info, cfg: CheckConfig) -> list[CheckResult]:
     failures = [f for fs in found for f in fs]
     out.append(check(f"{prefix}.membership", not failures, "; ".join(failures[:1])))
 
-    eq_ok = True
+    unequal = []  # per failing seed, what fails
     for z, t in zip(seeds, trees):
         i, x, g = d(z)
         li, lx, lfn = ext_unvalue(handle.nf, handle.structure_map(t))
         if li != i or lx != x:
-            eq_ok = False
+            unequal.append(f"seed {z}: the unfold's root is not the coalgebra's step")
             continue
         for y in handle.exponent_values[i]:
             if not handle.tree_eq(apply_pval(lfn, y), handle.unfold(d, g(y)), cfg.obs_depth):
-                eq_ok = False
-    out.append(check(f"{prefix}.unfold-equation", eq_ok))
+                unequal.append(f"seed {z}: below {show_pval(y)} the unfold is not the next seed's")
+    out.append(check(f"{prefix}.unfold-equation", not unequal, "; ".join(unequal[:1])))
 
     # each node of an unfold is paired with the reference state of the seed
     # at the same path; a member is undefined off the summand offered at
     # each node, and so is the reference, so below a member the walk follows
     # the offered labels
     reference = _reference(handle, d)
-    uniq_ok = True
+    differ = []  # per failing seed, its first path
     for z, u, failed in zip(seeds[:2], trees, found):
         pairs = handle.walk((root(u), reference(z)), cfg.obs_depth, None if failed else handle.offered)
-        if any(a.value != b.value for _p, (a, b) in pairs):
-            uniq_ok = False
-    out.append(check(f"{prefix}.bounded-uniqueness", uniq_ok))
+        path = next((p for p, (a, b) in pairs if a.value != b.value), None)
+        if path is not None:
+            shown = ", ".join(map(show_pval, path))
+            differ.append(f"seed {z}: the unfold and the reference differ at path ({shown})")
+    out.append(check(f"{prefix}.bounded-uniqueness", not differ, "; ".join(differ[:1])))
     return out
 
 

@@ -59,8 +59,6 @@ from .kernel import (
     nat,
     product_choices,
     trie,
-    tuple_of,
-    untuple,
 )
 
 
@@ -172,17 +170,11 @@ def tree_tables(t: PVal) -> tuple[dict[Path, PVal], dict[Path, int]]:
 
 
 class InitialAlgebra:
-    """Datatype constructed for a polynomial signature in normal form.
+    """Datatype constructed for a polynomial signature in normal form."""
 
-    ``param_shape`` optionally records which factors of each constructor's
-    parameter tuple carry the datatype's type parameter (grouped per
-    summand); it is only consumed by ``param_map``.
-    """
-
-    def __init__(self, nf: PolyNF, param_shape: Optional[list[list[bool]]] = None):
+    def __init__(self, nf: PolyNF):
         self.nf = nf
         self.n = len(nf.summands)
-        self.param_shape = param_shape
         # one object per summand, so interning a root hits by identity
         self._node_labels = [inject(i, self.n, InrV(UNIT)) for i in range(self.n)]
         # the term algebra: its operations are the constructors
@@ -492,32 +484,3 @@ def subtype_fold(
         raise SubtypeEscape("algebra left the subtype")
     return out
 
-
-def param_map(
-    src: InitialAlgebra,
-    dst: InitialAlgebra,
-    f: Callable[[PVal], PVal],
-    t: PVal,
-) -> PVal:
-    """Relabel parameter positions by ``f``: fold with the target structure
-    map composed with the parametrized map action.
-
-    ``param_shape[i]`` lists, per constructor collected into summand i
-    (several for the constants summand, one otherwise), which factors of
-    its parameter tuple carry the type parameter.
-    """
-    if src.param_shape is None:
-        raise InvariantViolation("source handle lacks parameter-position data")
-
-    def map_param(i: int, w: PVal) -> PVal:
-        groups = src.param_shape[i]
-        j, inner = project(w, len(groups)) if len(groups) > 1 else (0, w)
-        factors = groups[j]
-        parts = untuple(inner, len(factors))
-        mapped = [f(p) if is_param else p for p, is_param in zip(parts, factors)]
-        return inject(j, len(groups), tuple_of(mapped))
-
-    def alg_for(i):
-        return lambda w, results: dst.construct(i, map_param(i, w), results)
-
-    return src.fold([alg_for(i) for i in range(src.n)], t)

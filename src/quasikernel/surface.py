@@ -523,11 +523,15 @@ def _substitute(t: Ty, subst: Optional[dict[str, Ty]]) -> Ty:
 
 def extract_functor(d: Decl, subst: Optional[dict[str, Ty]] = None) -> SigFunctor:
     """Sum over constructors (sel);  products over argument functors."""
-    return _sum_of_products(_field_functors(d, subst))
-
-
-def _sum_of_products(alts: list[list[SigFunctor]]) -> SigFunctor:
+    alts = _field_functors(d, subst)
     return fold_right(SumF, Const(Zero()), [fold_right(ProdF, Const(Unit()), fs) for fs in alts])
+
+
+def _normal_form(d: Decl, subst: Optional[dict[str, Ty]]) -> tuple[SigFunctor, PolyNF | ExtPolyNF]:
+    """A declaration's functor and its normal form: a free type's constants
+    collected into summand 0, or a cotype's exponents summed."""
+    functor = extract_functor(d, subst)
+    return functor, to_poly_nf(functor) if d.kind == "free" else to_extpoly_nf(functor)
 
 
 def _field_functors(d: Decl, subst: Optional[dict[str, Ty]]) -> list[list[SigFunctor]]:
@@ -580,8 +584,9 @@ def _functor_of(t: Ty, pattern: Named, kind: str) -> SigFunctor:
 
 class CtorInfo(Record):
     """A constructor: its summand, and for a nullary one (summand 0) its
-    injection ``const_index`` into the collected-constants sum; the kinds
-    of its arguments in declaration order ("const" | "rec") and the
+    injection ``const_index`` into the collected-constants sum (-1 for the
+    others); the kinds of its arguments in declaration order ("const",
+    "param" for a constant of a declared type parameter, or "rec") and the
     resolved types of the constant ones."""
 
     __slots__ = __match_args__ = ("name", "summand", "const_index", "arg_kinds", "const_tys")
@@ -597,6 +602,9 @@ class SelInfo(Record):
 
 
 class FreeTypeInfo(Record):
+    """An installed free type, and the one codec between its declared
+    constructors and the normal form: ``make`` encodes, ``read`` decodes."""
+
     __slots__ = __match_args__ = (
         "decl", "display", "functor", "nf", "handle", "ctors", "n_consts"
     )
@@ -607,7 +615,7 @@ class FreeTypeInfo(Record):
                 return c
         raise kernel.UnboundName(f"no constructor {name!r}")
 
-    # ---- value construction -------------------------------------------------
+    # ---- the codec -----------------------------------------------------------
 
     def make(self, name: str, args: Sequence[PVal]) -> PVal:
         info = self.ctor(name)
@@ -615,78 +623,77 @@ class FreeTypeInfo(Record):
             raise TypeMismatch(
                 f"{name} expects {len(info.arg_kinds)} arguments, got {len(args)}"
             )
-        consts = [a for a, k in zip(args, info.arg_kinds) if k == "const"]
+        consts = [a for a, k in zip(args, info.arg_kinds) if k != "rec"]
         recs = [a for a, k in zip(args, info.arg_kinds) if k == "rec"]
-        for a, ty in zip(consts, info.const_tys):
-            if a is not UNDEF and not _has_type(a, ty):
-                shown = kernel.show_pval(a)
-                raise TypeMismatch(f"{name} expects a value of {pretty_ty(ty)}, got {shown}")
+        # a constant's type is checked by its shape; a tree carries no type,
+        # so a recursive argument (``ty`` None) is checked only for being one
+        for a, ty in [*zip(consts, info.const_tys), *((r, None) for r in recs)]:
+            if a is not UNDEF and not (_is_tree(a) if ty is None else _has_type(a, ty)):
+                shown = self.display if ty is None else pretty_ty(ty)
+                raise TypeMismatch(f"{name} expects a value of {shown}, got {kernel.show_pval(a)}")
         param = _build_param(info.const_tys, consts)
-        if info.summand == 0 and self.n_consts > 1:
+        if info.summand == 0:
             param = inject(info.const_index, self.n_consts, param)
         return self.handle.construct(info.summand, param, recs)
 
-    def split_args(self, info: CtorInfo, param: PVal, children: Sequence[PVal]):
-        """Recover declaration-order constructor arguments from a summand payload."""
-        if info.summand == 0 and self.n_consts > 1:
-            _, param = project(param, self.n_consts)
-        consts = _split_param(info.const_tys, param)
-        out, ci, ri = [], 0, 0
-        for kind in info.arg_kinds:
-            if kind == "const":
-                out.append(consts[ci])
-                ci += 1
-            else:
-                out.append(children[ri])
-                ri += 1
-        return out
-
-    def ctor_position(self, summand: int, param: PVal) -> int:
-        """The declaration-order index of the constructor behind summand's payload."""
-        if summand == 0 and self.n_consts > 1:
-            idx, _ = project(param, self.n_consts)
-            return next(
-                k for k, c in enumerate(self.ctors) if c.summand == 0 and c.const_index == idx
-            )
-        return next(k for k, c in enumerate(self.ctors) if c.summand == summand)
+    def read(self, i: int, w: PVal, rec: Sequence) -> tuple[int, list]:
+        """Decode summand i's payload ``w``, projecting it once: the
+        declaration-order index of its constructor, and that constructor's
+        arguments in declaration order, ``rec`` filling the recursive ones."""
+        j, w = project(w, self.n_consts) if i == 0 else (-1, w)
+        pos = next(k for k, c in enumerate(self.ctors) if c.summand == i and c.const_index == j)
+        info = self.ctors[pos]
+        consts, rec = iter(_split_param(info.const_tys, w)), iter(rec)
+        return pos, [next(rec) if k == "rec" else next(consts) for k in info.arg_kinds]
 
     # ---- recursion schemes keyed by constructor ------------------------------
 
-    def _run_branch(self, branches, i: int, w: PVal, rec, spread: bool = False) -> PVal:
-        """Apply the branch of the constructor behind summand i's payload ``w``
-        to its declaration-order arguments, ``rec`` filling the recursive
-        positions; with ``spread``, each ``rec`` entry is a tuple of arguments."""
-        pos = self.ctor_position(i, w)
-        info = self.ctors[pos]
-        args = self.split_args(info, w, rec)
+    def _run(self, branches, i: int, w: PVal, rec, spread: bool = False) -> PVal:
+        """Apply the branch of the constructor ``read`` finds behind summand
+        i's payload ``w`` to its arguments; with ``spread``, each ``rec``
+        entry is a (subtree, result) pair, passed on as two arguments."""
+        pos, args = self.read(i, w, rec)
         if spread:
-            args = [
-                x for k, a in zip(info.arg_kinds, args) for x in (a if k == "rec" else (a,))
-            ]
-        return _apply_branch(branches[pos], args)
+            kinds = self.ctors[pos].arg_kinds
+            args = [x for k, a in zip(kinds, args) for x in (a if k == "rec" else (a,))]
+        branch = branches[pos]
+        if callable(branch) and not isinstance(branch, PVal):
+            return branch(*args)
+        for a in args:
+            branch = apply_pval(branch, a)
+        return branch
+
+    def _algebra(self, branches, spread: bool = False) -> list[Callable]:
+        return [
+            lambda w, rec, _i=i: self._run(branches, _i, w, rec, spread) for i in range(self.handle.n)
+        ]
 
     def fold(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         """Per-constructor fold: each branch consumes the constructor's
         arguments (recursive ones replaced by recursive results)."""
-        algebra = [
-            lambda w, results, _i=i: self._run_branch(branches, _i, w, results)
-            for i in range(self.handle.n)
-        ]
-        return self.handle.fold(algebra, t)
+        return self.handle.fold(self._algebra(branches), t)
 
     def case(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         if not t.defined():
             return UNDEF
-        return self._run_branch(branches, *self.handle.destruct(t))
+        return self._run(branches, *self.handle.destruct(t))
 
     def primrec(self, branches: Sequence[PVal | Callable], t: PVal) -> PVal:
         """Per-constructor primitive recursion: recursive arguments contribute
         the subtree and then the recursive result."""
-        body = [
-            lambda w, pairs, _i=i: self._run_branch(branches, _i, w, pairs, spread=True)
-            for i in range(self.handle.n)
+        return self.handle.primrec(self._algebra(branches, spread=True))(t)
+
+    def param_map(self, dst: FreeTypeInfo, f: Callable[[PVal], PVal], t: PVal) -> PVal:
+        """The template's map on ``t``: a fold that rebuilds each constructor
+        in ``dst``, an instance of the same template, with ``f`` applied to
+        each argument of a type parameter."""
+        branches = [
+            lambda *args, _c=c: dst.make(
+                _c.name, [f(a) if k == "param" else a for k, a in zip(_c.arg_kinds, args)]
+            )
+            for c in self.ctors
         ]
-        return self.handle.primrec(body)(t)
+        return self.fold(branches, t)
 
 
 class CotypeInfo(Record):
@@ -756,6 +763,14 @@ def _has_type(v: PVal, ty: Ty) -> bool:
     return True
 
 
+def _is_tree(v: PVal) -> bool:
+    try:
+        initial_mod.tree_parts(v)
+    except TypeMismatch:
+        return False
+    return True
+
+
 def _build_param(tys: tuple[Ty, ...], values: Sequence[PVal]) -> PVal:
     # Unit factors are elided by normalization; skip them when packing
     return tuple_of([v for t, v in zip(tys, values) if type(t) is not Unit])
@@ -764,15 +779,6 @@ def _build_param(tys: tuple[Ty, ...], values: Sequence[PVal]) -> PVal:
 def _split_param(tys: tuple[Ty, ...], param: PVal) -> list[PVal]:
     parts = iter(untuple(param, sum(type(t) is not Unit for t in tys)))
     return [UNIT if type(t) is Unit else next(parts) for t in tys]
-
-
-def _apply_branch(branch: PVal | Callable, args: Sequence[PVal]) -> PVal:
-    if callable(branch) and not isinstance(branch, PVal):
-        return branch(*args)
-    out = branch
-    for a in args:
-        out = apply_pval(out, a)
-    return out
 
 
 class ElabEnv:
@@ -803,8 +809,7 @@ class ElabEnv:
                 raise DuplicateDeclaration(f"duplicate {what} {n!r} in {d.name}")
         if d.params:
             check_positivity(d)
-            functor = extract_functor(d)
-            nf = to_poly_nf(functor) if d.kind == "free" else to_extpoly_nf(functor)
+            nf = _normal_form(d, None)[1]
             self.templates[d.name] = d
         else:
             nf = self._install(d, None, d.name).nf
@@ -826,13 +831,12 @@ class ElabEnv:
 
     def _install(self, d: Decl, subst: Optional[dict[str, Ty]], display: str):
         check_positivity(d)
-        fields = _field_functors(d, subst)
         if d.kind == "free":
-            info = _elaborate_freetype(d, fields, display)
+            info = _elaborate_freetype(d, subst, display)
             self.freetypes[display] = info
             self._bind_freetype_terms(info)
             return info
-        info = _elaborate_cotype(d, fields, display)
+        info = _elaborate_cotype(d, subst, display)
         self.cotypes[display] = info
         self._bind_cotype_terms(info)
         return info
@@ -891,45 +895,33 @@ def _curried(fn: Callable[[list[PVal]], PVal], arity: int) -> PVal:
     return out
 
 
-def _elaborate_freetype(d: Decl, fields: list[list[SigFunctor]], display: str) -> FreeTypeInfo:
-    functor = _sum_of_products(fields)
-    nf = to_poly_nf(functor)
+def _elaborate_freetype(d: Decl, subst: Optional[dict[str, Ty]], display: str) -> FreeTypeInfo:
+    functor, nf = _normal_form(d, subst)
     ctors: list[CtorInfo] = []
     n_consts = 0
-    next_summand = 1
-    param_names = set(d.params)
-    shape: list[list[list[bool]]] = [[] for _ in nf.summands]
-    for alt, fs in zip(d.alts, fields):
-        kinds, const_tys, const_is_var = [], [], []
-        for arg, f in zip(alt.args, fs):
-            if isinstance(f, Const):
-                kinds.append("const")
-                const_tys.append(f.ty)
-                const_is_var.append(isinstance(arg, Named) and arg.name in param_names)
-            else:
-                kinds.append("rec")
-        flags = [v for t, v in zip(const_tys, const_is_var) if type(t) is not Unit]
-        if "rec" not in kinds:
-            ctors.append(CtorInfo(alt.name, 0, n_consts, tuple(kinds), tuple(const_tys)))
-            shape[0].append(flags)
-            n_consts += 1
+    for alt, fs in zip(d.alts, _field_functors(d, subst)):
+        kinds = tuple(
+            "rec" if not isinstance(f, Const)
+            else "param" if isinstance(arg, Named) and arg.name in d.params
+            else "const"
+            for arg, f in zip(alt.args, fs)
+        )
+        const_tys = tuple(f.ty for f in fs if isinstance(f, Const))
+        if "rec" in kinds:  # the summands after the constants, in declaration order
+            ctors.append(CtorInfo(alt.name, len(ctors) - n_consts + 1, -1, kinds, const_tys))
         else:
-            ctors.append(
-                CtorInfo(alt.name, next_summand, -1, tuple(kinds), tuple(const_tys))
-            )
-            shape[next_summand].append(flags)
-            next_summand += 1
-    handle = initial_mod.InitialAlgebra(nf, param_shape=shape)
-    return FreeTypeInfo(d, display, functor, nf, handle, ctors, n_consts)
+            ctors.append(CtorInfo(alt.name, 0, n_consts, kinds, const_tys))
+            n_consts += 1
+    return FreeTypeInfo(d, display, functor, nf, initial_mod.InitialAlgebra(nf), ctors, n_consts)
 
 
-def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> CotypeInfo:
+def _elaborate_cotype(d: Decl, subst: Optional[dict[str, Ty]], display: str) -> CotypeInfo:
     """Classify each selector, then build the coalgebra: an unsupported
     codomain or an exponent that is not finite fails naming its selector."""
     sels: list[SelInfo] = []
     alt_const_tys: list[tuple[Ty, ...]] = []
     alt_rec_count: list[int] = []
-    for alt_idx, (alt, fs) in enumerate(zip(d.coalts, fields)):
+    for alt_idx, (alt, fs) in enumerate(zip(d.coalts, _field_functors(d, subst))):
         const_tys: list[Ty] = []
         n_rec = 0
         for name, f in zip((n for g in alt for n in g.names), fs):
@@ -956,8 +948,7 @@ def _elaborate_cotype(d: Decl, fields: list[list[SigFunctor]], display: str) -> 
                     )
         alt_const_tys.append(tuple(const_tys))
         alt_rec_count.append(n_rec)
-    functor = _sum_of_products(fields)
-    nf = to_extpoly_nf(functor)
+    functor, nf = _normal_form(d, subst)
     handle = final_mod.FinalCoalgebra(nf)
     return CotypeInfo(d, display, functor, nf, handle, sels, alt_const_tys, alt_rec_count)
 

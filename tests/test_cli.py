@@ -382,6 +382,19 @@ class TestEval:
         if detail is not None:
             assert report["checks"] == [{"name": "eval", "status": "fail", "detail": detail}]
 
+    @pytest.mark.parametrize(
+        "path, expr, detail",
+        [
+            ("lists.qk", "cons 1 2", "cons expects a value of List, got 2"),
+            ("mixed.qk", "glue circle true", "glue expects a value of Shape, got true"),
+            ("mixed.qk", "node 0 (leaf true) (0, 1)", "node expects a value of Tagged, got (0, 1)"),
+        ],
+    )
+    def test_constructors_check_their_recursive_arguments_are_trees(self, path, expr, detail):
+        report, code = run(["eval", str(CORPUS / path), "-e", expr])
+        assert code == 1
+        assert report["checks"] == [{"name": "eval", "status": "fail", "detail": detail}]
+
 
 class TestCheck:
     def test_all_suites_pass(self, both_file):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,10 @@ def statuses(results):
     return {r.name.rsplit(".", 1)[1]: r.status for r in results}
 
 
+def details(results):
+    return {r.name.rsplit(".", 1)[1]: r.detail for r in results}
+
+
 def graph_nodes(tree) -> int:
     """The distinct nodes an unfolded tree's graph has made, each one step."""
     seen, todo = {_OFF}, list(tree._graph.kids.values())
@@ -551,9 +556,12 @@ class TestSuiteFinal:
 
         monkeypatch.setattr(h, "unfold", tampered)
         walks = self.spy_walks(monkeypatch, h)
-        got = statuses(checks.suite_final(info, checks.CheckConfig(4, 16, 0)))
+        results = checks.suite_final(info, checks.CheckConfig(4, 16, 0))
+        got = statuses(results)
         assert got["membership"] == "pass"
         assert got["bounded-uniqueness"] == "fail"
+        # the counterexample is the first seed and a path below the root
+        assert details(results)["bounded-uniqueness"] == "seed 0: the unfold and the reference differ at path (true, inr true)"
         assert walks.count(h.offered) == 2
 
     def test_an_unfold_that_merges_seeds_fails_uniqueness(self, monkeypatch):
@@ -578,8 +586,15 @@ class TestSuiteFinal:
         monkeypatch.setattr(final, "_seed_graph", merged)
         info = proc_info()
         for depth, uniqueness in ((2, "pass"), (3, "fail"), (4, "fail"), (12, "fail")):
-            got = statuses(checks.suite_final(info, checks.CheckConfig(depth, 16, 0)))
+            results = checks.suite_final(info, checks.CheckConfig(depth, 16, 0))
+            got = statuses(results)
             assert got == {"membership": "pass", "unfold-equation": "fail", "bounded-uniqueness": uniqueness}
+            named = details(results)
+            assert named["unfold-equation"].startswith("seed ")
+            if uniqueness == "fail":
+                assert re.fullmatch(r"seed \d: the unfold and the reference differ at path \(.+\)", named["bounded-uniqueness"])
+            else:
+                assert named["bounded-uniqueness"] == ""
 
     def test_defined_off_the_offered_summand_fails_both(self, monkeypatch):
         info = proc_info()
@@ -593,10 +608,12 @@ class TestSuiteFinal:
 
         monkeypatch.setattr(h, "unfold", tampered)
         walks = self.spy_walks(monkeypatch, h)
-        got = statuses(checks.suite_final(info, checks.CheckConfig(4, 16, 0)))
+        results = checks.suite_final(info, checks.CheckConfig(4, 16, 0))
+        got = statuses(results)
         assert got["membership"] == "fail"
         # the pruned walk would never ask the off-summand path
         assert got["bounded-uniqueness"] == "fail"
+        assert re.fullmatch(r"seed 0: the unfold and the reference differ at path \(.+\)", details(results)["bounded-uniqueness"])
         assert h.offered not in walks
 
     def test_each_trie_node_steps_the_coalgebra_once(self, monkeypatch):

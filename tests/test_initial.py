@@ -26,7 +26,6 @@ from quasikernel.initial import (
     enc_to_list,
     induction_via_fold,
     nat_algebra,
-    param_map,
     subtype_fold,
     tree_anchor,
     tree_depth,
@@ -1056,37 +1055,59 @@ class TestSubtypeFold:
 
 
 class TestParamMap:
-    shape = [[[]], [[True]]]
+    """The map of ``free type L X ::= nil | cons(X; L X)``, between its
+    instances through ``instantiate``."""
 
-    def handle(self):
-        return InitialAlgebra(LIST_NAT_NF, param_shape=self.shape)
+    def instances(self, *params):
+        from quasikernel.kernel import Named
+        from quasikernel.surface import elaborate, parse
+
+        env = elaborate(parse("free type L X ::= nil | cons(X; L X)"))
+        return [env.instantiate("L", [Named(p)]) for p in params]
+
+    @staticmethod
+    def build(info, values):
+        t = info.make("nil", [])
+        for v in reversed(values):
+            t = info.make("cons", [v, t])
+        return t
 
     def test_elementwise(self):
-        h = self.handle()
+        (ln,) = self.instances("Nat")
         suc = lambda v: nat(v.n + 1)
-        t = tree_list(h, [nat(1), nat(2)])
+        t = self.build(ln, [nat(1), nat(2)])
         # oracle: map one element at a time
-        assert param_map(h, h, suc, t) == tree_list(h, [nat(2), nat(3)])
+        assert ln.param_map(ln, suc, t) == self.build(ln, [nat(2), nat(3)])
 
     def test_map_id_is_id(self):
-        h = self.handle()
+        (ln,) = self.instances("Nat")
         for vals in ([], [nat(0)], [nat(1), nat(0), nat(2)]):
-            t = tree_list(h, vals)
-            assert param_map(h, h, lambda v: v, t) == t
+            t = self.build(ln, vals)
+            assert ln.param_map(ln, lambda v: v, t) == t
 
     def test_nil_maps_to_nil(self):
-        h = self.handle()
-        assert param_map(h, h, lambda v: nat(v.n + 1), tree_list(h, [])) == tree_list(
-            h, []
-        )
+        (ln,) = self.instances("Nat")
+        nil = self.build(ln, [])
+        assert ln.param_map(ln, lambda v: nat(v.n + 1), nil) == nil
 
     def test_partial_map_is_undefined_wherever_it_fails(self):
         # construct is strict in its subtrees too, so an element deep in the
         # list that f is undefined on gives UNDEF, as one at the root does
-        h = self.handle()
+        (ln,) = self.instances("Nat")
         for vals in ([nat(1), nat(2)], [nat(2), nat(1)], [nat(3), nat(4), nat(2)]):
-            t = tree_list(h, vals)
-            assert param_map(h, h, lambda v: UNDEF if v.n == 2 else v, t) is UNDEF
+            t = self.build(ln, vals)
+            assert ln.param_map(ln, lambda v: UNDEF if v.n == 2 else v, t) is UNDEF
+
+    def test_maps_across_instances(self):
+        ln, lb = self.instances("Nat", "Bool")
+        even = lambda v: TRUE if v.n % 2 == 0 else FALSE
+        t = self.build(ln, [nat(0), nat(3), nat(4)])
+        got = ln.param_map(lb, even, t)
+        assert got == self.build(lb, [TRUE, FALSE, TRUE])
+        assert lb.fold([nat(0), lambda x, r: nat(r.n + (x == TRUE))], got) == nat(2)
+        # the target's constructors check each mapped value, the last element first
+        with pytest.raises(QuasiError, match="cons expects a value of Bool, got 4"):
+            ln.param_map(lb, lambda v: v, t)
 
 
 def reference_is_in_T(h, t):

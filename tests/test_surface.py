@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasikernel.final import NonEnumerableExponent
 from quasikernel.functors import (
@@ -34,6 +36,7 @@ from quasikernel.kernel import (
     eval_term,
     is_true,
     eq_strong,
+    enumerate_ty,
     nat,
     pfun,
 )
@@ -89,6 +92,21 @@ DRAWN_TYPES = st.recursive(
         st.builds(lambda args: Named("List", tuple(args)), st.lists(inner, min_size=1, max_size=2)),
     ),
     max_leaves=8,
+)
+
+# free types with two or more constants (constructors without a recursive
+# argument, collected into summand 0) and Unit/Bool/Nat constant arguments
+_CONST_ARGS = st.lists(st.sampled_from(["Unit", "Bool", "Nat"]), max_size=2)
+# a recursive constructor: a G somewhere among up to three arguments
+_REC_ARGS = st.lists(st.sampled_from(["Unit", "Bool", "Nat", "G"]), max_size=2).flatmap(
+    lambda a: st.permutations(a + ["G"])
+)
+DRAWN_FREE_TYPES = st.builds(
+    lambda consts, recs: "free type G ::= " + " | ".join(
+        f"c{k}({'; '.join(args)})" if args else f"c{k}" for k, args in enumerate(consts + recs)
+    ),
+    st.lists(_CONST_ARGS, min_size=2, max_size=3),
+    st.lists(_REC_ARGS, max_size=2),
 )
 
 GOLDEN = [
@@ -309,10 +327,26 @@ class TestElaborateFreeTypes:
             if i == 0:
                 assert lhs == branches[0]
             else:
-                ctor = info.ctors[info.ctor_position(i, w)]
-                args = info.split_args(ctor, w, children)
+                _pos, args = info.read(i, w, children)
                 rhs = branches[1](args[0], info.fold(branches, args[1]))
                 assert is_true(eq_strong(lhs, rhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(DRAWN_FREE_TYPES)
+    def test_read_inverts_make(self, src):
+        info = elaborate(parse(src)).freetypes["G"]
+        trees = info.handle.enumerate_trees(2)
+        # every enumerated tree is make of what read gives back
+        for t in trees:
+            pos, args = info.read(*info.handle.destruct(t))
+            assert info.make(info.ctors[pos].name, args) is t
+        # and read gives back the constructor and arguments make was given
+        for pos, c in enumerate(info.ctors):
+            tys = iter(c.const_tys)
+            choices = [trees[:2] if k == "rec" else enumerate_ty(next(tys), nat_bound=2) for k in c.arg_kinds]
+            for args in itertools.product(*choices):
+                t = info.make(c.name, list(args))
+                assert info.read(*info.handle.destruct(t)) == (pos, list(args))
 
     def test_case_and_primrec_builtins(self):
         env = elaborate(parse(MONO_LIST_SRC))

@@ -45,8 +45,8 @@ ALLOWED = {
     ),
     "functor action": ("functors.fmap",),
     "lab category structure": ("lab.identity",),
-    "parameterised declarations (ROADMAP item 9)": (
-        "initial.param_map",
+    "parameterised declarations (ROADMAP item 10)": (
+        "surface.FreeTypeInfo.param_map",
         "surface.parse_functor",
         "surface.ElabEnv.instantiate",
     ),
